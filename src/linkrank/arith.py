@@ -5,8 +5,20 @@ Everything here is plain integer arithmetic; no floats anywhere.
 """
 
 from math import factorial, gcd
+from operator import index
 
 from .errors import InvalidInputError
+
+
+def as_integer(value, what):
+    """value as an exact int.  Floats, strings and bools are rejected rather
+    than truncated or read as 0/1; anything with __index__ is accepted."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def moebius(n):
@@ -25,6 +37,28 @@ def moebius(n):
     if n > 1:
         result = -result
     return result
+
+
+def moebius_table(n):
+    """[mu(0), mu(1), ..., mu(n)] by a linear sieve, with mu(0) = 0."""
+    if n < 0:
+        raise InvalidInputError(f"moebius_table(n) needs n >= 0, got {n}")
+    mu = [0] + [1] * n
+    composite = bytearray(n + 1)
+    primes = []
+    for i in range(2, n + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for q in primes:
+            if i * q > n:
+                break
+            composite[i * q] = 1
+            if i % q == 0:
+                mu[i * q] = 0
+                break
+            mu[i * q] = -mu[i]
+    return mu
 
 
 def divisors(n):

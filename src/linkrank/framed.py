@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .arith import as_integer
 from .errors import InternalConsistencyError, InvalidInputError
 from .ranks import (LinkProblem, RankReport, _as_problem, _link_report,
                     _subsequence_infinite)
@@ -26,8 +27,10 @@ class FramedLinkProblem:
     components: tuple
 
     def __post_init__(self):
-        m = int(self.m)
-        components = tuple((int(p), int(l)) for p, l in self.components)
+        m = as_integer(self.m, "the ambient dimension")
+        components = tuple(
+            (as_integer(p, "a component dimension"), as_integer(l, "a frame count"))
+            for p, l in self.components)
         if not components:
             raise InvalidInputError("a framed link needs at least one component")
         for p, l in components:
@@ -162,8 +165,8 @@ def handlebody_report(m_plus_1, handle_dims):
     The induced framed-link data lives one dimension down: m = m_plus_1 - 1,
     sphere dimensions p_k = handle_dim_k - 1, full framings l_k = m - p_k.
     """
-    m_plus_1 = int(m_plus_1)
-    handle_dims = tuple(int(v) for v in handle_dims)
+    m_plus_1 = as_integer(m_plus_1, "the dimension m + 1")
+    handle_dims = tuple(as_integer(v, "a handle dimension") for v in handle_dims)
     if not handle_dims:
         raise InvalidInputError("need at least one handle")
     if any(v < 1 for v in handle_dims):
@@ -199,8 +202,8 @@ def mcg_finite_index(m, p):
     """Whether the image of the relevant mapping class group action has
     finite index: True/False inside the applicable regime (m >= 5 and every
     component dimension at least floor(m/2)), None when inconclusive."""
-    m = int(m)
-    dims = tuple(int(v) for v in p)
+    m = as_integer(m, "the ambient dimension")
+    dims = tuple(as_integer(v, "a component dimension") for v in p)
     if not dims:
         raise InvalidInputError("need at least one component")
     if m < 5 or any(v < m // 2 for v in dims):

@@ -1,6 +1,7 @@
 """Dimensions of multigraded components of a free graded Lie superalgebra
 over the rationals, the derived bracket-map multiplicities, necklace (Witt)
-counts, and the small Diophantine enumerations that drive everything else.
+counts, the weight-graded Witt sums the ranks are computed from, and the
+Diophantine enumerations behind the per-multidegree cross-checks.
 
 Conventions used throughout the package:
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import divisors, gcd_multi, moebius, multinomial
+from .arith import as_integer, divisors, gcd_multi, moebius, moebius_table, multinomial
 from .errors import InternalConsistencyError, InvalidInputError
 
 
@@ -32,7 +33,7 @@ class GeneratorSystem:
     weights: tuple
 
     def __post_init__(self):
-        weights = tuple(int(a) for a in self.weights)
+        weights = tuple(as_integer(a, "a generator weight") for a in self.weights)
         if not weights:
             raise InvalidInputError("a generator system needs at least one generator")
         if any(a < 1 for a in weights):
@@ -163,18 +164,25 @@ def enumerate_diophantine(weights, target, lower_bounds):
 
     Example: weights (3, 1), target 7, bounds (1, 1) -> [(1, 4), (2, 1)].
     """
-    weights = tuple(int(a) for a in weights)
+    return list(iter_diophantine(weights, target, lower_bounds))
+
+
+def iter_diophantine(weights, target, lower_bounds):
+    """The solutions of enumerate_diophantine, in the same order, as a
+    generator, so that a caller looking for one solution stops at it.
+    The arguments are checked at the call, not at the first next()."""
+    weights = tuple(as_integer(a, "a weight") for a in weights)
     if not weights:
         raise InvalidInputError("enumerate_diophantine needs at least one weight")
     if any(a < 1 for a in weights):
         raise InvalidInputError(f"weights must be positive, got {weights}")
-    lower_bounds = tuple(int(b) for b in lower_bounds)
+    lower_bounds = tuple(as_integer(b, "a lower bound") for b in lower_bounds)
     if len(lower_bounds) != len(weights):
         raise InvalidInputError(
             f"{len(lower_bounds)} lower bounds for {len(weights)} weights")
     if any(b not in (0, 1) for b in lower_bounds):
         raise InvalidInputError(f"lower bounds must each be 0 or 1, got {lower_bounds}")
-    target = int(target)
+    target = as_integer(target, "the target")
 
     r = len(weights)
     # tail_min[k] = least weight the coordinates from k on must consume
@@ -182,23 +190,81 @@ def enumerate_diophantine(weights, target, lower_bounds):
     for k in range(r - 1, -1, -1):
         tail_min[k] = tail_min[k + 1] + weights[k] * lower_bounds[k]
 
-    out = []
-
     def extend(k, prefix, remaining):
         if k == r:
             if remaining == 0:
-                out.append(tuple(prefix))
+                yield tuple(prefix)
             return
         v = lower_bounds[k]
         while weights[k] * v + tail_min[k + 1] <= remaining:
             prefix.append(v)
-            extend(k + 1, prefix, remaining - weights[k] * v)
+            yield from extend(k + 1, prefix, remaining - weights[k] * v)
             prefix.pop()
             v += 1
 
-    if target >= 0:
-        extend(0, [], target)
-    return out
+    return extend(0, [], target) if target >= 0 else iter(())
+
+
+def weighted_dim_sums(weights, n):
+    """(D(0), ..., D(n)): D(d) is the summed dimension of all components
+    whose multidegree x has weighted degree sum(weights[k] * x[k]) == d,
+    with D(0) = 1 for the empty bracket.
+
+    This is the weight-graded form of the super Witt formula (Kang-Kim
+    1996, Petrogradsky 2003): with f_s(t) = sum_k s^(a_k mod 2) t^(a_k)
+    and B^s_j = j [t^j] -log(1 - f_s(t)),
+    D(d) = (1/d) sum_{i|d} mu(i) B^s_{d/i} with s = (-1)^(i+1).
+    Results are cached by the sorted weights and n.
+
+    Example: weights (1, 1), n = 2 -> (1, 2, 3): two odd letters in
+    degree 1, and in degree 2 the three self- and cross-brackets.
+    """
+    weights = tuple(sorted(as_integer(a, "a weight") for a in weights))
+    if any(a < 1 for a in weights):
+        raise InvalidInputError(f"weights must be positive, got {weights}")
+    n = as_integer(n, "the degree bound")
+    if n < 0:
+        raise InvalidInputError(f"the degree bound must be >= 0, got {n}")
+    return _weighted_dim_sums(weights, n)
+
+
+@lru_cache(maxsize=1 << 12)
+def _weighted_dim_sums(weights, n):
+    counts = {}
+    for a in weights:
+        if a <= n:
+            counts[a] = counts.get(a, 0) + 1
+    terms = sorted(counts.items())
+    # b[j] = j [t^j] -log(1 - f_1(t)) from t f' = (1 - f) t (-log(1 - f))'.
+    # f_{-1}(t) = f_1(-t), so the s = -1 series is (-1)^j b[j].
+    b = [0] * (n + 1)
+    for j in range(1, n + 1):
+        acc = j * counts.get(j, 0)
+        for a, c in terms:
+            if a >= j:
+                break
+            acc += c * b[j - a]
+        b[j] = acc
+    mu = moebius_table(n)
+    sums = [0] * (n + 1)
+    for i in range(1, n + 1):
+        if mu[i] == 0:
+            continue
+        flip = i % 2 == 0
+        for j in range(1, n // i + 1):
+            term = b[j]
+            if flip and j % 2:
+                term = -term
+            sums[i * j] += mu[i] * term
+    out = [1]
+    for d in range(1, n + 1):
+        value, remainder = divmod(sums[d], d)
+        if remainder or value < 0:
+            raise InternalConsistencyError(
+                f"weight-graded Witt formula gave {Fraction(sums[d], d)} in degree {d} "
+                f"for weights {weights}")
+        out.append(value)
+    return tuple(out)
 
 
 def _squarefree_divisor_count(x):

@@ -5,23 +5,42 @@ criteria.
 
 A problem is an ambient dimension m plus component sphere dimensions
 p = (p_1, ..., p_r) with every p_k < m - 2.  The attached generator system
-has weights a_k = m - p_k - 2, and every rank is a finite sum of component
-multiplicities over solutions of sum(a_k x_k) = m - 3.
+has weights a_k = m - p_k - 2, and every rank is a sum of component
+multiplicities over the multidegrees x of weighted degree N = m - 3.
 
-The general-link rank is computed twice on purpose: once by the closed
-formula and once through the splitting into Brunnian ranks of subsets of
-components; a mismatch raises InternalConsistencyError.
+Those sums are taken in closed form, not term by term.  For a set T of
+components, the multiplicities of all x >= 0 supported on T add up to
+M(T) = sum_{k in T} D_T(N - a_k) - D_T(N), where D_T(n) is the summed
+component dimension in weighted degree n given by the weight-graded Witt
+formula (liedim.weighted_dim_sums).  The Brunnian rank of S, the sum over
+x >= 1 on S, is sum_{T within S} (-1)^|S - T| M(T); it is 0 whenever the
+weights of S add up to more than N.  The link rank is M(all components)
+plus the knot ranks minus the delta corrections.
+
+Independent checks raise InternalConsistencyError on a mismatch:
+
+* the per-multidegree terms (`contributions`) are enumerated on first
+  access and must add up to the closed-form value;
+* the link rank must equal its split into knot ranks plus one Brunnian
+  rank per component subset, which tests the delta terms and the subsets
+  left out as having no positive solution;
+* each finiteness verdict, decided by the solvability criteria, must
+  agree with rank > 0;
+* equal_dim_rank must agree with its one-weight closed form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Optional
 
+from .arith import as_integer
 from .errors import InternalConsistencyError, InvalidInputError
 from .fcs import fcs_contains
-from .liedim import GeneratorSystem, enumerate_diophantine, multiplicity, witt_super
+from .liedim import (GeneratorSystem, enumerate_diophantine, iter_diophantine,
+                     multiplicity, weighted_dim_sums, witt_super)
 
 
 @dataclass(frozen=True)
@@ -32,8 +51,8 @@ class LinkProblem:
     p: tuple
 
     def __post_init__(self):
-        m = int(self.m)
-        p = tuple(int(v) for v in self.p)
+        m = as_integer(self.m, "the ambient dimension")
+        p = tuple(as_integer(v, "a component dimension") for v in self.p)
         if not p:
             raise InvalidInputError("a link needs at least one component")
         for v in p:
@@ -66,9 +85,31 @@ def _as_problem(problem, p=None):
     return LinkProblem(m, tuple(dims))
 
 
-class BrunnianRank(NamedTuple):
+def _contributions(m, dims, lower, expected):
+    # (x, multiplicity) over the solutions x >= lower of sum(a_k x_k) = m - 3,
+    # checked against the closed-form sum
+    gs = GeneratorSystem(tuple(m - v - 2 for v in dims))
+    terms = tuple((x, multiplicity(gs, x))
+                  for x in enumerate_diophantine(gs.weights, m - 3, (lower,) * len(dims)))
+    total = sum(value for _, value in terms)
+    if total != expected:
+        raise InternalConsistencyError(
+            f"the {len(terms)} enumerated contributions add up to {total} but the "
+            f"Witt formula gives {expected} for m={m}, p={dims}")
+    return terms
+
+
+@dataclass(frozen=True)
+class BrunnianRank:
+    m: int
+    p: tuple
     rank: int
-    contributions: tuple  # ((multidegree, multiplicity), ...) over positive solutions
+
+    @cached_property
+    def contributions(self):
+        """((multidegree, multiplicity), ...) over the positive solutions,
+        enumerated on first access and checked against rank."""
+        return _contributions(self.m, self.p, 1, self.rank)
 
 
 @dataclass(frozen=True)
@@ -79,13 +120,21 @@ class RankReport:
     brunnian_rank: Optional[int]  # None when r = 1
     knot_ranks: tuple
     infinite: bool
-    contributions: tuple  # ((multidegree, multiplicity), ...) over x >= 0
-    subset_decomposition: dict  # 1-based component subset -> its Brunnian/knot rank
+    subset_decomposition: MappingProxyType  # 1-based component subset -> its Brunnian/knot rank
+
+    @cached_property
+    def contributions(self):
+        """((multidegree, multiplicity), ...) over x >= 0, enumerated on first
+        access and checked against total_rank."""
+        expected = (self.total_rank - sum(self.knot_ranks)
+                    + sum(_delta(self.m, v) for v in self.p))
+        return _contributions(self.m, self.p, 0, expected)
 
 
 def knot_rank(m, p):
     """Rank of the group of knots S^p in R^m (0 or 1)."""
-    _as_problem(m, (p,))
+    problem = _as_problem(m, (p,))
+    m, p = problem.m, problem.p[0]
     return 1 if (p + 1) % 4 == 0 and 2 * m < 3 * p + 4 else 0
 
 
@@ -96,16 +145,40 @@ def _delta(m, p):
     return 1 if Fraction(2 * (m - 3), m - p - 2) == target else 0
 
 
+def _multiplicity_sum(weights, target):
+    # M(T): the multiplicities of all x >= 0 of weighted degree target
+    dims = weighted_dim_sums(weights, target)
+    return sum(dims[target - a] for a in weights if a <= target) - dims[target]
+
+
+def _brunnian_ranks(m, dims):
+    """Brunnian rank of every component subset whose weights add up to at
+    most m - 3, keyed by bitmask (bit k for component k).  Every other
+    subset has no positive solution, so its rank is 0."""
+    target = m - 3
+    weights = tuple(m - v - 2 for v in dims)
+    # the subsets in question are closed under taking subsets, so the
+    # Moebius transform below never reads outside them
+    family = [(0, 0)]
+    for k, a in enumerate(weights):
+        family += [(mask | 1 << k, total + a) for mask, total in family
+                   if total + a <= target]
+    ranks = {0: 0}
+    for mask, _ in family[1:]:
+        ranks[mask] = _multiplicity_sum(
+            [a for k, a in enumerate(weights) if mask >> k & 1], target)
+    for k in range(len(weights)):
+        bit = 1 << k
+        for mask in ranks:
+            if mask & bit:
+                ranks[mask] -= ranks[mask ^ bit]
+    return ranks
+
+
 @lru_cache(maxsize=1 << 14)
 def _brunnian(problem):
-    gs = problem.system()
-    contributions = []
-    total = 0
-    for x in enumerate_diophantine(gs.weights, problem.m - 3, (1,) * problem.r):
-        value = multiplicity(gs, x)
-        contributions.append((x, value))
-        total += value
-    return BrunnianRank(total, tuple(contributions))
+    ranks = _brunnian_ranks(problem.m, problem.p)
+    return BrunnianRank(problem.m, problem.p, ranks.get((1 << problem.r) - 1, 0))
 
 
 def brunnian_rank(problem, p=None):
@@ -122,12 +195,15 @@ def brunnian_rank(problem, p=None):
 
 def _subsequence_infinite(m, dims):
     # two components: a positive solution lying in the membership family;
-    # three or more: any positive solution at all
+    # three or more: any positive solution at all.  Both stop at the first
+    # witness.
     weights = tuple(m - v - 2 for v in dims)
-    solutions = enumerate_diophantine(weights, m - 3, (1,) * len(dims))
+    if sum(weights) > m - 3:
+        return False  # x = (1, ..., 1) already overshoots
+    solutions = iter_diophantine(weights, m - 3, (1,) * len(dims))
     if len(dims) == 2:
         return any(fcs_contains(m - dims[0], m - dims[1], x, y) for x, y in solutions)
-    return bool(solutions)
+    return next(solutions, None) is not None
 
 
 def brunnian_is_infinite(problem, p=None):
@@ -160,28 +236,23 @@ def _link_infinite_criterion(m, dims):
 @lru_cache(maxsize=1 << 14)
 def _link_report(problem):
     m, dims, r = problem.m, problem.p, problem.r
-    gs = problem.system()
     if m - 3 < 1:
         raise InternalConsistencyError(f"degree target m - 3 = {m - 3} is not positive")
     knot_ranks = tuple(knot_rank(m, v) for v in dims)
+    total = (_multiplicity_sum(problem.weights(), m - 3)
+             + sum(knot_ranks) - sum(_delta(m, v) for v in dims))
 
-    contributions = []
-    total = 0
-    for x in enumerate_diophantine(gs.weights, m - 3, (0,) * r):
-        value = multiplicity(gs, x)
-        contributions.append((x, value))
-        total += value
-    total += sum(knot_ranks) - sum(_delta(m, v) for v in dims)
-
-    # independent recomputation: one Brunnian summand per component subset
-    decomposition = {}
-    for size in range(1, r + 1):
-        for subset in combinations(range(r), size):
-            if size == 1:
-                value = knot_ranks[subset[0]]
-            else:
-                value = _brunnian(LinkProblem(m, tuple(dims[k] for k in subset))).rank
-            decomposition[tuple(k + 1 for k in subset)] = value
+    # the same total split into one Brunnian summand per component subset,
+    # keyed by size, then lexicographically
+    decomposition = dict.fromkeys(
+        (subset for size in range(1, r + 1)
+         for subset in combinations(range(1, r + 1), size)), 0)
+    for mask, value in _brunnian_ranks(m, dims).items():
+        subset = tuple(k + 1 for k in range(r) if mask >> k & 1)
+        if len(subset) >= 2:
+            decomposition[subset] = value
+    for k, value in enumerate(knot_ranks):
+        decomposition[(k + 1,)] = value
     split_total = sum(decomposition.values())
     if split_total != total:
         raise InternalConsistencyError(
@@ -194,16 +265,14 @@ def _link_report(problem):
             f"finiteness criterion says {infinite} but the rank is {total} "
             f"for m={m}, p={dims}")
 
-    brunnian = _brunnian(problem).rank if r >= 2 else None
     return RankReport(
         m=m,
         p=dims,
         total_rank=total,
-        brunnian_rank=brunnian,
+        brunnian_rank=decomposition[tuple(range(1, r + 1))] if r >= 2 else None,
         knot_ranks=knot_ranks,
         infinite=infinite,
-        contributions=tuple(contributions),
-        subset_decomposition=decomposition,
+        subset_decomposition=MappingProxyType(decomposition),
     )
 
 
@@ -222,12 +291,13 @@ def link_is_infinite(problem, p=None):
 def equal_dim_rank(m, p, r):
     """Closed form for the rank when all r components have equal dimension
     p > 1, cross-checked against the general formula."""
-    r = int(r)
+    r = as_integer(r, "the number of components")
     if r < 1:
         raise InvalidInputError(f"need at least one component, got r={r}")
+    problem = LinkProblem(m, (p,) * r)
+    m, p = problem.m, problem.p[0]
     if p <= 1:
         raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={p}")
-    problem = LinkProblem(m, (p,) * r)
     s = m - p
     t = Fraction(m - 3, m - p - 2)
     delta = 1 if 2 * t == (4 if s % 2 == 0 else 6) else 0

@@ -226,7 +226,10 @@ def test_criterion_11_subset_splitting():
                     if size == 1:
                         total += knot_rank(m, chosen[0])
                     else:
-                        total += brunnian_rank(m, chosen).rank
+                        # the closed form against the per-multidegree terms
+                        result = brunnian_rank(m, chosen)
+                        assert result.rank == sum(v for _, v in result.contributions)
+                        total += result.rank
             assert total == link_rank(m, dims).total_rank, (m, dims)
 
 

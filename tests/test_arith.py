@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from linkrank.arith import divisors, gcd_multi, moebius, multinomial
+from linkrank.arith import (as_integer, divisors, gcd_multi, moebius, moebius_table,
+                            multinomial)
 from linkrank.errors import InvalidInputError
 
 
@@ -84,3 +85,17 @@ def test_multinomial_order_invariant():
 def test_multinomial_rejects_negative_part():
     with pytest.raises(InvalidInputError):
         multinomial([2, -1])
+
+
+def test_moebius_table_matches_moebius():
+    assert moebius_table(0) == [0]
+    assert moebius_table(300) == [0] + [moebius(n) for n in range(1, 301)]
+    with pytest.raises(InvalidInputError):
+        moebius_table(-1)
+
+
+def test_as_integer_rejects_non_integers():
+    assert as_integer(7, "n") == 7
+    for bad in (7.0, 6.9, True, False, "7", None):
+        with pytest.raises(InvalidInputError):
+            as_integer(bad, "n")

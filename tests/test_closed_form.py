@@ -1,0 +1,102 @@
+"""The closed-form rank path against the per-multidegree enumeration, and
+the consistency checks that guard it."""
+
+import pytest
+
+from linkrank import ranks
+from linkrank.errors import InternalConsistencyError
+from linkrank.ranks import (brunnian_is_infinite, brunnian_rank, equal_dim_rank,
+                            link_rank)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# enumeration cost grows with the number of solutions; this keeps each
+# example well under a second
+MAX_SOLUTIONS = 5000
+
+
+def _solution_count(weights, target):
+    ways = [1] + [0] * target
+    for a in weights:
+        for t in range(a, target + 1):
+            ways[t] += ways[t - a]
+    return ways[target]
+
+
+@st.composite
+def link_problems(draw):
+    m = draw(st.integers(4, 30))
+    r = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(1, m - 3), min_size=r, max_size=r)))
+    hypothesis.assume(_solution_count([m - p - 2 for p in dims], m - 3) <= MAX_SOLUTIONS)
+    return m, dims
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(link_problems())
+def test_closed_form_equals_enumeration(problem):
+    m, dims = problem
+    report = link_rank(m, dims)
+    correction = sum(report.knot_ranks) - sum(ranks._delta(m, p) for p in dims)
+    assert report.total_rank == sum(v for _, v in report.contributions) + correction
+    if len(dims) >= 2:
+        brunnian = brunnian_rank(m, dims)
+        assert brunnian.rank == sum(v for _, v in brunnian.contributions)
+        assert all(min(x) >= 1 for x, _ in brunnian.contributions)
+        assert report.brunnian_rank == brunnian.rank
+
+
+@pytest.fixture
+def cold_caches():
+    # the checks run only when a value is computed, not on a cache hit
+    caches = (ranks._link_report, ranks._brunnian)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_contributions_check_fires(cold_caches, monkeypatch):
+    real = ranks.multiplicity
+    monkeypatch.setattr(ranks, "multiplicity", lambda gs, x: real(gs, x) + 1)
+    with pytest.raises(InternalConsistencyError):
+        link_rank(6, (3, 3)).contributions
+    with pytest.raises(InternalConsistencyError):
+        brunnian_rank(6, (3, 3)).contributions
+
+
+def test_subset_split_check_fires(cold_caches, monkeypatch):
+    # (6; 3, 3) has delta = 1 for each component; dropping it leaves the
+    # closed formula two above the split
+    monkeypatch.setattr(ranks, "_delta", lambda m, p: 0)
+    with pytest.raises(InternalConsistencyError, match="subset splitting"):
+        link_rank(6, (3, 3))
+
+
+def test_criterion_checks_fire(cold_caches, monkeypatch):
+    monkeypatch.setattr(ranks, "_subsequence_infinite", lambda m, dims: False)
+    with pytest.raises(InternalConsistencyError, match="Brunnian criterion"):
+        brunnian_is_infinite(8, (5, 5, 5))
+    with pytest.raises(InternalConsistencyError, match="finiteness criterion"):
+        link_rank(8, (5, 5, 5))
+
+
+def test_equal_dim_check_fires(cold_caches, monkeypatch):
+    monkeypatch.setattr(ranks, "witt_super", lambda t, s, r: 0)
+    with pytest.raises(InternalConsistencyError, match="equal-dimension"):
+        equal_dim_rank(6, 3, 2)
+
+
+def test_subsets_too_heavy_for_a_positive_solution_have_rank_zero():
+    # weights 9, 8, 7 against target 17: every pair fits, the triple does not
+    report = link_rank(20, (9, 10, 11))
+    split = report.subset_decomposition
+    assert split[(1, 2, 3)] == 0
+    assert brunnian_rank(20, (9, 10, 11)).rank == 0
+    assert brunnian_rank(20, (9, 10, 11)).contributions == ()
+    for pair in ((1, 2), (1, 3), (2, 3)):
+        dims = tuple((9, 10, 11)[k - 1] for k in pair)
+        assert split[pair] == brunnian_rank(20, dims).rank
+    assert sum(split.values()) == report.total_rank

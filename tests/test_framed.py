@@ -102,6 +102,20 @@ def test_handlebody_out_of_regime_is_inconclusive():
     assert report.group_rank is None
 
 
+def test_framed_non_integer_inputs_are_rejected():
+    for bad in (8.0, 5.5, True, "5"):
+        with pytest.raises(InvalidInputError):
+            FramedLinkProblem(bad, ((5, 3),))
+        with pytest.raises(InvalidInputError):
+            FramedLinkProblem(8, ((bad, 3),))
+        with pytest.raises(InvalidInputError):
+            FramedLinkProblem(8, ((5, bad),))
+        with pytest.raises(InvalidInputError):
+            handlebody_report(bad, (6, 6))
+        with pytest.raises(InvalidInputError):
+            handlebody_report(9, (6, bad))
+
+
 def test_mcg_verdicts():
     assert mcg_finite_index(8, (5, 5)) is True
     assert mcg_finite_index(8, (5, 5, 5)) is False

@@ -8,9 +8,11 @@ from linkrank.liedim import (
     GeneratorSystem,
     multiplicity_lower_bound,
     enumerate_diophantine,
+    iter_diophantine,
     lie_component_dim,
     multiplicity,
     weighted_degree,
+    weighted_dim_sums,
     witt,
     witt_super,
 )
@@ -157,3 +159,54 @@ def test_multiplicity_lower_bound_input_checks():
         multiplicity_lower_bound((1, 1), (0, 2))
     with pytest.raises(InvalidInputError):
         multiplicity_lower_bound((1,), (1,))
+
+
+def test_weighted_dim_sums_match_component_sums():
+    for weights in [(1,), (2,), (1, 1), (1, 2), (2, 3), (1, 1, 2), (3, 1, 4, 1)]:
+        sums = weighted_dim_sums(weights, 10)
+        assert sums[0] == 1
+        for d in range(1, 11):
+            expected = sum(lie_component_dim(weights, x)
+                           for x in enumerate_diophantine(weights, d, (0,) * len(weights)))
+            assert sums[d] == expected, (weights, d)
+
+
+def test_weighted_dim_sums_equal_weights_are_super_necklace_counts():
+    # with r letters of one weight s, degree t*s holds witt_super(t, s, r)
+    for s in (1, 2, 3):
+        for r in (1, 2, 3):
+            sums = weighted_dim_sums((s,) * r, 8 * s)
+            for t in range(1, 9):
+                assert sums[t * s] == witt_super(t, s, r), (s, r, t)
+
+
+def test_weighted_dim_sums_input_checks():
+    assert weighted_dim_sums((2, 1), 3) == weighted_dim_sums((1, 2), 3)
+    with pytest.raises(InvalidInputError):
+        weighted_dim_sums((0, 1), 3)
+    with pytest.raises(InvalidInputError):
+        weighted_dim_sums((1, 1), -1)
+    with pytest.raises(InvalidInputError):
+        weighted_dim_sums((1.5, 1), 3)
+
+
+def test_iter_diophantine_is_lazy_and_checks_eagerly():
+    # 12 letters of weight 1 in degree 60: far too many solutions to list
+    solutions = iter_diophantine((1,) * 12, 60, (1,) * 12)
+    assert next(solutions) == (1,) * 11 + (49,)
+    assert list(iter_diophantine((3, 1), 7, (1, 1))) == [(1, 4), (2, 1)]
+    assert list(iter_diophantine((2,), -1, (0,))) == []
+    with pytest.raises(InvalidInputError):
+        iter_diophantine((1, 1), 4, (1, 2))
+
+
+def test_non_integer_inputs_are_rejected():
+    for bad in (1.0, 2.5, True, "2"):
+        with pytest.raises(InvalidInputError):
+            GeneratorSystem((bad, 1))
+        with pytest.raises(InvalidInputError):
+            enumerate_diophantine((bad, 1), 4, (0, 0))
+        with pytest.raises(InvalidInputError):
+            enumerate_diophantine((1, 1), bad, (0, 0))
+        with pytest.raises(InvalidInputError):
+            enumerate_diophantine((1, 1), 4, (0, bad))

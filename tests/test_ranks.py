@@ -27,6 +27,20 @@ def test_link_problem_validation():
         LinkProblem(6, ())
 
 
+def test_link_problem_rejects_non_integers():
+    # floats used to be truncated, so (6.9; 3.5, 3) answered for (6; 3, 3)
+    for m, dims in [(6.9, (3, 3)), (6, (3.5, 3)), (6.0, (3, 3)), (6, (True, 3)),
+                    (True, (1,)), ("6", (3, 3)), (6, ("3", 3))]:
+        with pytest.raises(InvalidInputError):
+            LinkProblem(m, dims)
+        with pytest.raises(InvalidInputError):
+            link_rank(m, dims)
+    with pytest.raises(InvalidInputError):
+        knot_rank(6, 3.0)
+    with pytest.raises(InvalidInputError):
+        equal_dim_rank(6, 3, 2.0)
+
+
 def test_knot_rank_values():
     assert knot_rank(10, 7) == 1
     assert knot_rank(13, 7) == 0
@@ -102,6 +116,15 @@ def test_subset_decomposition_sums_to_total():
         }
 
 
+def test_subset_decomposition_is_read_only():
+    # the report is cached: a caller writing into it would change every
+    # later answer for the same problem
+    report = link_rank(6, (3, 3))
+    with pytest.raises(TypeError):
+        report.subset_decomposition[(1,)] = 99
+    assert sum(link_rank(6, (3, 3)).subset_decomposition.values()) == 4
+
+
 def test_finiteness_examples():
     assert brunnian_is_infinite(8, (5, 5)) is False
     assert brunnian_is_infinite(8, (5, 5, 5)) is True
@@ -133,6 +156,11 @@ def test_equal_dim_rank_matches_general_formula():
         for m in range(p + 3, 3 * p + 3):
             for r in range(1, 4):
                 assert equal_dim_rank(m, p, r) == link_rank(m, (p,) * r).total_rank
+
+
+def test_equal_dim_rank_many_components_matches_general_formula():
+    # six components in S^60: 6.5 million multidegrees, out of reach term by term
+    assert link_rank(60, (57,) * 6).total_rank == equal_dim_rank(60, 57, 6)
 
 
 def test_equal_dim_rank_rejects_p_one():
