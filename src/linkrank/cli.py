@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .fcs import _parity, fcs_enumerate
-from .framed import FramedLinkProblem, framed_rank
+from .framed import framed_rank
 from .liedim import multiplicity, witt_super
 from .oracle import verify_range
-from .ranks import LinkProblem, brunnian_is_infinite, brunnian_rank, link_rank
+from .ranks import brunnian_is_infinite, brunnian_rank, link_rank
 from .stiefel import stiefel_rank
 
 
@@ -48,16 +48,15 @@ def _subset_key(subset):
 
 
 def _cmd_rank(args):
-    problem = LinkProblem(args.m, tuple(args.p))
     if args.brunnian:
-        result = brunnian_rank(problem)
-        rank = result.rank
-        infinite = brunnian_is_infinite(problem)
+        report = brunnian_rank(args.m, args.p)
+        rank = report.rank
+        infinite = brunnian_is_infinite(args.m, args.p)
         brunnian = rank
-        contributions = result.contributions
+        contributions = report.contributions
         decomposition = None
     else:
-        report = link_rank(problem)
+        report = link_rank(args.m, args.p)
         rank = report.total_rank
         infinite = report.infinite
         brunnian = report.brunnian_rank
@@ -66,8 +65,8 @@ def _cmd_rank(args):
 
     if args.format == "json":
         payload = {
-            "m": problem.m,
-            "p": list(problem.p),
+            "m": report.m,
+            "p": list(report.p),
             "rank": rank,
             "infinite": infinite,
         }
@@ -87,10 +86,10 @@ def _cmd_rank(args):
     elif args.format == "csv":
         _print_csv(
             ["m", "p", "rank", "brunnian_rank", "infinite"],
-            [[problem.m, " ".join(map(str, problem.p)), rank,
+            [[report.m, " ".join(map(str, report.p)), rank,
               "" if brunnian is None else brunnian, infinite]])
     else:
-        print(f"m = {problem.m}, p = ({', '.join(map(str, problem.p))})")
+        print(f"m = {report.m}, p = ({', '.join(map(str, report.p))})")
         if args.brunnian:
             print(f"brunnian rank: {rank}")
         else:
@@ -121,7 +120,7 @@ def _parse_component(text):
 
 def _cmd_framed(args):
     components = tuple(_parse_component(item) for item in args.component)
-    report = framed_rank(FramedLinkProblem(args.m, components))
+    report = framed_rank(args.m, components)
     if args.format == "json":
         _print_json({
             "m": report.m,
@@ -155,7 +154,7 @@ def _table2_rows():
             columns = [(str(l), l) for l in range(3, p + 2)]
             columns.append((f">={p + 2}", p + 2))
             for l_label, l in columns:
-                value = brunnian_rank(LinkProblem(p + l + k, (p, p + k))).rank
+                value = brunnian_rank(p + l + k, (p, p + k)).rank
                 rows.append([k_label, p, l_label, value])
     return rows
 

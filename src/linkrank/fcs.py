@@ -6,6 +6,7 @@ The families are given by explicit congruence bullets; the equivalence
 "member <=> multiplicity > 0" is exercised wholesale by the test suite.
 """
 
+from .arith import as_integer
 from .errors import InvalidInputError
 
 
@@ -17,39 +18,24 @@ def _parity(value):
         if word == "odd":
             return 1
         raise InvalidInputError(f"parity must be an integer or 'even'/'odd', got {value!r}")
-    if not isinstance(value, int):
-        raise InvalidInputError(f"parity must be an integer or 'even'/'odd', got {value!r}")
-    return value % 2
+    return as_integer(value, "a parity index") % 2
 
 
-def _split_parity_args(args, caller):
-    # accept both ((i, j), x, y) and (i, j, x, y)
-    if len(args) == 3:
-        pair, x, y = args
-        try:
-            i, j = pair
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"{caller} needs a parity pair (i, j) as first argument, got {pair!r}")
-        return i, j, x, y
-    if len(args) == 4:
-        return args
-    raise InvalidInputError(
-        f"{caller} takes ((i, j), x, y) or (i, j, x, y), got {len(args)} arguments")
-
-
-def fcs_contains(*args):
+def fcs_contains(i, j, x, y):
     """Whether the lattice point (x, y), x, y >= 1, belongs to the family
     indexed by the parities of (i, j).
 
-    Callable as fcs_contains((i, j), x, y) or fcs_contains(i, j, x, y);
     i and j may be integers or the strings 'even'/'odd'.
+    Example: fcs_contains("odd", "even", 2, 3) -> True.
     """
-    i, j, x, y = _split_parity_args(args, "fcs_contains")
+    x = as_integer(x, "the x coordinate")
+    y = as_integer(y, "the y coordinate")
     if x < 1 or y < 1:
         raise InvalidInputError(f"membership is defined for x, y >= 1, got ({x}, {y})")
-    pi = _parity(i)
-    pj = _parity(j)
+    return _member(_parity(i), _parity(j), x, y)
+
+
+def _member(pi, pj, x, y):
     if pi == 0 and pj == 0:
         return (
             (x == 1 and y == 1)
@@ -80,21 +66,21 @@ def fcs_contains(*args):
             or ((x + 3) % 4 == 0 and y == 2)
         )
     # (even, odd) is the (odd, even) family reflected across the diagonal
-    return fcs_contains(j, i, y, x)
+    return _member(pj, pi, y, x)
 
 
-def fcs_enumerate(*args):
+def fcs_enumerate(i, j, x_max, y_max):
     """All member points in the box 1 <= x <= x_max, 1 <= y <= y_max,
-    in lexicographic order.
-
-    Callable as fcs_enumerate((i, j), x_max, y_max) or with i, j unpacked.
-    """
-    i, j, x_max, y_max = _split_parity_args(args, "fcs_enumerate")
+    in lexicographic order, for the family indexed by the parities of
+    (i, j) as in fcs_contains."""
+    x_max = as_integer(x_max, "the box bound x_max")
+    y_max = as_integer(y_max, "the box bound y_max")
     if x_max < 1 or y_max < 1:
         raise InvalidInputError(f"box bounds must be >= 1, got ({x_max}, {y_max})")
+    pi, pj = _parity(i), _parity(j)
     return [
         (x, y)
         for x in range(1, x_max + 1)
         for y in range(1, y_max + 1)
-        if fcs_contains(i, j, x, y)
+        if _member(pi, pj, x, y)
     ]

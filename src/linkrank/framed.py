@@ -8,13 +8,11 @@ per component.  A "full framing" means l_k = m - p_k for every k.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .arith import as_integer
 from .errors import InternalConsistencyError, InvalidInputError
-from .ranks import (LinkProblem, RankReport, _as_problem, _link_report,
-                    _subsequence_infinite)
+from .ranks import LinkProblem, RankReport, _link_report, _sublink_infinite
 from .stiefel import stiefel_rank
 
 
@@ -68,19 +66,11 @@ class FramedRankReport:
     infinite: bool
 
 
-def _as_framed(problem, components=None):
-    if isinstance(problem, FramedLinkProblem):
-        return problem
-    if components is not None:
-        return FramedLinkProblem(problem, tuple(components))
-    m, comps = problem
-    return FramedLinkProblem(m, tuple(comps))
-
-
-def framed_rank(problem, components=None):
-    """Rank report for a framed link: the underlying link rank plus one
-    Stiefel summand stiefel_rank(p_k, m - p_k, l_k) per component."""
-    problem = _as_framed(problem, components)
+def framed_rank(m, components):
+    """Rank report for a framed link with (p_k, l_k) components in R^m: the
+    underlying link rank plus one Stiefel summand stiefel_rank(p_k, m - p_k,
+    l_k) per component."""
+    problem = FramedLinkProblem(m, components)
     m = problem.m
     link_report = _link_report(problem.link_problem())
     stiefel_ranks = tuple(
@@ -99,9 +89,10 @@ def framed_rank(problem, components=None):
 
 def framed_knot_is_infinite(m, p, l):
     """Finiteness criterion for a single framed sphere, 1 <= l <= m - p."""
+    problem = FramedLinkProblem(m, ((p, l),))
+    m, (p, l) = problem.m, problem.components[0]
     if l < 1:
         raise InvalidInputError(f"the criterion needs l >= 1, got l={l}")
-    FramedLinkProblem(m, ((p, l),))
     if (p + 1) % 4 == 0 and 2 * m < 3 * p + 2 * l + 2:
         return True
     if (p + 1) % 2 == 0 and m == 2 * p + 1:
@@ -117,21 +108,16 @@ def _fully_framed_criterion(m, dims):
             return True
         if (m + 1) % 4 == 0 and m + 1 == 2 * p + 2:
             return True
-    r = len(dims)
-    for size in range(2, r + 1):
-        for subset in combinations(range(r), size):
-            if _subsequence_infinite(m, tuple(dims[k] for k in subset)):
-                return True
-    return False
+    return _sublink_infinite(m, dims)
 
 
-def fully_framed_is_infinite(problem, p=None):
+def fully_framed_is_infinite(m, dims):
     """Finiteness verdict for the link with every component fully framed
     (l_k = m - p_k), asserted against the computed framed rank."""
-    problem = _as_problem(problem, p)
+    problem = LinkProblem(m, dims)
     m, dims = problem.m, problem.p
     verdict = _fully_framed_criterion(m, dims)
-    report = framed_rank(FramedLinkProblem(m, tuple((v, m - v) for v in dims)))
+    report = framed_rank(m, tuple((v, m - v) for v in dims))
     if verdict != (report.total_rank > 0):
         raise InternalConsistencyError(
             f"full-framing criterion says {verdict} but the framed rank is "
@@ -183,11 +169,10 @@ def handlebody_report(m_plus_1, handle_dims):
     sets_finite = None
     group_rank = None
     if codim_ok:
-        if weak and not fully_framed_is_infinite(LinkProblem(m, dims)):
+        if weak and not fully_framed_is_infinite(m, dims):
             sets_finite = True
         if strict:
-            full = FramedLinkProblem(m, tuple((v, m - v) for v in dims))
-            group_rank = framed_rank(full).total_rank
+            group_rank = framed_rank(m, tuple((v, m - v) for v in dims)).total_rank
     return HandlebodyReport(
         m_plus_1=m_plus_1,
         handle_dims=handle_dims,
@@ -210,4 +195,4 @@ def mcg_finite_index(m, p):
         return None
     if any(not (1 <= v < m - 2) for v in dims):
         return None
-    return not fully_framed_is_infinite(LinkProblem(m, dims))
+    return not fully_framed_is_infinite(m, dims)

@@ -54,7 +54,7 @@ def _as_system(gs):
 
 
 def _as_multidegree(gs, x):
-    x = tuple(int(v) for v in x)
+    x = tuple(as_integer(v, "a multidegree entry") for v in x)
     if len(x) != len(gs.weights):
         raise InvalidInputError(
             f"multidegree {x} has {len(x)} entries but the system has "
@@ -97,18 +97,22 @@ def _dim_by_parity(parities, x):
     return value
 
 
+def _dim(parities, x):
+    # lie_component_dim on an already validated multidegree
+    if any(v < 0 for v in x):
+        return 0
+    if all(v == 0 for v in x):
+        return 1
+    return _dim_by_parity(parities, x)
+
+
 def lie_component_dim(gs, x):
     """Dimension of the multidegree-x component of the free Lie superalgebra.
 
     Example: one generator of odd weight, x = (2,) -> 1, the self-bracket.
     """
     gs = _as_system(gs)
-    x = _as_multidegree(gs, x)
-    if any(v < 0 for v in x):
-        return 0
-    if all(v == 0 for v in x):
-        return 1
-    return _dim_by_parity(gs.parities(), x)
+    return _dim(gs.parities(), _as_multidegree(gs, x))
 
 
 def multiplicity(gs, x):
@@ -116,15 +120,17 @@ def multiplicity(gs, x):
     generator map landing in the multidegree-x component."""
     gs = _as_system(gs)
     x = _as_multidegree(gs, x)
-    acc = -lie_component_dim(gs, x)
+    parities = gs.parities()
+    acc = -_dim(parities, x)
     for k in range(len(x)):
-        lowered = x[:k] + (x[k] - 1,) + x[k + 1:]
-        acc += lie_component_dim(gs, lowered)
+        acc += _dim(parities, x[:k] + (x[k] - 1,) + x[k + 1:])
     return acc
 
 
 def witt(t, r):
     """Necklace count (1/t) sum_{i|t} mu(i) r^(t/i) for t, r >= 1."""
+    t = as_integer(t, "the necklace length t")
+    r = as_integer(r, "the letter count r")
     if t < 1 or r < 1:
         raise InvalidInputError(f"witt(t, r) needs t >= 1 and r >= 1, got t={t}, r={r}")
     acc = 0
@@ -145,6 +151,8 @@ def witt_super(t, s, r):
     For odd s and t congruent to 2 mod 4 the count picks up the extra
     witt(t/2, r) term coming from the odd part of the grading.
     """
+    s = as_integer(s, "the parity carrier s")
+    r = as_integer(r, "the letter count r")
     if s < 1 or r < 1:
         raise InvalidInputError(f"witt_super needs s >= 1 and r >= 1, got s={s}, r={r}")
     t = Fraction(t)
@@ -265,40 +273,3 @@ def _weighted_dim_sums(weights, n):
                 f"for weights {weights}")
         out.append(value)
     return tuple(out)
-
-
-def _squarefree_divisor_count(x):
-    # square-free divisors > 1 of x and of x - 1 counted together; x = 1
-    # contributes nothing (x - 1 = 0 has no meaningful divisor list)
-    if x < 1:
-        raise InvalidInputError(f"needs a positive integer, got {x}")
-    count = 0
-    for y in (x - 1, x):
-        if y < 2:
-            continue
-        for d in divisors(y):
-            if d > 1 and moebius(d) != 0:
-                count += 1
-    return count
-
-
-def multiplicity_lower_bound(gs, x):
-    """An exact-rational lower bound for multiplicity(gs, x) on all-positive
-    multidegrees, useful as a growth certificate: once it is positive the
-    component is guaranteed nontrivial.
-
-    Returns a Fraction (it may be negative, in which case it certifies
-    nothing).  Needs sum(x) >= 2.
-    """
-    gs = _as_system(gs)
-    x = _as_multidegree(gs, x)
-    if any(v < 1 for v in x):
-        raise InvalidInputError(f"the bound needs every coordinate positive, got {x}")
-    total = sum(x)
-    if total < 2:
-        raise InvalidInputError("the bound needs at least two letters in total")
-    floors = [v // 2 for v in x]
-    half = total // 2
-    capped = multinomial(floors + [half - sum(floors)])
-    numerator = multinomial(x) - _squarefree_divisor_count(x[0]) * total * capped
-    return Fraction(numerator, total * (total - 1))

@@ -23,7 +23,7 @@ import os
 from math import gcd
 from typing import NamedTuple
 
-from .arith import multinomial
+from .arith import as_integer, multinomial
 from .errors import InvalidInputError, ResourceLimitError
 from .liedim import _as_multidegree, _as_system, lie_component_dim, multiplicity
 
@@ -34,7 +34,7 @@ _MAX_WORDS = 1500
 
 def _resolve_budget(budget):
     if budget is not None:
-        budget = int(budget)
+        budget = as_integer(budget, "the letter budget")
     else:
         raw = os.environ.get(_BUDGET_ENV)
         if raw is None:
@@ -264,9 +264,9 @@ def verify_range(max_r, max_degree, max_letters, budget=None):
     and every multidegree with 1 <= total <= max_letters; on all-positive
     multidegrees also check the bracket-map rank and kernel against the
     closed forms.  Returns a report with one record per comparison."""
-    max_r = int(max_r)
-    max_degree = int(max_degree)
-    max_letters = int(max_letters)
+    max_r = as_integer(max_r, "max_r")
+    max_degree = as_integer(max_degree, "max_degree")
+    max_letters = as_integer(max_letters, "max_letters")
     if max_r < 1 or max_degree < 1 or max_letters < 1:
         raise InvalidInputError(
             f"need max_r, max_degree, max_letters >= 1, got "

@@ -17,6 +17,10 @@ x >= 1 on S, is sum_{T within S} (-1)^|S - T| M(T); it is 0 whenever the
 weights of S add up to more than N.  The link rank is M(all components)
 plus the knot ranks minus the delta corrections.
 
+Both finiteness criteria, for the link and for the fully framed link, walk
+only those fitting subsets (_fitting_subsets), the same family the Brunnian
+ranks are taken over.
+
 Independent checks raise InternalConsistencyError on a mismatch:
 
 * the per-multidegree terms (`contributions`) are enumerated on first
@@ -76,15 +80,6 @@ class LinkProblem:
         return GeneratorSystem(self.weights())
 
 
-def _as_problem(problem, p=None):
-    if isinstance(problem, LinkProblem):
-        return problem
-    if p is not None:
-        return LinkProblem(problem, tuple(p))
-    m, dims = problem
-    return LinkProblem(m, tuple(dims))
-
-
 def _contributions(m, dims, lower, expected):
     # (x, multiplicity) over the solutions x >= lower of sum(a_k x_k) = m - 3,
     # checked against the closed-form sum
@@ -133,7 +128,7 @@ class RankReport:
 
 def knot_rank(m, p):
     """Rank of the group of knots S^p in R^m (0 or 1)."""
-    problem = _as_problem(m, (p,))
+    problem = LinkProblem(m, (p,))
     m, p = problem.m, problem.p[0]
     return 1 if (p + 1) % 4 == 0 and 2 * m < 3 * p + 4 else 0
 
@@ -151,20 +146,28 @@ def _multiplicity_sum(weights, target):
     return sum(dims[target - a] for a in weights if a <= target) - dims[target]
 
 
+def _fitting_subsets(weights, target):
+    """Bitmasks (bit k for component k) of the component subsets whose
+    weights add up to at most target, the empty subset first and every
+    subset before its supersets.  Only these subsets have a solution
+    x >= 1 of sum(a_k x_k) = target."""
+    family = [(0, 0)]
+    for k, a in enumerate(weights):
+        family += [(mask | 1 << k, total + a) for mask, total in family
+                   if total + a <= target]
+    return [mask for mask, _ in family]
+
+
 def _brunnian_ranks(m, dims):
     """Brunnian rank of every component subset whose weights add up to at
     most m - 3, keyed by bitmask (bit k for component k).  Every other
     subset has no positive solution, so its rank is 0."""
     target = m - 3
     weights = tuple(m - v - 2 for v in dims)
-    # the subsets in question are closed under taking subsets, so the
-    # Moebius transform below never reads outside them
-    family = [(0, 0)]
-    for k, a in enumerate(weights):
-        family += [(mask | 1 << k, total + a) for mask, total in family
-                   if total + a <= target]
+    # the fitting subsets are closed under taking subsets, so the Moebius
+    # transform below never reads outside them
     ranks = {0: 0}
-    for mask, _ in family[1:]:
+    for mask in _fitting_subsets(weights, target)[1:]:
         ranks[mask] = _multiplicity_sum(
             [a for k, a in enumerate(weights) if mask >> k & 1], target)
     for k in range(len(weights)):
@@ -181,12 +184,12 @@ def _brunnian(problem):
     return BrunnianRank(problem.m, problem.p, ranks.get((1 << problem.r) - 1, 0))
 
 
-def brunnian_rank(problem, p=None):
+def brunnian_rank(m, dims):
     """Rank of the group of Brunnian links; needs at least two components.
 
-    Accepts a LinkProblem or (m, dims).  Example: (5, (2, 2)) -> rank 1.
+    Example: brunnian_rank(5, (2, 2)).rank -> 1.
     """
-    problem = _as_problem(problem, p)
+    problem = LinkProblem(m, dims)
     if problem.r < 2:
         raise InvalidInputError(
             "Brunnian rank needs at least two components; use knot_rank for one")
@@ -198,18 +201,25 @@ def _subsequence_infinite(m, dims):
     # three or more: any positive solution at all.  Both stop at the first
     # witness.
     weights = tuple(m - v - 2 for v in dims)
-    if sum(weights) > m - 3:
-        return False  # x = (1, ..., 1) already overshoots
     solutions = iter_diophantine(weights, m - 3, (1,) * len(dims))
     if len(dims) == 2:
         return any(fcs_contains(m - dims[0], m - dims[1], x, y) for x, y in solutions)
     return next(solutions, None) is not None
 
 
-def brunnian_is_infinite(problem, p=None):
+def _sublink_infinite(m, dims):
+    # some sublink of two or more components has an infinite Brunnian
+    # summand; only the fitting subsets have a positive solution at all
+    weights = tuple(m - v - 2 for v in dims)
+    return any(
+        _subsequence_infinite(m, tuple(v for k, v in enumerate(dims) if mask >> k & 1))
+        for mask in _fitting_subsets(weights, m - 3) if mask & (mask - 1))
+
+
+def brunnian_is_infinite(m, dims):
     """Finiteness verdict for the Brunnian group, decided by the solvability
     criterion and asserted against the computed rank."""
-    problem = _as_problem(problem, p)
+    problem = LinkProblem(m, dims)
     if problem.r < 2:
         raise InvalidInputError("the Brunnian criterion needs at least two components")
     verdict = _subsequence_infinite(problem.m, problem.p)
@@ -219,18 +229,6 @@ def brunnian_is_infinite(problem, p=None):
             f"Brunnian criterion says {verdict} but the rank is {rank} "
             f"for m={problem.m}, p={problem.p}")
     return verdict
-
-
-def _link_infinite_criterion(m, dims):
-    for v in dims:
-        if (v + 1) % 4 == 0 and 2 * m < 3 * v + 4:
-            return True
-    r = len(dims)
-    for size in range(2, r + 1):
-        for subset in combinations(range(r), size):
-            if _subsequence_infinite(m, tuple(dims[k] for k in subset)):
-                return True
-    return False
 
 
 @lru_cache(maxsize=1 << 14)
@@ -259,7 +257,7 @@ def _link_report(problem):
             f"closed formula gives rank {total} but the subset splitting gives "
             f"{split_total} for m={m}, p={dims}")
 
-    infinite = _link_infinite_criterion(m, dims)
+    infinite = any(knot_ranks) or _sublink_infinite(m, dims)
     if infinite != (total > 0):
         raise InternalConsistencyError(
             f"finiteness criterion says {infinite} but the rank is {total} "
@@ -276,16 +274,16 @@ def _link_report(problem):
     )
 
 
-def link_rank(problem, p=None):
-    """Full rank report for the group of links with the given component
-    dimensions.  Accepts a LinkProblem or (m, dims)."""
-    return _link_report(_as_problem(problem, p))
+def link_rank(m, dims):
+    """Full rank report for the group of links of spheres of dimensions
+    dims in R^m."""
+    return _link_report(LinkProblem(m, dims))
 
 
-def link_is_infinite(problem, p=None):
+def link_is_infinite(m, dims):
     """Finiteness verdict for the whole link group (some subsequence of
     components already carries rank)."""
-    return _link_report(_as_problem(problem, p)).infinite
+    return _link_report(LinkProblem(m, dims)).infinite
 
 
 def equal_dim_rank(m, p, r):
@@ -300,9 +298,8 @@ def equal_dim_rank(m, p, r):
         raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={p}")
     s = m - p
     t = Fraction(m - 3, m - p - 2)
-    delta = 1 if 2 * t == (4 if s % 2 == 0 else 6) else 0
     c = knot_rank(m, p)
-    value = r * (witt_super(t - 1, s, r) + c - delta) - witt_super(t, s, r)
+    value = r * (witt_super(t - 1, s, r) + c - _delta(m, p)) - witt_super(t, s, r)
     check = _link_report(problem).total_rank
     if value != check:
         raise InternalConsistencyError(

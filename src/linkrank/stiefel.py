@@ -6,11 +6,14 @@ tensored with the rationals.  Degenerate arguments where the group vanishes
 (p < 1, or a target space that is a point) give 0 rather than an error.
 """
 
+from .arith import as_integer
 from .errors import InvalidInputError
 
 
 def so_rank(p, q):
     """Rank of the p-th homotopy group of SO(q), rationally."""
+    p = as_integer(p, "the homotopy degree p")
+    q = as_integer(q, "the dimension q")
     if p < 1 or q < 2:
         # SO(0) and SO(1) are points, and there is no homotopy below p = 1
         return 0
@@ -25,20 +28,16 @@ def so_rank(p, q):
     return 0
 
 
-def stiefel_rank(p, q=None, l=None):
+def stiefel_rank(p, q, l):
     """Rank of the p-th homotopy group of the Stiefel manifold of
     orthonormal l-frames in q-space, rationally.
 
-    Callable as stiefel_rank(p, q, l) or stiefel_rank((p, q, l)).
-    Needs p >= 1, q >= 1 and 0 <= l <= q.  l = 0 gives the one-point
-    manifold, hence 0.
+    Needs integers p >= 1, q >= 1 and 0 <= l <= q.  l = 0 gives the
+    one-point manifold, hence 0.
     """
-    if q is None and l is None:
-        try:
-            p, q, l = p
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"stiefel_rank needs (p, q, l), got {p!r}")
+    p = as_integer(p, "the homotopy degree p")
+    q = as_integer(q, "the dimension q")
+    l = as_integer(l, "the frame count l")
     if p < 1 or q < 1 or l < 0 or l > q:
         raise InvalidInputError(
             f"need p >= 1, q >= 1 and 0 <= l <= q, got p={p}, q={q}, l={l}")

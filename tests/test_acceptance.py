@@ -189,7 +189,7 @@ def test_criterion_08_membership_equals_positivity():
             for wj in (1, 2):
                 for x in range(1, 13):
                     for y in range(1, 13):
-                        member = fcs_contains((wi, wj), x, y)
+                        member = fcs_contains(wi, wj, x, y)
                         assert member == (multiplicity((wi, wj), (x, y)) > 0)
                         checked += 1
         assert checked == 576

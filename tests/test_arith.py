@@ -5,6 +5,11 @@ import pytest
 from linkrank.arith import (as_integer, divisors, gcd_multi, moebius, moebius_table,
                             multinomial)
 from linkrank.errors import InvalidInputError
+from linkrank.fcs import fcs_contains
+from linkrank.framed import framed_knot_is_infinite
+from linkrank.liedim import lie_component_dim, multiplicity, weighted_degree, witt, witt_super
+from linkrank.oracle import component_dim_bruteforce, verify_range
+from linkrank.stiefel import so_rank, stiefel_rank
 
 
 def test_moebius_small_values():
@@ -99,3 +104,20 @@ def test_as_integer_rejects_non_integers():
     for bad in (7.0, 6.9, True, False, "7", None):
         with pytest.raises(InvalidInputError):
             as_integer(bad, "n")
+    # public entry points that used to truncate, coerce or raise a bare TypeError
+    for call in (lambda: lie_component_dim((1, 1), (1.9, 1)),
+                 lambda: multiplicity((1, 1), (1.9, 1)),
+                 lambda: weighted_degree((1, 1), ("2", 1)),
+                 lambda: witt(4.0, 2),
+                 lambda: witt("4", 2),
+                 lambda: witt_super(6, 3.0, 2),
+                 lambda: so_rank(3.0, 4),
+                 lambda: stiefel_rank(3.0, 4, 2),
+                 lambda: stiefel_rank("3", 4, 2),
+                 lambda: framed_knot_is_infinite(8, 5, "a"),
+                 lambda: fcs_contains(True, 0, 1, 1),
+                 lambda: verify_range(1.9, 1.9, 3.7),
+                 lambda: verify_range(1, 1, 2, budget=2.5),
+                 lambda: component_dim_bruteforce((1, 1), (1, 1), budget=2.5)):
+        with pytest.raises(InvalidInputError):
+            call()

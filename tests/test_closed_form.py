@@ -1,12 +1,15 @@
 """The closed-form rank path against the per-multidegree enumeration, and
 the consistency checks that guard it."""
 
+import itertools
+
 import pytest
 
 from linkrank import ranks
 from linkrank.errors import InternalConsistencyError
+from linkrank.framed import fully_framed_is_infinite
 from linkrank.ranks import (brunnian_is_infinite, brunnian_rank, equal_dim_rank,
-                            link_rank)
+                            link_is_infinite, link_rank)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,6 +50,28 @@ def test_closed_form_equals_enumeration(problem):
         assert report.brunnian_rank == brunnian.rank
 
 
+@st.composite
+def wide_problems(draw):
+    m = draw(st.integers(4, 40))
+    r = draw(st.integers(1, 8))
+    return m, tuple(draw(st.lists(st.integers(1, m - 3), min_size=r, max_size=r)))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(wide_problems())
+def test_criteria_equal_the_walk_over_every_subset(problem):
+    # the reference is the plain loop over all 2^r - 1 subsets, fitting or not
+    m, dims = problem
+    sublink = any(ranks._subsequence_infinite(m, subset)
+                  for size in range(2, len(dims) + 1)
+                  for subset in itertools.combinations(dims, size))
+    knot = any((p + 1) % 4 == 0 and 2 * m < 3 * p + 4 for p in dims)
+    full = any((p + 1) % 4 == 0 or ((m + 1) % 4 == 0 and m + 1 == 2 * p + 2)
+               for p in dims)
+    assert link_is_infinite(m, dims) == (knot or sublink)
+    assert fully_framed_is_infinite(m, dims) == (full or sublink)
+
+
 @pytest.fixture
 def cold_caches():
     # the checks run only when a value is computed, not on a cache hit
@@ -81,6 +106,18 @@ def test_criterion_checks_fire(cold_caches, monkeypatch):
         brunnian_is_infinite(8, (5, 5, 5))
     with pytest.raises(InternalConsistencyError, match="finiteness criterion"):
         link_rank(8, (5, 5, 5))
+
+
+def test_dropped_fitting_subset_is_caught(cold_caches, monkeypatch):
+    # weights (1, 1, 1) against target 5: the last fitting subset is the
+    # whole link, whose Brunnian rank is positive
+    real = ranks._fitting_subsets
+    monkeypatch.setattr(ranks, "_fitting_subsets",
+                        lambda weights, target: real(weights, target)[:-1])
+    with pytest.raises(InternalConsistencyError, match="subset splitting"):
+        link_rank(8, (5, 5, 5))
+    with pytest.raises(InternalConsistencyError, match="Brunnian criterion"):
+        brunnian_is_infinite(8, (5, 5, 5))
 
 
 def test_equal_dim_check_fires(cold_caches, monkeypatch):

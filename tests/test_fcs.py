@@ -8,30 +8,22 @@ PARITY_WEIGHT = {"even": 2, "odd": 1}
 
 
 def test_membership_examples():
-    assert fcs_contains(("even", "even"), 1, 1) is True
-    assert fcs_contains(("even", "even"), 2, 3) is False
-    assert fcs_contains(("odd", "even"), 2, 3) is True
-    assert fcs_contains(("odd", "odd"), 2, 6) is True
-
-
-def test_both_calling_forms_agree():
-    for i in ("even", "odd"):
-        for j in ("even", "odd"):
-            for x in range(1, 7):
-                for y in range(1, 7):
-                    assert fcs_contains((i, j), x, y) == fcs_contains(i, j, x, y)
+    assert fcs_contains("even", "even", 1, 1) is True
+    assert fcs_contains("even", "even", 2, 3) is False
+    assert fcs_contains("odd", "even", 2, 3) is True
+    assert fcs_contains("odd", "odd", 2, 6) is True
 
 
 def test_parity_accepts_integers():
-    assert fcs_contains((4, 7), 2, 3) == fcs_contains(("even", "odd"), 2, 3)
-    assert fcs_contains((3, 3), 1, 1) is True
+    assert fcs_contains(4, 7, 2, 3) == fcs_contains("even", "odd", 2, 3)
+    assert fcs_contains(3, 3, 1, 1) is True
 
 
 def test_reflection_symmetry():
     for x in range(1, 13):
         for y in range(1, 13):
-            assert fcs_contains(("even", "odd"), x, y) == fcs_contains(
-                ("odd", "even"), y, x
+            assert fcs_contains("even", "odd", x, y) == fcs_contains(
+                "odd", "even", y, x
             )
 
 
@@ -43,30 +35,30 @@ def test_membership_matches_positive_multiplicity():
             weights = (PARITY_WEIGHT[i], PARITY_WEIGHT[j])
             for x in range(1, 9):
                 for y in range(1, 9):
-                    member = fcs_contains((i, j), x, y)
+                    member = fcs_contains(i, j, x, y)
                     assert member == (multiplicity(weights, (x, y)) > 0)
 
 
 def test_enumerate_boxes():
-    assert set(fcs_enumerate(("even", "even"), 3, 3)) == {(1, 1), (2, 2), (3, 3)}
-    assert set(fcs_enumerate(("odd", "odd"), 2, 2)) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    for pp in (("even", "even"), ("even", "odd"), ("odd", "even"), ("odd", "odd")):
-        assert set(fcs_enumerate(pp, 1, 1)) == {(1, 1)}
+    assert set(fcs_enumerate("even", "even", 3, 3)) == {(1, 1), (2, 2), (3, 3)}
+    assert set(fcs_enumerate("odd", "odd", 2, 2)) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    for i, j in (("even", "even"), ("even", "odd"), ("odd", "even"), ("odd", "odd")):
+        assert set(fcs_enumerate(i, j, 1, 1)) == {(1, 1)}
 
 
 def test_enumerate_is_deterministic_and_sorted():
-    points = fcs_enumerate(("odd", "even"), 10, 10)
+    points = fcs_enumerate("odd", "even", 10, 10)
     assert points == sorted(points)
-    assert points == fcs_enumerate(("odd", "even"), 10, 10)
-    assert all(fcs_contains(("odd", "even"), x, y) for x, y in points)
+    assert points == fcs_enumerate("odd", "even", 10, 10)
+    assert all(fcs_contains("odd", "even", x, y) for x, y in points)
 
 
 def test_invalid_inputs():
     with pytest.raises(InvalidInputError):
-        fcs_contains(("even", "even"), 0, 1)
+        fcs_contains("even", "even", 0, 1)
     with pytest.raises(InvalidInputError):
-        fcs_contains(("even", "even"), 1, -2)
+        fcs_contains("even", "even", 1, -2)
     with pytest.raises(InvalidInputError):
-        fcs_contains(("sideways", "even"), 1, 1)
+        fcs_contains("sideways", "even", 1, 1)
     with pytest.raises(InvalidInputError):
         fcs_contains(("even",), 1, 1, 1)

@@ -6,7 +6,6 @@ import pytest
 from linkrank.errors import InvalidInputError
 from linkrank.liedim import (
     GeneratorSystem,
-    multiplicity_lower_bound,
     enumerate_diophantine,
     iter_diophantine,
     lie_component_dim,
@@ -137,28 +136,6 @@ def test_enumerate_diophantine_order_and_bounds():
         enumerate_diophantine((1, 1), 4, (1, 2))
     with pytest.raises(InvalidInputError):
         enumerate_diophantine((0, 1), 4, (1, 1))
-
-
-def test_multiplicity_lower_bound_values():
-    assert multiplicity_lower_bound((1, 1), (1, 1)) == Fraction(1)
-    assert multiplicity_lower_bound((1, 1), (2, 2)) == Fraction(-1, 6)
-    assert multiplicity_lower_bound((1, 1), (3, 6)) > 0
-
-
-def test_multiplicity_lower_bound_below_multiplicity():
-    for weights in [(1, 1), (2, 2), (1, 2)]:
-        for x in itertools.product(range(2, 6), repeat=2):
-            bound = multiplicity_lower_bound(weights, x)
-            assert bound <= multiplicity(weights, x)
-    for x in itertools.product(range(2, 4), repeat=3):
-        assert multiplicity_lower_bound((1, 2, 3), x) <= multiplicity((1, 2, 3), x)
-
-
-def test_multiplicity_lower_bound_input_checks():
-    with pytest.raises(InvalidInputError):
-        multiplicity_lower_bound((1, 1), (0, 2))
-    with pytest.raises(InvalidInputError):
-        multiplicity_lower_bound((1,), (1,))
 
 
 def test_weighted_dim_sums_match_component_sums():

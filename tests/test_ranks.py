@@ -175,8 +175,3 @@ def test_brunnian_rank_grows_with_dimension():
     high = brunnian_rank(30, (27, 27)).rank
     assert high > low
 
-
-def test_problem_tuple_and_object_forms_agree():
-    lp = LinkProblem(9, (3, 4, 5))
-    assert link_rank(lp) == link_rank(9, (3, 4, 5))
-    assert brunnian_rank(lp) == brunnian_rank((9, (3, 4, 5)))

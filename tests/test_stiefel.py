@@ -32,11 +32,6 @@ def test_stiefel_rank_zero_frames_is_zero():
             assert stiefel_rank(p, q, 0) == 0
 
 
-def test_stiefel_rank_tuple_form():
-    assert stiefel_rank((3, 4, 2)) == 2
-    assert stiefel_rank((2, 3, 1)) == stiefel_rank(2, 3, 1)
-
-
 def test_stiefel_rank_invalid_inputs():
     with pytest.raises(InvalidInputError):
         stiefel_rank(3, 4, 5)
@@ -44,8 +39,6 @@ def test_stiefel_rank_invalid_inputs():
         stiefel_rank(3, 4, -1)
     with pytest.raises(InvalidInputError):
         stiefel_rank(0, 4, 1)
-    with pytest.raises(InvalidInputError):
-        stiefel_rank((3, 4))
 
 
 def test_single_frame_matches_sphere_ranks():
