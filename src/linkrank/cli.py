@@ -6,19 +6,24 @@ Subcommands:
                          Brunnian group, --details for contributions)
     framed M P:L...      rank report for a framed link
     tables table2|table3 reference tables recomputed from scratch
-    fcs I J              membership family for the given parities
+    fcs I J              membership family for the parities of I, J
+                         (each an integer or even/odd)
     witt T S R           super necklace count (T may be a fraction a/b)
     stiefel P Q L        rational homotopy rank of a Stiefel manifold
     oracle verify        brute-force cross-check of the closed formulas
 
-Every subcommand takes --format text|json|csv.  Exit codes: 0 success,
-2 invalid input, 3 resource limit exceeded, 1 internal consistency failure.
+Every subcommand takes --format text|json|csv.  CSV is a header line and
+then rows; rank, framed, witt and stiefel give one row, with lists joined
+by spaces and an empty brunnian_rank for a one-component link.  Exit
+codes: 0 success, 2 invalid input, 3 resource limit exceeded, 1 internal
+consistency failure, 141 stdout closed early (a closed pipe).
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -31,81 +36,60 @@ from .ranks import brunnian_is_infinite, brunnian_rank, link_rank
 from .stiefel import stiefel_rank
 
 
-def _print_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(fmt, payload, table, text):
+    """Print payload as JSON, table as CSV or text as lines; the only stdout writer."""
+    if fmt == "json":
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(table)
+        out = buffer.getvalue()
+    else:
+        out = "".join(f"{line}\n" for line in text)
+    sys.stdout.write(out)
+    sys.stdout.flush()
 
 
-def _print_csv(header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
-
-
-def _subset_key(subset):
-    return ",".join(str(k) for k in subset)
+def _record(fields):
+    """The JSON object (None fields dropped) and one-row CSV table of a field dict."""
+    payload = {key: value for key, value in fields.items() if value is not None}
+    row = ["" if value is None else " ".join(map(str, value)) if isinstance(value, list)
+           else value for value in fields.values()]
+    return payload, [list(fields), row]
 
 
 def _cmd_rank(args):
     if args.brunnian:
         report = brunnian_rank(args.m, args.p)
-        rank = report.rank
+        rank = brunnian = report.rank
         infinite = brunnian_is_infinite(args.m, args.p)
-        brunnian = rank
-        contributions = report.contributions
         decomposition = None
     else:
         report = link_rank(args.m, args.p)
-        rank = report.total_rank
+        rank, brunnian = report.total_rank, report.brunnian_rank
         infinite = report.infinite
-        brunnian = report.brunnian_rank
-        contributions = report.contributions
         decomposition = report.subset_decomposition
-
-    if args.format == "json":
-        payload = {
-            "m": report.m,
-            "p": list(report.p),
-            "rank": rank,
-            "infinite": infinite,
-        }
-        if brunnian is not None:
-            payload["brunnian_rank"] = brunnian
-        if args.details:
-            payload["contributions"] = [
-                {"multidegree": list(x), "multiplicity": value}
-                for x, value in contributions
-            ]
-            if decomposition is not None:
-                payload["decomposition"] = {
-                    _subset_key(subset): value
-                    for subset, value in decomposition.items()
-                }
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(
-            ["m", "p", "rank", "brunnian_rank", "infinite"],
-            [[report.m, " ".join(map(str, report.p)), rank,
-              "" if brunnian is None else brunnian, infinite]])
-    else:
-        print(f"m = {report.m}, p = ({', '.join(map(str, report.p))})")
-        if args.brunnian:
-            print(f"brunnian rank: {rank}")
-        else:
-            print(f"rank: {rank}")
-            if brunnian is not None:
-                print(f"brunnian rank: {brunnian}")
-        print(f"infinite: {'yes' if infinite else 'no'}")
-        if args.details:
-            print("contributions:")
-            for x, value in contributions:
-                print(f"  {x}: {value}")
-            if decomposition is not None:
-                print("decomposition:")
-                for subset, value in decomposition.items():
-                    print(f"  components {{{_subset_key(subset)}}}: {value}")
-    return 0
+    payload, table = _record({"m": report.m, "p": list(report.p), "rank": rank,
+                              "brunnian_rank": brunnian, "infinite": infinite})
+    text = [f"m = {report.m}, p = ({', '.join(map(str, report.p))})"]
+    if not args.brunnian:
+        text.append(f"rank: {rank}")
+    if brunnian is not None:
+        text.append(f"brunnian rank: {brunnian}")
+    text.append(f"infinite: {'yes' if infinite else 'no'}")
+    if args.details:
+        terms = report.contributions
+        payload["contributions"] = [{"multidegree": list(x), "multiplicity": value}
+                                    for x, value in terms]
+        text.append("contributions:")
+        text += [f"  {x}: {value}" for x, value in terms]
+        if decomposition is not None:
+            split = {",".join(map(str, subset)): value
+                     for subset, value in decomposition.items()}
+            payload["decomposition"] = split
+            text.append("decomposition:")
+            text += [f"  components {{{key}}}: {value}" for key, value in split.items()]
+    _emit(args.format, payload, table, text)
 
 
 def _parse_component(text):
@@ -119,36 +103,23 @@ def _parse_component(text):
 
 
 def _cmd_framed(args):
-    components = tuple(_parse_component(item) for item in args.component)
-    report = framed_rank(args.m, components)
-    if args.format == "json":
-        _print_json({
-            "m": report.m,
-            "p": list(report.p),
-            "l": list(report.l),
-            "rank": report.total_rank,
-            "link_rank": report.link_report.total_rank,
-            "stiefel_ranks": list(report.stiefel_ranks),
-            "infinite": report.infinite,
-        })
-    elif args.format == "csv":
-        _print_csv(
-            ["m", "p", "l", "rank", "link_rank", "stiefel_ranks", "infinite"],
-            [[report.m, " ".join(map(str, report.p)), " ".join(map(str, report.l)),
-              report.total_rank, report.link_report.total_rank,
-              " ".join(map(str, report.stiefel_ranks)), report.infinite]])
-    else:
-        pairs = ", ".join(f"{p}:{l}" for p, l in zip(report.p, report.l))
-        print(f"m = {report.m}, components p:l = {pairs}")
-        print(f"framed rank: {report.total_rank}")
-        print(f"link rank: {report.link_report.total_rank}")
-        print(f"stiefel ranks: ({', '.join(map(str, report.stiefel_ranks))})")
-        print(f"infinite: {'yes' if report.infinite else 'no'}")
-    return 0
+    report = framed_rank(args.m, tuple(_parse_component(item) for item in args.component))
+    link = report.link_report.total_rank
+    payload, table = _record({
+        "m": report.m, "p": list(report.p), "l": list(report.l),
+        "rank": report.total_rank, "link_rank": link,
+        "stiefel_ranks": list(report.stiefel_ranks), "infinite": report.infinite})
+    pairs = ", ".join(f"{p}:{l}" for p, l in zip(report.p, report.l))
+    _emit(args.format, payload, table, [
+        f"m = {report.m}, components p:l = {pairs}",
+        f"framed rank: {report.total_rank}",
+        f"link rank: {link}",
+        f"stiefel ranks: ({', '.join(map(str, report.stiefel_ranks))})",
+        f"infinite: {'yes' if report.infinite else 'no'}"])
 
 
-def _table2_rows():
-    rows = []
+def _table2():
+    rows = [["k", "p", "l", "rank"]]
     for k_label, k in (("0", 0), ("1", 1), ("2", 2), (">=3", 3)):
         for p in range(1, 6):
             columns = [(str(l), l) for l in range(3, p + 2)]
@@ -159,8 +130,8 @@ def _table2_rows():
     return rows
 
 
-def _table3_rows():
-    rows = []
+def _table3():
+    rows = [["i_parity", "j_parity", "x", "y", "multiplicity"]]
     blocks = (
         ("even", "even", (2, 2)),
         ("odd", "even", (1, 2)),
@@ -174,45 +145,28 @@ def _table3_rows():
 
 
 def _cmd_tables(args):
-    if args.which == "table2":
-        header = ["k", "p", "l", "rank"]
-        rows = _table2_rows()
-    else:
-        header = ["i_parity", "j_parity", "x", "y", "multiplicity"]
-        rows = _table3_rows()
-    if args.format == "json":
-        _print_json({"rows": [dict(zip(header, row)) for row in rows]})
-    elif args.format == "csv":
-        _print_csv(header, rows)
-    else:
-        widths = [max(len(str(head)), max(len(str(row[i])) for row in rows))
-                  for i, head in enumerate(header)]
-        print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-    return 0
+    table = _table2() if args.which == "table2" else _table3()
+    header, *rows = table
+    widths = [max(len(str(value)) for value in column) for column in zip(*table)]
+    _emit(args.format, {"rows": [dict(zip(header, row)) for row in rows]}, table,
+          ["  ".join(str(value).ljust(width) for value, width in zip(row, widths))
+           for row in table])
 
 
-def _parity_name(value):
-    return "odd" if _parity(value) else "even"
+def _parity_arg(text):
+    """A decimal integer index as an int; anything else goes to fcs as typed."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _cmd_fcs(args):
-    points = fcs_enumerate(args.i, args.j, args.xmax, args.ymax)
-    if args.format == "json":
-        _print_json({
-            "i_parity": _parity_name(args.i),
-            "j_parity": _parity_name(args.j),
-            "x_max": args.xmax,
-            "y_max": args.ymax,
-            "points": [list(point) for point in points],
-        })
-    elif args.format == "csv":
-        _print_csv(["x", "y"], [list(point) for point in points])
-    else:
-        for x, y in points:
-            print(f"{x} {y}")
-    return 0
+    points = [list(point) for point in fcs_enumerate(args.i, args.j, args.xmax, args.ymax)]
+    names = ("even", "odd")
+    payload = {"i_parity": names[_parity(args.i)], "j_parity": names[_parity(args.j)],
+               "x_max": args.xmax, "y_max": args.ymax, "points": points}
+    _emit(args.format, payload, [["x", "y"], *points], [f"{x} {y}" for x, y in points])
 
 
 def _parse_rational(text):
@@ -225,57 +179,40 @@ def _parse_rational(text):
 def _cmd_witt(args):
     t = _parse_rational(args.t)
     value = witt_super(t, args.s, args.r)
-    if args.format == "json":
-        _print_json({"t": str(t), "s": args.s, "r": args.r, "value": value})
-    elif args.format == "csv":
-        _print_csv(["t", "s", "r", "value"], [[str(t), args.s, args.r, value]])
-    else:
-        print(value)
-    return 0
+    _emit(args.format, *_record({"t": str(t), "s": args.s, "r": args.r, "value": value}),
+          [value])
 
 
 def _cmd_stiefel(args):
     value = stiefel_rank(args.p, args.q, args.l)
-    if args.format == "json":
-        _print_json({"p": args.p, "q": args.q, "l": args.l, "rank": value})
-    elif args.format == "csv":
-        _print_csv(["p", "q", "l", "rank"], [[args.p, args.q, args.l, value]])
-    else:
-        print(value)
-    return 0
+    _emit(args.format, *_record({"p": args.p, "q": args.q, "l": args.l, "rank": value}),
+          [value])
 
 
 def _cmd_oracle_verify(args):
     report = verify_range(args.max_r, args.max_degree, args.max_letters,
                           budget=args.budget)
-    if args.format == "json":
-        _print_json({
-            "instances": report.instances,
-            "ok": report.ok,
-            "failures": [
-                {"weights": list(rec.weights), "multidegree": list(rec.multidegree),
-                 "check": rec.check, "expected": rec.expected, "actual": rec.actual}
-                for rec in report.failures
-            ],
-        })
-    elif args.format == "csv":
-        _print_csv(
-            ["weights", "multidegree", "check", "expected", "actual", "ok"],
-            [[" ".join(map(str, rec.weights)), " ".join(map(str, rec.multidegree)),
-              rec.check, rec.expected, rec.actual, rec.ok]
-             for rec in report.records])
-    else:
-        if report.ok:
-            print(f"all {report.instances} checks pass")
-        else:
-            for rec in report.failures:
-                print(f"FAIL weights={rec.weights} x={rec.multidegree} "
-                      f"{rec.check}: expected {rec.expected}, got {rec.actual}")
-            print(f"{len(report.failures)} of {report.instances} checks fail")
-    if not report.ok:
+    failures = report.failures
+    payload = {
+        "instances": report.instances,
+        "ok": report.ok,
+        "failures": [
+            {"weights": list(rec.weights), "multidegree": list(rec.multidegree),
+             "check": rec.check, "expected": rec.expected, "actual": rec.actual}
+            for rec in failures
+        ],
+    }
+    table = [["weights", "multidegree", "check", "expected", "actual", "ok"]]
+    table += [[" ".join(map(str, rec.weights)), " ".join(map(str, rec.multidegree)),
+               rec.check, rec.expected, rec.actual, rec.ok] for rec in report.records]
+    text = [f"FAIL weights={rec.weights} x={rec.multidegree} "
+            f"{rec.check}: expected {rec.expected}, got {rec.actual}" for rec in failures]
+    text.append(f"{len(failures)} of {report.instances} checks fail" if failures
+                else f"all {report.instances} checks pass")
+    _emit(args.format, payload, table, text)
+    if failures:
         raise InternalConsistencyError(
-            f"{len(report.failures)} oracle checks disagree with the closed formulas")
-    return 0
+            f"{len(failures)} oracle checks disagree with the closed formulas")
 
 
 def _add_format(parser):
@@ -312,8 +249,8 @@ def _build_parser():
     tables.set_defaults(func=_cmd_tables)
 
     fcs = sub.add_parser("fcs", help="enumerate a membership family")
-    fcs.add_argument("i", help="first index (integer or even/odd)")
-    fcs.add_argument("j", help="second index (integer or even/odd)")
+    fcs.add_argument("i", type=_parity_arg, help="first index (integer or even/odd)")
+    fcs.add_argument("j", type=_parity_arg, help="second index (integer or even/odd)")
     fcs.add_argument("--xmax", type=int, default=12)
     fcs.add_argument("--ymax", type=int, default=12)
     _add_format(fcs)
@@ -354,7 +291,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -364,6 +302,10 @@ def main(argv=None):
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone; keep the interpreter's final flush silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

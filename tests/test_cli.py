@@ -1,7 +1,14 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from linkrank import cli
+from linkrank.oracle import VerificationRecord, VerificationReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,3 +106,105 @@ def test_error_messages_go_to_stderr():
     result = run_cli("rank", "5", "3", "3")
     assert result.stdout == b""
     assert b"error" in result.stderr.lower()
+
+
+class Sha256(str):
+    """Expected stdout given by the hex digest of its bytes."""
+
+
+# Exact stdout of outputs the goldens do not cover; the long ones by digest.
+PINNED = [
+    (["rank", "6", "3", "3", "--details"],
+     "m = 6, p = (3, 3)\nrank: 4\nbrunnian rank: 2\ninfinite: yes\ncontributions:\n"
+     "  (0, 3): 1\n  (1, 2): 1\n  (2, 1): 1\n  (3, 0): 1\ndecomposition:\n"
+     "  components {1}: 1\n  components {2}: 1\n  components {1,2}: 2\n"),
+    (["rank", "6", "3", "--format", "csv"],
+     "m,p,rank,brunnian_rank,infinite\n6,3,1,,True\n"),
+    (["rank", "6", "3", "--format", "json"],
+     '{\n  "infinite": true,\n  "m": 6,\n  "p": [\n    3\n  ],\n  "rank": 1\n}\n'),
+    (["rank", "8", "5", "5", "5", "--brunnian"],
+     "m = 8, p = (5, 5, 5)\nbrunnian rank: 6\ninfinite: yes\n"),
+    (["rank", "8", "5", "5", "5", "--brunnian", "--format", "csv"],
+     "m,p,rank,brunnian_rank,infinite\n8,5 5 5,6,6,True\n"),
+    (["rank", "8", "5", "5", "5", "--brunnian", "--details"],
+     "m = 8, p = (5, 5, 5)\nbrunnian rank: 6\ninfinite: yes\ncontributions:\n"
+     "  (1, 1, 3): 1\n  (1, 2, 2): 1\n  (1, 3, 1): 1\n  (2, 1, 2): 1\n"
+     "  (2, 2, 1): 1\n  (3, 1, 1): 1\n"),
+    (["framed", "8", "5:3", "5:3"],
+     "m = 8, components p:l = 5:3, 5:3\nframed rank: 0\nlink rank: 0\n"
+     "stiefel ranks: (0, 0)\ninfinite: no\n"),
+    (["framed", "8", "5:3", "5:3", "--format", "csv"],
+     "m,p,l,rank,link_rank,stiefel_ranks,infinite\n8,5 5,3 3,0,0,0 0,False\n"),
+    (["tables", "table3"],
+     Sha256("edfe81be6d126609eb7fa93e1c8c677a625a08632ec509181beb0c762c0b4783")),
+    (["fcs", "even", "odd", "--xmax", "3", "--ymax", "3"],
+     "1 1\n1 2\n2 3\n3 2\n3 3\n"),
+    (["fcs", "even", "odd", "--xmax", "3", "--ymax", "3", "--format", "json"],
+     Sha256("504648093cf376c9bffc428027fd2ea105cc02f6d28d09e351e744e7975e09ce")),
+    (["fcs", "even", "odd", "--xmax", "3", "--ymax", "3", "--format", "csv"],
+     "x,y\n1,1\n1,2\n2,3\n3,2\n3,3\n"),
+    (["witt", "5/2", "3", "2"], "0\n"),
+    (["witt", "5/2", "3", "2", "--format", "json"],
+     '{\n  "r": 2,\n  "s": 3,\n  "t": "5/2",\n  "value": 0\n}\n'),
+    (["witt", "5/2", "3", "2", "--format", "csv"], "t,s,r,value\n5/2,3,2,0\n"),
+    (["stiefel", "3", "4", "2"], "2\n"),
+    (["stiefel", "3", "4", "2", "--format", "json"],
+     '{\n  "l": 2,\n  "p": 3,\n  "q": 4,\n  "rank": 2\n}\n'),
+    (["stiefel", "3", "4", "2", "--format", "csv"], "p,q,l,rank\n3,4,2,2\n"),
+    (["oracle", "verify", "--max-letters", "4"], "all 128 checks pass\n"),
+    (["oracle", "verify", "--max-letters", "4", "--format", "csv"],
+     Sha256("15a58483937f6771a4e9049abd7f3ee6181c126f9e2694cfae6c3e9c32f0a039")),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
+def test_pinned_output(capsys, argv, expected):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if isinstance(expected, Sha256):
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+    else:
+        assert out == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_fcs_accepts_integer_parities(capsys, fmt):
+    assert cli.main(["fcs", "even", "odd", "--format", fmt]) == 0
+    by_word = capsys.readouterr().out
+    assert cli.main(["fcs", "4", "7", "--format", fmt]) == 0
+    assert capsys.readouterr().out == by_word
+
+
+def test_fcs_rejects_a_non_integer_parity(capsys):
+    assert cli.main(["fcs", "4.5", "odd"]) == 2
+    assert "parity must be an integer or 'even'/'odd'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", "FAIL weights=(1, 2) x=(1, 1) dimension: expected 1, got 2\n"
+             "1 of 2 checks fail\n"),
+    ("json", '"failures": [\n    {\n      "actual": 2,\n      "check": "dimension",\n'),
+    ("csv", "1 2,1 1,dimension,1,2,False\n"),
+])
+def test_oracle_failure_prints_then_exits_one(capsys, monkeypatch, fmt, expected):
+    report = VerificationReport((
+        VerificationRecord((1, 2), (1, 1), "dimension", 1, 2),
+        VerificationRecord((1,), (1,), "dimension", 1, 1),
+    ))
+    monkeypatch.setattr(cli, "verify_range", lambda *args, **kwargs: report)
+    assert cli.main(["oracle", "verify", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert expected in captured.out
+    assert "internal consistency failure" in captured.err
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "linkrank", "tables", "table3"],
+                                stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 141
