@@ -3,24 +3,30 @@
 Multigraded components of the free graded Lie superalgebra are realized
 inside the free associative algebra on the same letters: a polynomial is a
 dict mapping words (tuples of generator indices) to integer coefficients,
-the bracket is the supercommutator
+the bracket is the supercommutator [u, v] = uv - (-1)^(|u| |v|) vu, where
+|w| is the total weight of the word w modulo 2, extended bilinearly.  Each
+component is spanned by the left-normed brackets of all words of the given
+multidegree (symmetry plus the Jacobi identity rewrite any bracket into
+such), so its dimension is the rank of the matrix of those spanning vectors.
 
-    [u, v] = uv - (-1)^(|u| |v|) vu,
+A left-normed bracket is built by steps [u, P_k], one sign per step,
+since all words of a homogeneous bracket have one parity.  The words of a
+multidegree are walked in lexicographic order, each prefix bracketed once,
+and each bracket streams into the elimination as a sparse integer row.  It
+is reduced by the kept rows in the order they were kept (no back
+substitution), divided by its content, and kept with a +-1 pivot if it has
+one, exactly when it is independent of the rows before it.  No fraction,
+float or closed-form dimension is used.
 
-where |w| is the total weight of the word w modulo 2, extended bilinearly.
-Each component is spanned by the left-normed brackets of all words of the
-given multidegree (symmetry plus the Jacobi identity rewrite any bracket
-into such), so its dimension is the rank of the matrix of those spanning
-vectors.  Ranks are computed over the rationals by fraction-free integer
-elimination; no floating point is involved anywhere.
-
-The number of letters a single computation may touch is capped by a budget
-(default 8, overridable per call or with the LINKRANK_ORACLE_BUDGET
-environment variable), because the word count grows as a multinomial.
+A single computation may touch at most a budget of letters (default 8,
+overridable per call or with the LINKRANK_ORACLE_BUDGET environment
+variable) and 1500 words.  `verify_range` refuses more than 20 000
+(system, multidegree) pairs before it starts.
 """
 
 import os
-from math import gcd
+from itertools import product
+from math import comb, gcd
 from typing import NamedTuple
 
 from .arith import as_integer, multinomial
@@ -30,6 +36,7 @@ from .liedim import _as_multidegree, _as_system, lie_component_dim, multiplicity
 _BUDGET_ENV = "LINKRANK_ORACLE_BUDGET"
 _DEFAULT_BUDGET = 8
 _MAX_WORDS = 1500
+_MAX_PAIRS = 20_000
 
 
 def _resolve_budget(budget):
@@ -65,110 +72,124 @@ def _check_size(x, budget):
     return n_words
 
 
-def _word_parity(word, parities):
-    return sum(parities[k] for k in word) % 2
+def _check_letters(words, parities):
+    for word in words:
+        for k in word:
+            if not 0 <= as_integer(k, "a letter") < len(parities):
+                raise InvalidInputError(
+                    f"letter {k!r} of the word {word!r} is not in range({len(parities)})")
 
 
 def super_bracket(u, v, parities):
     """Supercommutator of two polynomials (dicts word -> coefficient)."""
+    _check_letters([*u, *v], parities)
+    odd = {w: sum(parities[k] for k in w) % 2 for w in [*u, *v]}
     out = {}
     for wu, cu in u.items():
-        pu = _word_parity(wu, parities)
         for wv, cv in v.items():
             c = cu * cv
-            uv = wu + wv
-            vu = wv + wu
+            uv, vu = wu + wv, wv + wu
             out[uv] = out.get(uv, 0) + c
-            if pu and _word_parity(wv, parities):
-                out[vu] = out.get(vu, 0) + c
-            else:
-                out[vu] = out.get(vu, 0) - c
+            out[vu] = out.get(vu, 0) + (c if odd[wu] and odd[wv] else -c)
     return {w: c for w, c in out.items() if c}
+
+
+def _bracket_step(u, letter, odd):
+    """[u, P_letter] for a homogeneous polynomial u (no zero coefficients);
+    odd says whether u and the letter are both odd."""
+    tail = (letter,)
+    out = {w + tail: c for w, c in u.items()}
+    for w, c in u.items():
+        w = tail + w
+        c = out.get(w, 0) + (c if odd else -c)
+        if c:
+            out[w] = c
+        else:
+            del out[w]
+    return out
 
 
 def left_normed_bracket(word, parities):
     """[[...[[P_w0, P_w1], P_w2], ...], P_wn] as a polynomial."""
+    word = tuple(word)
     if not word:
         raise InvalidInputError("the empty word has no bracket")
-    poly = {(word[0],): 1}
-    for letter in word[1:]:
-        poly = super_bracket(poly, {(letter,): 1}, parities)
+    _check_letters((word,), parities)
+    parities = tuple(p % 2 for p in parities)
+    poly, parity = {word[:1]: 1}, parities[word[0]]
+    for k in word[1:]:
+        poly = _bracket_step(poly, k, parity & parities[k])
+        parity ^= parities[k]
     return poly
 
 
-def _words(x):
-    # all words with letter k occurring x[k] times, lexicographic order
-    total = sum(x)
-    counts = list(x)
-    out = []
-    word = []
+def _prefix_brackets(x, parities):
+    """The left-normed brackets of the words of multidegree x (parities
+    0/1) in lexicographic word order, each prefix bracketed once."""
+    counts, total = list(x), sum(x)
 
-    def build():
-        if len(word) == total:
-            out.append(tuple(word))
-            return
-        for k in range(len(counts)):
-            if counts[k]:
-                counts[k] -= 1
-                word.append(k)
-                build()
-                word.pop()
-                counts[k] += 1
+    def extend(prefix, parity, depth):
+        for k, left in enumerate(counts):
+            if left:
+                poly = _bracket_step(prefix, k, parity & parities[k]) if depth else {(k,): 1}
+                if depth + 1 == total:
+                    yield poly
+                else:
+                    counts[k] -= 1
+                    yield from extend(poly, parity ^ parities[k], depth + 1)
+                    counts[k] += 1
 
-    build()
-    return out
+    return extend(None, 0, 0)
+
+
+def _primitive(row):
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _eliminator():
+    """add(poly) reduces the row of poly by the rows kept before it, in the
+    order they were kept, keeps what is left and says whether it kept it."""
+    kept = []  # (pivot column, positive pivot value, row)
+    columns = {}  # word -> column, numbered when first seen
+
+    def add(poly):
+        row = {columns.setdefault(w, len(columns)): c for w, c in poly.items()}
+        for col, pv, base in kept:
+            c = row.get(col)
+            if c is None:
+                continue
+            if pv != 1:
+                g = gcd(pv, c)
+                a, c = pv // g, c // g
+                row = {j: a * v for j, v in row.items()}
+            for j, b in base.items():
+                v = row.get(j, 0) - c * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if pv != 1 and row:
+                row = _primitive(row)
+        if not row:
+            return False
+        pivot = next((j for j, v in row.items() if v == 1 or v == -1), None)
+        if pivot is None:
+            row = _primitive(row)
+            pivot = min(row, key=lambda j: abs(row[j]))
+        if row[pivot] < 0:
+            row = {j: -v for j, v in row.items()}
+        kept.append((pivot, row[pivot], row))
+        return True
+
+    return add
 
 
 def _independent_rows(rows):
-    """Indices of a maximal linearly independent subset, chosen greedily in
-    row order.  Fraction-free: echelon rows are kept integral and mutually
-    reduced, so every echelon row is zero at the other pivot columns."""
-    echelon = []  # (pivot_col, reduced_row)
-    chosen = []
-    for idx, original in enumerate(rows):
-        row = list(original)
-        for pivot_col, base in echelon:
-            c = row[pivot_col]
-            if c:
-                pv = base[pivot_col]
-                row = [a * pv - b * c for a, b in zip(row, base)]
-        g = 0
-        for v in row:
-            g = gcd(g, v)
-        if g > 1:
-            row = [v // g for v in row]
-        pivot_col = -1
-        for j, v in enumerate(row):
-            if v:
-                pivot_col = j
-                break
-        if pivot_col < 0:
-            continue
-        for k, (pc, base) in enumerate(echelon):
-            c = base[pivot_col]
-            if c:
-                pv = row[pivot_col]
-                new = [a * pv - b * c for a, b in zip(base, row)]
-                g = 0
-                for v in new:
-                    g = gcd(g, v)
-                if g > 1:
-                    new = [v // g for v in new]
-                echelon[k] = (pc, new)
-        echelon.append((pivot_col, row))
-        chosen.append(idx)
-    return chosen
-
-
-def _bracket_rows(words, parities, target_index):
-    rows = []
-    for w in words:
-        poly = left_normed_bracket(w, parities)
-        row = [0] * len(target_index)
-        for word, coeff in poly.items():
-            row[target_index[word]] = coeff
-        rows.append(row)
-    return rows
+    """Indices of the rows (dicts column -> int) independent of the rows
+    before them: the greedy maximal independent subset."""
+    add = _eliminator()
+    return [i for i, row in enumerate(rows) if add({j: v for j, v in row.items() if v})]
 
 
 def component_dim_bruteforce(gs, x, budget=None):
@@ -179,10 +200,7 @@ def component_dim_bruteforce(gs, x, budget=None):
     if any(v < 0 for v in x):
         raise InvalidInputError(f"multidegree entries must be >= 0, got {x}")
     _check_size(x, budget)
-    words = _words(x)
-    index = {w: i for i, w in enumerate(words)}
-    rows = _bracket_rows(words, gs.parities(), index)
-    return len(_independent_rows(rows))
+    return sum(map(_eliminator(), _prefix_brackets(x, gs.parities())))
 
 
 class WhiteheadAnalysis(NamedTuple):
@@ -195,8 +213,9 @@ def whitehead_map_analysis(gs, x, budget=None):
     map into the multidegree-x component (every x_k >= 1).
 
     The domain block for generator k is a basis of the component at
-    x - e_k; each basis element u maps to [u, P_k].  When x - e_k is all
-    zeros the block is the formal one-dimensional piece mapping onto P_k.
+    x - e_k, the left-normed brackets chosen greedily in word order; each
+    basis element u maps to [u, P_k].  When x - e_k is all zeros the block
+    is the formal one-dimensional piece mapping onto P_k.
     """
     gs = _as_system(gs)
     x = _as_multidegree(gs, x)
@@ -205,28 +224,19 @@ def whitehead_map_analysis(gs, x, budget=None):
             f"the bracket-map analysis needs every coordinate positive, got {x}")
     _check_size(x, budget)
     parities = gs.parities()
-    target_words = _words(x)
-    index = {w: i for i, w in enumerate(target_words)}
-
-    rows = []
-    domain_dim = 0
+    add = _eliminator()
+    rank = domain_dim = 0
     for k in range(len(x)):
         lowered = x[:k] + (x[k] - 1,) + x[k + 1:]
         if sum(lowered) == 0:
-            sources = [()]
+            images = [{(k,): 1}]
         else:
-            src_words = _words(lowered)
-            src_index = {w: i for i, w in enumerate(src_words)}
-            src_rows = _bracket_rows(src_words, parities, src_index)
-            sources = [src_words[i] for i in _independent_rows(src_rows)]
-        for w in sources:
-            poly = left_normed_bracket(w + (k,), parities)
-            row = [0] * len(target_words)
-            for word, coeff in poly.items():
-                row[index[word]] = coeff
-            rows.append(row)
+            odd = parities[k] & sum(p * v for p, v in zip(parities, lowered)) % 2
+            images = (_bracket_step(u, k, odd) for u in
+                      filter(_eliminator(), _prefix_brackets(lowered, parities)))
+        for image in images:
             domain_dim += 1
-    rank = len(_independent_rows(rows))
+            rank += add(image)
     return WhiteheadAnalysis(rank=rank, kernel_dim=domain_dim - rank)
 
 
@@ -258,12 +268,24 @@ class VerificationReport(NamedTuple):
         return all(rec.ok for rec in self.records)
 
 
+def _multidegrees(r, total_max):
+    # all r-tuples x >= 0 with sum(x) <= total_max, lexicographic
+    if r == 0:
+        yield ()
+        return
+    for v in range(total_max + 1):
+        for rest in _multidegrees(r - 1, total_max - v):
+            yield (v,) + rest
+
+
 def verify_range(max_r, max_degree, max_letters, budget=None):
     """Check the closed-form dimension against the brute force for every
     generator system with at most max_r generators of weight <= max_degree
     and every multidegree with 1 <= total <= max_letters; on all-positive
     multidegrees also check the bracket-map rank and kernel against the
-    closed forms.  Returns a report with one record per comparison."""
+    closed forms.  Returns a report with one record per comparison.  More
+    than 20 000 (system, multidegree) pairs raise ResourceLimitError before
+    any is checked."""
     max_r = as_integer(max_r, "max_r")
     max_degree = as_integer(max_degree, "max_degree")
     max_letters = as_integer(max_letters, "max_letters")
@@ -271,48 +293,25 @@ def verify_range(max_r, max_degree, max_letters, budget=None):
         raise InvalidInputError(
             f"need max_r, max_degree, max_letters >= 1, got "
             f"({max_r}, {max_degree}, {max_letters})")
+    pairs = 0  # max_degree^r systems times C(max_letters + r, r) - 1 multidegrees
+    for r in range(1, max_r + 1):
+        pairs += max_degree ** r * (comb(max_letters + r, r) - 1)
+        if pairs > _MAX_PAIRS:
+            raise ResourceLimitError(
+                f"verify_range({max_r}, {max_degree}, {max_letters}) would check "
+                f"{'' if r == max_r else 'more than '}{pairs} (system, multidegree) "
+                f"pairs, over the cap of {_MAX_PAIRS}")
     if budget is None:
         budget = max_letters
-
-    def multidegrees(r, total_max):
-        # all x >= 0 with 1 <= sum(x) <= total_max, lexicographic
-        def rec(k, prefix, remaining):
-            if k == r:
-                if sum(prefix) >= 1:
-                    yield tuple(prefix)
-                return
-            for v in range(remaining + 1):
-                yield from rec(k + 1, prefix + [v], remaining - v)
-
-        yield from rec(0, [], total_max)
-
-    def systems(r, degree_max):
-        def rec(k, prefix):
-            if k == r:
-                yield tuple(prefix)
-                return
-            for a in range(1, degree_max + 1):
-                yield from rec(k + 1, prefix + [a])
-
-        yield from rec(0, [])
-
     records = []
     for r in range(1, max_r + 1):
-        for weights in systems(r, max_degree):
-            for x in multidegrees(r, max_letters):
-                expected = lie_component_dim(weights, x)
-                actual = component_dim_bruteforce(weights, x, budget=budget)
-                records.append(VerificationRecord(
-                    weights=weights, multidegree=x, check="dimension",
-                    expected=expected, actual=actual))
-                if all(v >= 1 for v in x):
-                    analysis = whitehead_map_analysis(weights, x, budget=budget)
-                    records.append(VerificationRecord(
-                        weights=weights, multidegree=x, check="map rank",
-                        expected=lie_component_dim(weights, x),
-                        actual=analysis.rank))
-                    records.append(VerificationRecord(
-                        weights=weights, multidegree=x, check="map kernel",
-                        expected=multiplicity(weights, x),
-                        actual=analysis.kernel_dim))
+        for weights in product(range(1, max_degree + 1), repeat=r):
+            for x in filter(any, _multidegrees(r, max_letters)):
+                dim = lie_component_dim(weights, x)
+                checks = [("dimension", dim, component_dim_bruteforce(weights, x, budget=budget))]
+                if all(x):
+                    rank, kernel = whitehead_map_analysis(weights, x, budget=budget)
+                    checks += [("map rank", dim, rank),
+                               ("map kernel", multiplicity(weights, x), kernel)]
+                records += [VerificationRecord(weights, x, *check) for check in checks]
     return VerificationReport(records=tuple(records))

@@ -97,6 +97,13 @@ def test_budget_exhaustion_exits_three():
     assert result.returncode == 3
 
 
+def test_oversized_oracle_range_exits_three():
+    result = run_cli("oracle", "verify", "--max-r", "6", "--max-degree", "50",
+                     "--max-letters", "1")
+    assert result.returncode == 3
+    assert b"more than 380050 (system, multidegree) pairs" in result.stderr
+
+
 def test_help_exits_zero():
     assert run_cli("--help").returncode == 0
     assert run_cli("rank", "--help").returncode == 0

@@ -1,11 +1,17 @@
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from linkrank import liedim, oracle
 from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.liedim import lie_component_dim, multiplicity
 from linkrank.oracle import (
+    _independent_rows,
+    _prefix_brackets,
     component_dim_bruteforce,
     left_normed_bracket,
     super_bracket,
@@ -122,3 +128,130 @@ def test_verify_range_smoke():
     assert report.failures == ()
     kinds = {record.check for record in report.records}
     assert kinds == {"dimension", "map rank", "map kernel"}
+
+
+def test_bracket_letters_are_validated():
+    with pytest.raises(InvalidInputError):
+        left_normed_bracket((0, 5), (1,))
+    with pytest.raises(InvalidInputError):
+        left_normed_bracket((0, -1), (1, 0))
+    with pytest.raises(InvalidInputError):
+        left_normed_bracket((0, True), (1, 0))
+    with pytest.raises(InvalidInputError):
+        left_normed_bracket((0, 1.0), (1, 0))
+    with pytest.raises(InvalidInputError):
+        super_bracket({(0,): 1}, {(1,): 1}, (1,))
+    with pytest.raises(InvalidInputError):
+        super_bracket({(0, -1): 1}, {(1,): 1}, (1, 0))
+
+
+def test_verify_range_refuses_too_many_pairs_before_it_starts():
+    with pytest.raises(ResourceLimitError, match="more than 380050"):
+        verify_range(6, 50, 1)
+    # 5 * 8 + 25 * (C(10, 2) - 1) + 125 * (C(11, 3) - 1) pairs, all counted
+    with pytest.raises(ResourceLimitError, match=r"check 21640 \("):
+        verify_range(3, 5, 8)
+
+
+def test_verify_range_pair_count_is_exact(monkeypatch):
+    # 3 * 4 + 9 * (C(6, 2) - 1) = 138 (system, multidegree) pairs
+    report = verify_range(2, 3, 4)
+    pairs = {(rec.weights, rec.multidegree) for rec in report.records}
+    assert len(pairs) == 138
+    monkeypatch.setattr(oracle, "_MAX_PAIRS", 138)
+    assert verify_range(2, 3, 4) == report
+    monkeypatch.setattr(oracle, "_MAX_PAIRS", 137)
+    with pytest.raises(ResourceLimitError, match="check 138 "):
+        verify_range(2, 3, 4)
+
+
+def _fraction_rank(rows):
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    width = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 9])
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        if rows and draw(st.booleans()):
+            # an earlier row again, a multiple of it or a sum of two
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_independent_rows_match_a_fraction_rank(rows):
+    expected = [i for i in range(len(rows))
+                if _fraction_rank(rows[:i + 1]) > _fraction_rank(rows[:i])]
+    sparse = [dict(enumerate(row)) for row in rows]
+    assert _independent_rows(sparse) == expected
+    assert sparse == [dict(enumerate(row)) for row in rows]
+
+
+@st.composite
+def systems_and_multidegrees(draw):
+    r = draw(st.integers(1, 4))
+    parities = tuple(draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    x = tuple(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+    assume(1 <= sum(x) <= 6)
+    return parities, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_and_multidegrees())
+def test_prefix_brackets_equal_left_normed_brackets(case):
+    parities, x = case
+    letters = [k for k, n in enumerate(x) for _ in range(n)]
+    words = sorted(set(itertools.permutations(letters)))
+    shared = list(_prefix_brackets(x, parities))
+    assert shared == [left_normed_bracket(w, parities) for w in words]
+    # the same brackets folded from the general supercommutator
+    assert shared == [functools.reduce(
+        lambda poly, k: super_bracket(poly, {(k,): 1}, parities), w[1:], {w[:1]: 1})
+        for w in words]
+
+
+def test_oracle_consults_no_closed_form(monkeypatch):
+    cases = [((1, 2, 1), (2, 2, 1)), ((1, 1), (3, 2)), ((2,), (2,)), ((3, 2), (1, 1))]
+    before = [(component_dim_bruteforce(w, x), whitehead_map_analysis(w, x))
+              for w, x in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle consulted a closed form")
+
+    for name in ("lie_component_dim", "multiplicity", "weighted_dim_sums",
+                 "_dim", "_dim_by_parity", "witt", "witt_super"):
+        monkeypatch.setattr(liedim, name, refuse)
+    for name in ("lie_component_dim", "multiplicity"):
+        monkeypatch.setattr(oracle, name, refuse)
+    after = [(component_dim_bruteforce(w, x), whitehead_map_analysis(w, x))
+             for w, x in cases]
+    assert after == before
+
+
+def test_largest_admitted_multidegree():
+    # 1120 words: the most the default budget admits with at most four generators
+    weights, x = (1, 2, 1, 2), (3, 3, 1, 1)
+    analysis = whitehead_map_analysis(weights, x)
+    assert component_dim_bruteforce(weights, x) == lie_component_dim(weights, x)
+    assert analysis.rank == lie_component_dim(weights, x)
+    assert analysis.kernel_dim == multiplicity(weights, x)
