@@ -6,9 +6,8 @@ formula.
 from .errors import (InternalConsistencyError, InvalidInputError,
                      LinkRankError, ResourceLimitError)
 from .arith import divisors, gcd_multi, moebius, multinomial
-from .liedim import (GeneratorSystem, enumerate_diophantine, lie_component_dim,
-                     multiplicity, weighted_degree, weighted_dim_sums, witt,
-                     witt_super)
+from .liedim import (enumerate_diophantine, lie_component_dim, multiplicity,
+                     weighted_degree, weighted_dim_sums, witt, witt_super)
 from .fcs import fcs_contains, fcs_enumerate
 from .ranks import (BrunnianRank, LinkProblem, RankReport, brunnian_is_infinite,
                     brunnian_rank, equal_dim_rank, knot_rank, link_is_infinite,
@@ -28,7 +27,7 @@ __all__ = [
     "LinkRankError", "InvalidInputError", "InternalConsistencyError",
     "ResourceLimitError",
     "moebius", "divisors", "gcd_multi", "multinomial",
-    "GeneratorSystem", "weighted_degree", "lie_component_dim", "multiplicity",
+    "weighted_degree", "lie_component_dim", "multiplicity",
     "witt", "witt_super", "enumerate_diophantine", "weighted_dim_sums",
     "fcs_contains", "fcs_enumerate",
     "LinkProblem", "RankReport", "BrunnianRank", "knot_rank", "brunnian_rank",

@@ -63,12 +63,10 @@ def _cmd_rank(args):
         report = brunnian_rank(args.m, args.p)
         rank = brunnian = report.rank
         infinite = brunnian_is_infinite(args.m, args.p)
-        decomposition = None
     else:
         report = link_rank(args.m, args.p)
         rank, brunnian = report.total_rank, report.brunnian_rank
         infinite = report.infinite
-        decomposition = report.subset_decomposition
     payload, table = _record({"m": report.m, "p": list(report.p), "rank": rank,
                               "brunnian_rank": brunnian, "infinite": infinite})
     text = [f"m = {report.m}, p = ({', '.join(map(str, report.p))})"]
@@ -83,9 +81,9 @@ def _cmd_rank(args):
                                     for x, value in terms]
         text.append("contributions:")
         text += [f"  {x}: {value}" for x, value in terms]
-        if decomposition is not None:
+        if not args.brunnian:
             split = {",".join(map(str, subset)): value
-                     for subset, value in decomposition.items()}
+                     for subset, value in report.subset_decomposition.items()}
             payload["decomposition"] = split
             text.append("decomposition:")
             text += [f"  components {{{key}}}: {value}" for key, value in split.items()]
@@ -190,8 +188,7 @@ def _cmd_stiefel(args):
 
 
 def _cmd_oracle_verify(args):
-    report = verify_range(args.max_r, args.max_degree, args.max_letters,
-                          budget=args.budget)
+    report = verify_range(args.max_r, args.max_degree, args.max_letters)
     failures = report.failures
     payload = {
         "instances": report.instances,
@@ -276,8 +273,6 @@ def _build_parser():
     verify.add_argument("--max-r", type=int, default=2, dest="max_r")
     verify.add_argument("--max-degree", type=int, default=2, dest="max_degree")
     verify.add_argument("--max-letters", type=int, default=5, dest="max_letters")
-    verify.add_argument("--budget", type=int, default=None,
-                        help="letter budget (default: max letters)")
     _add_format(verify)
     verify.set_defaults(func=_cmd_oracle_verify)
 

@@ -51,9 +51,6 @@ class FramedLinkProblem:
     def l(self):
         return tuple(l for _, l in self.components)
 
-    def link_problem(self):
-        return LinkProblem(self.m, self.p)
-
 
 @dataclass(frozen=True)
 class FramedRankReport:
@@ -71,15 +68,17 @@ def framed_rank(m, components):
     underlying link rank plus one Stiefel summand stiefel_rank(p_k, m - p_k,
     l_k) per component."""
     problem = FramedLinkProblem(m, components)
-    m = problem.m
-    link_report = _link_report(problem.link_problem())
-    stiefel_ranks = tuple(
-        stiefel_rank(p, m - p, l) for p, l in problem.components)
+    return _framed_rank(problem.m, problem.p, problem.l)
+
+
+def _framed_rank(m, dims, frames):
+    link_report = _link_report(m, dims)
+    stiefel_ranks = tuple(stiefel_rank(p, m - p, l) for p, l in zip(dims, frames))
     total = link_report.total_rank + sum(stiefel_ranks)
     return FramedRankReport(
         m=m,
-        p=problem.p,
-        l=problem.l,
+        p=dims,
+        l=frames,
         total_rank=total,
         link_report=link_report,
         stiefel_ranks=stiefel_ranks,
@@ -115,9 +114,12 @@ def fully_framed_is_infinite(m, dims):
     """Finiteness verdict for the link with every component fully framed
     (l_k = m - p_k), asserted against the computed framed rank."""
     problem = LinkProblem(m, dims)
-    m, dims = problem.m, problem.p
+    return _fully_framed_is_infinite(problem.m, problem.p)
+
+
+def _fully_framed_is_infinite(m, dims):
     verdict = _fully_framed_criterion(m, dims)
-    report = framed_rank(m, tuple((v, m - v) for v in dims))
+    report = _framed_rank(m, dims, tuple(m - v for v in dims))
     if verdict != (report.total_rank > 0):
         raise InternalConsistencyError(
             f"full-framing criterion says {verdict} but the framed rank is "
@@ -169,10 +171,10 @@ def handlebody_report(m_plus_1, handle_dims):
     sets_finite = None
     group_rank = None
     if codim_ok:
-        if weak and not fully_framed_is_infinite(m, dims):
+        if weak and not _fully_framed_is_infinite(m, dims):
             sets_finite = True
         if strict:
-            group_rank = framed_rank(m, tuple((v, m - v) for v in dims)).total_rank
+            group_rank = _framed_rank(m, dims, tuple(m - v for v in dims)).total_rank
     return HandlebodyReport(
         m_plus_1=m_plus_1,
         handle_dims=handle_dims,
@@ -195,4 +197,4 @@ def mcg_finite_index(m, p):
         return None
     if any(not (1 <= v < m - 2) for v in dims):
         return None
-    return not fully_framed_is_infinite(m, dims)
+    return not _fully_framed_is_infinite(m, dims)

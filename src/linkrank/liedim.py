@@ -13,12 +13,15 @@ Conventions used throughout the package:
 * the component of the all-zero multidegree has dimension 1 by convention,
   and any negative coordinate gives dimension 0.
 
+Each public function validates its arguments once (the weights through
+_as_weights) and then calls an unvalidated core named with a leading
+underscore; the rank layer calls the cores only.
+
 All arithmetic is exact.  Dimension values are asserted to come out as
 nonnegative integers; a failure of that assertion is an internal bug, not
 bad input.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,47 +29,33 @@ from .arith import as_integer, divisors, gcd_multi, moebius, moebius_table, mult
 from .errors import InternalConsistencyError, InvalidInputError
 
 
-@dataclass(frozen=True)
-class GeneratorSystem:
-    """An ordered list of generator weights (positive integers)."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        weights = tuple(as_integer(a, "a generator weight") for a in self.weights)
-        if not weights:
-            raise InvalidInputError("a generator system needs at least one generator")
-        if any(a < 1 for a in weights):
-            raise InvalidInputError(f"generator weights must be positive, got {weights}")
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self):
-        return len(self.weights)
-
-    def parities(self):
-        return tuple(a % 2 for a in self.weights)
+def _as_weights(weights):
+    # the one check of a weights tuple: nonempty, positive integers
+    weights = tuple(as_integer(a, "a generator weight") for a in weights)
+    if not weights:
+        raise InvalidInputError("a generator system needs at least one generator")
+    if any(a < 1 for a in weights):
+        raise InvalidInputError(f"generator weights must be positive, got {weights}")
+    return weights
 
 
-def _as_system(gs):
-    if isinstance(gs, GeneratorSystem):
-        return gs
-    return GeneratorSystem(tuple(gs))
+def _parities(weights):
+    return tuple(a % 2 for a in weights)
 
 
-def _as_multidegree(gs, x):
+def _as_multidegree(weights, x):
     x = tuple(as_integer(v, "a multidegree entry") for v in x)
-    if len(x) != len(gs.weights):
+    if len(x) != len(weights):
         raise InvalidInputError(
             f"multidegree {x} has {len(x)} entries but the system has "
-            f"{len(gs.weights)} generators")
+            f"{len(weights)} generators")
     return x
 
 
-def weighted_degree(gs, x):
+def weighted_degree(weights, x):
     """Total weight sum(a_k * x_k) of a multidegree."""
-    gs = _as_system(gs)
-    x = _as_multidegree(gs, x)
-    return sum(a * v for a, v in zip(gs.weights, x))
+    weights = _as_weights(weights)
+    return sum(a * v for a, v in zip(weights, _as_multidegree(weights, x)))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -106,21 +95,23 @@ def _dim(parities, x):
     return _dim_by_parity(parities, x)
 
 
-def lie_component_dim(gs, x):
+def lie_component_dim(weights, x):
     """Dimension of the multidegree-x component of the free Lie superalgebra.
 
     Example: one generator of odd weight, x = (2,) -> 1, the self-bracket.
     """
-    gs = _as_system(gs)
-    return _dim(gs.parities(), _as_multidegree(gs, x))
+    weights = _as_weights(weights)
+    return _dim(_parities(weights), _as_multidegree(weights, x))
 
 
-def multiplicity(gs, x):
+def multiplicity(weights, x):
     """sum_k dim(x - e_k) minus dim(x): the corank of the bracket-with-a-
     generator map landing in the multidegree-x component."""
-    gs = _as_system(gs)
-    x = _as_multidegree(gs, x)
-    parities = gs.parities()
+    weights = _as_weights(weights)
+    return _multiplicity(_parities(weights), _as_multidegree(weights, x))
+
+
+def _multiplicity(parities, x):
     acc = -_dim(parities, x)
     for k in range(len(x)):
         acc += _dim(parities, x[:k] + (x[k] - 1,) + x[k + 1:])
@@ -179,19 +170,17 @@ def iter_diophantine(weights, target, lower_bounds):
     """The solutions of enumerate_diophantine, in the same order, as a
     generator, so that a caller looking for one solution stops at it.
     The arguments are checked at the call, not at the first next()."""
-    weights = tuple(as_integer(a, "a weight") for a in weights)
-    if not weights:
-        raise InvalidInputError("enumerate_diophantine needs at least one weight")
-    if any(a < 1 for a in weights):
-        raise InvalidInputError(f"weights must be positive, got {weights}")
+    weights = _as_weights(weights)
     lower_bounds = tuple(as_integer(b, "a lower bound") for b in lower_bounds)
     if len(lower_bounds) != len(weights):
         raise InvalidInputError(
             f"{len(lower_bounds)} lower bounds for {len(weights)} weights")
     if any(b not in (0, 1) for b in lower_bounds):
         raise InvalidInputError(f"lower bounds must each be 0 or 1, got {lower_bounds}")
-    target = as_integer(target, "the target")
+    return _solutions(weights, as_integer(target, "the target"), lower_bounds)
 
+
+def _solutions(weights, target, lower_bounds):
     r = len(weights)
     # tail_min[k] = least weight the coordinates from k on must consume
     tail_min = [0] * (r + 1)
@@ -210,7 +199,7 @@ def iter_diophantine(weights, target, lower_bounds):
             prefix.pop()
             v += 1
 
-    return extend(0, [], target) if target >= 0 else iter(())
+    return extend(0, [], target)
 
 
 def weighted_dim_sums(weights, n):
@@ -227,9 +216,7 @@ def weighted_dim_sums(weights, n):
     Example: weights (1, 1), n = 2 -> (1, 2, 3): two odd letters in
     degree 1, and in degree 2 the three self- and cross-brackets.
     """
-    weights = tuple(sorted(as_integer(a, "a weight") for a in weights))
-    if any(a < 1 for a in weights):
-        raise InvalidInputError(f"weights must be positive, got {weights}")
+    weights = tuple(sorted(_as_weights(weights)))
     n = as_integer(n, "the degree bound")
     if n < 0:
         raise InvalidInputError(f"the degree bound must be >= 0, got {n}")
@@ -238,6 +225,7 @@ def weighted_dim_sums(weights, n):
 
 @lru_cache(maxsize=1 << 12)
 def _weighted_dim_sums(weights, n):
+    # weights sorted, so that a permutation hits the same cache entry
     counts = {}
     for a in weights:
         if a <= n:

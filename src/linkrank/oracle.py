@@ -18,41 +18,25 @@ substitution), divided by its content, and kept with a +-1 pivot if it has
 one, exactly when it is independent of the rows before it.  No fraction,
 float or closed-form dimension is used.
 
-A single computation may touch at most a budget of letters (default 8,
-overridable per call or with the LINKRANK_ORACLE_BUDGET environment
-variable) and 1500 words.  `verify_range` refuses more than 20 000
-(system, multidegree) pairs before it starts.
+Both brute-force functions take a generator system as a tuple of
+positive weights.  A single computation may touch at most a budget of
+letters (default 8, overridable per call with budget=) and 1500 words.
+`verify_range` sets the budget to its max_letters and refuses more than
+20 000 (system, multidegree) pairs before it starts.  Each of these limits
+raises ResourceLimitError.
 """
 
-import os
 from itertools import product
 from math import comb, gcd
 from typing import NamedTuple
 
 from .arith import as_integer, multinomial
 from .errors import InvalidInputError, ResourceLimitError
-from .liedim import _as_multidegree, _as_system, lie_component_dim, multiplicity
+from .liedim import _as_multidegree, _as_weights, _dim, _multiplicity, _parities
 
-_BUDGET_ENV = "LINKRANK_ORACLE_BUDGET"
 _DEFAULT_BUDGET = 8
 _MAX_WORDS = 1500
 _MAX_PAIRS = 20_000
-
-
-def _resolve_budget(budget):
-    if budget is not None:
-        budget = as_integer(budget, "the letter budget")
-    else:
-        raw = os.environ.get(_BUDGET_ENV)
-        if raw is None:
-            return _DEFAULT_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise InvalidInputError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
-    if budget < 1:
-        raise InvalidInputError(f"the letter budget must be >= 1, got {budget}")
-    return budget
 
 
 def _check_size(x, budget):
@@ -60,11 +44,13 @@ def _check_size(x, budget):
     if total < 1:
         raise InvalidInputError(
             f"the oracle needs at least one letter, got multidegree {x}")
-    limit = _resolve_budget(budget)
+    limit = _DEFAULT_BUDGET if budget is None else as_integer(budget, "the letter budget")
+    if limit < 1:
+        raise InvalidInputError(f"the letter budget must be >= 1, got {limit}")
     if total > limit:
         raise ResourceLimitError(
             f"multidegree {x} has {total} letters, over the budget of {limit}; "
-            f"pass a larger budget or set {_BUDGET_ENV}")
+            f"pass a larger budget")
     n_words = multinomial(x)
     if n_words > _MAX_WORDS:
         raise ResourceLimitError(
@@ -125,21 +111,29 @@ def left_normed_bracket(word, parities):
 
 def _prefix_brackets(x, parities):
     """The left-normed brackets of the words of multidegree x (parities
-    0/1) in lexicographic word order, each prefix bracketed once."""
-    counts, total = list(x), sum(x)
-
-    def extend(prefix, parity, depth):
-        for k, left in enumerate(counts):
-            if left:
-                poly = _bracket_step(prefix, k, parity & parities[k]) if depth else {(k,): 1}
-                if depth + 1 == total:
-                    yield poly
-                else:
-                    counts[k] -= 1
-                    yield from extend(poly, parity ^ parities[k], depth + 1)
-                    counts[k] += 1
-
-    return extend(None, 0, 0)
+    0/1) in lexicographic word order, each prefix bracketed once.  The
+    walk keeps its own stack, so a word may be of any length."""
+    counts, total, r = list(x), sum(x), len(x)
+    # one frame per prefix: [its bracket, its parity, its last letter,
+    # the next letter to try appending]
+    stack = [[None, 0, None, 0]]
+    while stack:
+        frame = stack[-1]
+        prefix, parity, last, k = frame
+        while k < r and not counts[k]:
+            k += 1
+        if k == r:
+            stack.pop()
+            if last is not None:
+                counts[last] += 1
+            continue
+        frame[3] = k + 1
+        poly = {(k,): 1} if prefix is None else _bracket_step(prefix, k, parity & parities[k])
+        if len(stack) == total:
+            yield poly
+        else:
+            counts[k] -= 1
+            stack.append([poly, parity ^ parities[k], k, 0])
 
 
 def _primitive(row):
@@ -192,15 +186,15 @@ def _independent_rows(rows):
     return [i for i, row in enumerate(rows) if add({j: v for j, v in row.items() if v})]
 
 
-def component_dim_bruteforce(gs, x, budget=None):
+def component_dim_bruteforce(weights, x, budget=None):
     """Dimension of the multidegree-x component, computed from scratch as
     the rank of the spanning family of left-normed brackets."""
-    gs = _as_system(gs)
-    x = _as_multidegree(gs, x)
+    weights = _as_weights(weights)
+    x = _as_multidegree(weights, x)
     if any(v < 0 for v in x):
         raise InvalidInputError(f"multidegree entries must be >= 0, got {x}")
     _check_size(x, budget)
-    return sum(map(_eliminator(), _prefix_brackets(x, gs.parities())))
+    return sum(map(_eliminator(), _prefix_brackets(x, _parities(weights))))
 
 
 class WhiteheadAnalysis(NamedTuple):
@@ -208,7 +202,7 @@ class WhiteheadAnalysis(NamedTuple):
     kernel_dim: int
 
 
-def whitehead_map_analysis(gs, x, budget=None):
+def whitehead_map_analysis(weights, x, budget=None):
     """Rank and kernel dimension of the assembled bracket-with-a-generator
     map into the multidegree-x component (every x_k >= 1).
 
@@ -217,13 +211,13 @@ def whitehead_map_analysis(gs, x, budget=None):
     basis element u maps to [u, P_k].  When x - e_k is all zeros the block
     is the formal one-dimensional piece mapping onto P_k.
     """
-    gs = _as_system(gs)
-    x = _as_multidegree(gs, x)
+    weights = _as_weights(weights)
+    x = _as_multidegree(weights, x)
     if any(v < 1 for v in x):
         raise InvalidInputError(
             f"the bracket-map analysis needs every coordinate positive, got {x}")
     _check_size(x, budget)
-    parities = gs.parities()
+    parities = _parities(weights)
     add = _eliminator()
     rank = domain_dim = 0
     for k in range(len(x)):
@@ -278,14 +272,14 @@ def _multidegrees(r, total_max):
             yield (v,) + rest
 
 
-def verify_range(max_r, max_degree, max_letters, budget=None):
+def verify_range(max_r, max_degree, max_letters):
     """Check the closed-form dimension against the brute force for every
     generator system with at most max_r generators of weight <= max_degree
-    and every multidegree with 1 <= total <= max_letters; on all-positive
-    multidegrees also check the bracket-map rank and kernel against the
-    closed forms.  Returns a report with one record per comparison.  More
-    than 20 000 (system, multidegree) pairs raise ResourceLimitError before
-    any is checked."""
+    and every multidegree with 1 <= total <= max_letters, with a letter
+    budget of max_letters; on all-positive multidegrees also check the
+    bracket-map rank and kernel against the closed forms.  Returns a report
+    with one record per comparison.  More than 20 000 (system, multidegree)
+    pairs raise ResourceLimitError before any is checked."""
     max_r = as_integer(max_r, "max_r")
     max_degree = as_integer(max_degree, "max_degree")
     max_letters = as_integer(max_letters, "max_letters")
@@ -301,17 +295,17 @@ def verify_range(max_r, max_degree, max_letters, budget=None):
                 f"verify_range({max_r}, {max_degree}, {max_letters}) would check "
                 f"{'' if r == max_r else 'more than '}{pairs} (system, multidegree) "
                 f"pairs, over the cap of {_MAX_PAIRS}")
-    if budget is None:
-        budget = max_letters
     records = []
     for r in range(1, max_r + 1):
         for weights in product(range(1, max_degree + 1), repeat=r):
+            parities = _parities(weights)
             for x in filter(any, _multidegrees(r, max_letters)):
-                dim = lie_component_dim(weights, x)
-                checks = [("dimension", dim, component_dim_bruteforce(weights, x, budget=budget))]
+                dim = _dim(parities, x)
+                checks = [("dimension", dim,
+                           component_dim_bruteforce(weights, x, budget=max_letters))]
                 if all(x):
-                    rank, kernel = whitehead_map_analysis(weights, x, budget=budget)
+                    rank, kernel = whitehead_map_analysis(weights, x, budget=max_letters)
                     checks += [("map rank", dim, rank),
-                               ("map kernel", multiplicity(weights, x), kernel)]
+                               ("map kernel", _multiplicity(parities, x), kernel)]
                 records += [VerificationRecord(weights, x, *check) for check in checks]
     return VerificationReport(records=tuple(records))

@@ -21,6 +21,10 @@ Both finiteness criteria, for the link and for the fully framed link, walk
 only those fitting subsets (_fitting_subsets), the same family the Brunnian
 ranks are taken over.
 
+Each public function validates its arguments once, through LinkProblem;
+the cached cores _link_report(m, dims) and _brunnian(m, dims) take the
+validated integers and call only the unvalidated cores of liedim and fcs.
+
 Independent checks raise InternalConsistencyError on a mismatch:
 
 * the per-multidegree terms (`contributions`) are enumerated on first
@@ -42,9 +46,8 @@ from typing import Optional
 
 from .arith import as_integer
 from .errors import InternalConsistencyError, InvalidInputError
-from .fcs import fcs_contains
-from .liedim import (GeneratorSystem, enumerate_diophantine, iter_diophantine,
-                     multiplicity, weighted_dim_sums, witt_super)
+from .fcs import _member
+from .liedim import _multiplicity, _parities, _solutions, _weighted_dim_sums, witt_super
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,14 @@ class LinkProblem:
     def weights(self):
         return tuple(self.m - v - 2 for v in self.p)
 
-    def system(self):
-        return GeneratorSystem(self.weights())
-
 
 def _contributions(m, dims, lower, expected):
     # (x, multiplicity) over the solutions x >= lower of sum(a_k x_k) = m - 3,
     # checked against the closed-form sum
-    gs = GeneratorSystem(tuple(m - v - 2 for v in dims))
-    terms = tuple((x, multiplicity(gs, x))
-                  for x in enumerate_diophantine(gs.weights, m - 3, (lower,) * len(dims)))
+    weights = tuple(m - v - 2 for v in dims)
+    parities = _parities(weights)
+    terms = tuple((x, _multiplicity(parities, x))
+                  for x in _solutions(weights, m - 3, (lower,) * len(dims)))
     total = sum(value for _, value in terms)
     if total != expected:
         raise InternalConsistencyError(
@@ -115,7 +116,20 @@ class RankReport:
     brunnian_rank: Optional[int]  # None when r = 1
     knot_ranks: tuple
     infinite: bool
-    subset_decomposition: MappingProxyType  # 1-based component subset -> its Brunnian/knot rank
+
+    @cached_property
+    def subset_decomposition(self):
+        """Read-only map from every nonempty 1-based component subset, by
+        size and then lexicographically, to its Brunnian rank (its knot
+        rank for a single component), built on first access."""
+        ranks = _brunnian_ranks(self.m, self.p)
+        split = {}
+        for size in range(1, len(self.p) + 1):
+            for subset in combinations(range(len(self.p)), size):
+                split[tuple(k + 1 for k in subset)] = (
+                    self.knot_ranks[subset[0]] if size == 1
+                    else ranks.get(sum(1 << k for k in subset), 0))
+        return MappingProxyType(split)
 
     @cached_property
     def contributions(self):
@@ -129,7 +143,10 @@ class RankReport:
 def knot_rank(m, p):
     """Rank of the group of knots S^p in R^m (0 or 1)."""
     problem = LinkProblem(m, (p,))
-    m, p = problem.m, problem.p[0]
+    return _knot_rank(problem.m, problem.p[0])
+
+
+def _knot_rank(m, p):
     return 1 if (p + 1) % 4 == 0 and 2 * m < 3 * p + 4 else 0
 
 
@@ -142,7 +159,7 @@ def _delta(m, p):
 
 def _multiplicity_sum(weights, target):
     # M(T): the multiplicities of all x >= 0 of weighted degree target
-    dims = weighted_dim_sums(weights, target)
+    dims = _weighted_dim_sums(tuple(sorted(weights)), target)
     return sum(dims[target - a] for a in weights if a <= target) - dims[target]
 
 
@@ -179,9 +196,8 @@ def _brunnian_ranks(m, dims):
 
 
 @lru_cache(maxsize=1 << 14)
-def _brunnian(problem):
-    ranks = _brunnian_ranks(problem.m, problem.p)
-    return BrunnianRank(problem.m, problem.p, ranks.get((1 << problem.r) - 1, 0))
+def _brunnian(m, dims):
+    return BrunnianRank(m, dims, _brunnian_ranks(m, dims).get((1 << len(dims)) - 1, 0))
 
 
 def brunnian_rank(m, dims):
@@ -193,17 +209,18 @@ def brunnian_rank(m, dims):
     if problem.r < 2:
         raise InvalidInputError(
             "Brunnian rank needs at least two components; use knot_rank for one")
-    return _brunnian(problem)
+    return _brunnian(problem.m, problem.p)
 
 
 def _subsequence_infinite(m, dims):
     # two components: a positive solution lying in the membership family;
     # three or more: any positive solution at all.  Both stop at the first
-    # witness.
+    # witness.  The family index m - p_k = a_k + 2 has the parity of a_k.
     weights = tuple(m - v - 2 for v in dims)
-    solutions = iter_diophantine(weights, m - 3, (1,) * len(dims))
+    solutions = _solutions(weights, m - 3, (1,) * len(dims))
     if len(dims) == 2:
-        return any(fcs_contains(m - dims[0], m - dims[1], x, y) for x, y in solutions)
+        pi, pj = weights[0] % 2, weights[1] % 2
+        return any(_member(pi, pj, x, y) for x, y in solutions)
     return next(solutions, None) is not None
 
 
@@ -223,7 +240,7 @@ def brunnian_is_infinite(m, dims):
     if problem.r < 2:
         raise InvalidInputError("the Brunnian criterion needs at least two components")
     verdict = _subsequence_infinite(problem.m, problem.p)
-    rank = _brunnian(problem).rank
+    rank = _brunnian(problem.m, problem.p).rank
     if verdict != (rank > 0):
         raise InternalConsistencyError(
             f"Brunnian criterion says {verdict} but the rank is {rank} "
@@ -232,26 +249,18 @@ def brunnian_is_infinite(m, dims):
 
 
 @lru_cache(maxsize=1 << 14)
-def _link_report(problem):
-    m, dims, r = problem.m, problem.p, problem.r
+def _link_report(m, dims):
     if m - 3 < 1:
         raise InternalConsistencyError(f"degree target m - 3 = {m - 3} is not positive")
-    knot_ranks = tuple(knot_rank(m, v) for v in dims)
-    total = (_multiplicity_sum(problem.weights(), m - 3)
+    knot_ranks = tuple(_knot_rank(m, v) for v in dims)
+    total = (_multiplicity_sum([m - v - 2 for v in dims], m - 3)
              + sum(knot_ranks) - sum(_delta(m, v) for v in dims))
 
-    # the same total split into one Brunnian summand per component subset,
-    # keyed by size, then lexicographically
-    decomposition = dict.fromkeys(
-        (subset for size in range(1, r + 1)
-         for subset in combinations(range(1, r + 1), size)), 0)
-    for mask, value in _brunnian_ranks(m, dims).items():
-        subset = tuple(k + 1 for k in range(r) if mask >> k & 1)
-        if len(subset) >= 2:
-            decomposition[subset] = value
-    for k, value in enumerate(knot_ranks):
-        decomposition[(k + 1,)] = value
-    split_total = sum(decomposition.values())
+    # the same total split into the knot ranks plus one Brunnian summand per
+    # subset of two or more components; the subsets that do not fit add 0
+    ranks = _brunnian_ranks(m, dims)
+    split_total = sum(knot_ranks) + sum(
+        value for mask, value in ranks.items() if mask & (mask - 1))
     if split_total != total:
         raise InternalConsistencyError(
             f"closed formula gives rank {total} but the subset splitting gives "
@@ -267,23 +276,23 @@ def _link_report(problem):
         m=m,
         p=dims,
         total_rank=total,
-        brunnian_rank=decomposition[tuple(range(1, r + 1))] if r >= 2 else None,
+        brunnian_rank=ranks.get((1 << len(dims)) - 1, 0) if len(dims) >= 2 else None,
         knot_ranks=knot_ranks,
         infinite=infinite,
-        subset_decomposition=MappingProxyType(decomposition),
     )
 
 
 def link_rank(m, dims):
     """Full rank report for the group of links of spheres of dimensions
     dims in R^m."""
-    return _link_report(LinkProblem(m, dims))
+    problem = LinkProblem(m, dims)
+    return _link_report(problem.m, problem.p)
 
 
 def link_is_infinite(m, dims):
     """Finiteness verdict for the whole link group (some subsequence of
     components already carries rank)."""
-    return _link_report(LinkProblem(m, dims)).infinite
+    return link_rank(m, dims).infinite
 
 
 def equal_dim_rank(m, p, r):
@@ -298,9 +307,9 @@ def equal_dim_rank(m, p, r):
         raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={p}")
     s = m - p
     t = Fraction(m - 3, m - p - 2)
-    c = knot_rank(m, p)
+    c = _knot_rank(m, p)
     value = r * (witt_super(t - 1, s, r) + c - _delta(m, p)) - witt_super(t, s, r)
-    check = _link_report(problem).total_rank
+    check = _link_report(m, problem.p).total_rank
     if value != check:
         raise InternalConsistencyError(
             f"equal-dimension form gives {value} but the general formula gives "

@@ -117,7 +117,6 @@ def test_as_integer_rejects_non_integers():
                  lambda: framed_knot_is_infinite(8, 5, "a"),
                  lambda: fcs_contains(True, 0, 1, 1),
                  lambda: verify_range(1.9, 1.9, 3.7),
-                 lambda: verify_range(1, 1, 2, budget=2.5),
                  lambda: component_dim_bruteforce((1, 1), (1, 1), budget=2.5)):
         with pytest.raises(InvalidInputError):
             call()

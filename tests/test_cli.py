@@ -92,11 +92,6 @@ def test_invalid_input_exits_two():
     assert run_cli("rank", "6").returncode == 2
 
 
-def test_budget_exhaustion_exits_three():
-    result = run_cli("oracle", "verify", "--max-letters", "6", "--budget", "3")
-    assert result.returncode == 3
-
-
 def test_oversized_oracle_range_exits_three():
     result = run_cli("oracle", "verify", "--max-r", "6", "--max-degree", "50",
                      "--max-letters", "1")

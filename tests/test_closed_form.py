@@ -2,12 +2,14 @@
 the consistency checks that guard it."""
 
 import itertools
+import sys
 
 import pytest
 
-from linkrank import ranks
+from linkrank import liedim, ranks
 from linkrank.errors import InternalConsistencyError
-from linkrank.framed import fully_framed_is_infinite
+from linkrank.framed import framed_rank, fully_framed_is_infinite
+from linkrank.oracle import verify_range
 from linkrank.ranks import (brunnian_is_infinite, brunnian_rank, equal_dim_rank,
                             link_is_infinite, link_rank)
 
@@ -84,8 +86,8 @@ def cold_caches():
 
 
 def test_contributions_check_fires(cold_caches, monkeypatch):
-    real = ranks.multiplicity
-    monkeypatch.setattr(ranks, "multiplicity", lambda gs, x: real(gs, x) + 1)
+    real = ranks._multiplicity
+    monkeypatch.setattr(ranks, "_multiplicity", lambda parities, x: real(parities, x) + 1)
     with pytest.raises(InternalConsistencyError):
         link_rank(6, (3, 3)).contributions
     with pytest.raises(InternalConsistencyError):
@@ -137,3 +139,42 @@ def test_subsets_too_heavy_for_a_positive_solution_have_rank_zero():
         dims = tuple((9, 10, 11)[k - 1] for k in pair)
         assert split[pair] == brunnian_rank(20, dims).rank
     assert sum(split.values()) == report.total_rank
+
+
+# the public entry points that validate their arguments; the library's own
+# code reaches their unvalidated cores instead
+VALIDATING = ("weighted_dim_sums", "iter_diophantine", "enumerate_diophantine",
+              "multiplicity", "fcs_contains", "knot_rank", "lie_component_dim")
+
+
+def _cold_results():
+    for cache in (ranks._link_report, ranks._brunnian, liedim._weighted_dim_sums,
+                  liedim._dim_by_parity):
+        cache.cache_clear()
+    results = []
+    for m, dims in ((10, (7,)), (6, (3, 3)), (9, (5, 6)), (8, (5, 5, 5)),
+                    (20, (9, 10, 11)), (14, (9, 10, 8, 11))):
+        report = link_rank(m, dims)
+        results.append((report, report.contributions, dict(report.subset_decomposition),
+                        framed_rank(m, tuple((p, m - p) for p in dims)),
+                        fully_framed_is_infinite(m, dims)))
+        if len(dims) >= 2:
+            brunnian = brunnian_rank(m, dims)
+            results.append((brunnian, brunnian.contributions, brunnian_is_infinite(m, dims)))
+    results.append(verify_range(2, 2, 4))
+    return results
+
+
+def test_arguments_are_validated_once(monkeypatch):
+    before = _cold_results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("internal code called a validating entry point")
+
+    modules = [module for name, module in list(sys.modules.items())
+               if name == "linkrank" or name.startswith("linkrank.")]
+    for module in modules:
+        for name in VALIDATING:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert _cold_results() == before

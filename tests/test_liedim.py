@@ -5,7 +5,6 @@ import pytest
 
 from linkrank.errors import InvalidInputError
 from linkrank.liedim import (
-    GeneratorSystem,
     enumerate_diophantine,
     iter_diophantine,
     lie_component_dim,
@@ -18,13 +17,12 @@ from linkrank.liedim import (
 
 
 def test_generator_system_validation():
-    gs = GeneratorSystem((3, 1))
-    assert len(gs) == 2
-    assert gs.parities() == (1, 1)
-    with pytest.raises(InvalidInputError):
-        GeneratorSystem(())
-    with pytest.raises(InvalidInputError):
-        GeneratorSystem((2, 0))
+    assert lie_component_dim((3, 1), (1, 1)) == 1
+    for call in (lie_component_dim, multiplicity):
+        with pytest.raises(InvalidInputError):
+            call((), ())
+        with pytest.raises(InvalidInputError):
+            call((2, 0), (1, 1))
 
 
 def test_weighted_degree_values():
@@ -180,7 +178,9 @@ def test_iter_diophantine_is_lazy_and_checks_eagerly():
 def test_non_integer_inputs_are_rejected():
     for bad in (1.0, 2.5, True, "2"):
         with pytest.raises(InvalidInputError):
-            GeneratorSystem((bad, 1))
+            lie_component_dim((bad, 1), (1, 1))
+        with pytest.raises(InvalidInputError):
+            multiplicity((bad, 1), (1, 1))
         with pytest.raises(InvalidInputError):
             enumerate_diophantine((bad, 1), 4, (0, 0))
         with pytest.raises(InvalidInputError):
