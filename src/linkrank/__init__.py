@@ -9,13 +9,11 @@ from .arith import divisors, gcd_multi, moebius, multinomial
 from .liedim import (enumerate_diophantine, lie_component_dim, multiplicity,
                      weighted_degree, weighted_dim_sums, witt, witt_super)
 from .fcs import fcs_contains, fcs_enumerate
-from .ranks import (BrunnianRank, LinkProblem, RankReport, brunnian_is_infinite,
-                    brunnian_rank, equal_dim_rank, knot_rank, link_is_infinite,
-                    link_rank)
+from .ranks import (BrunnianRank, RankReport, brunnian_is_infinite, brunnian_rank,
+                    equal_dim_rank, knot_rank, link_is_infinite, link_rank)
 from .stiefel import so_rank, stiefel_rank
-from .framed import (FramedLinkProblem, FramedRankReport, HandlebodyReport,
-                     framed_knot_is_infinite, framed_rank,
-                     fully_framed_is_infinite, handlebody_report,
+from .framed import (FramedRankReport, HandlebodyReport, framed_knot_is_infinite,
+                     framed_rank, fully_framed_is_infinite, handlebody_report,
                      mcg_finite_index)
 from .oracle import (VerificationRecord, VerificationReport, WhiteheadAnalysis,
                      component_dim_bruteforce, left_normed_bracket,
@@ -30,10 +28,10 @@ __all__ = [
     "weighted_degree", "lie_component_dim", "multiplicity",
     "witt", "witt_super", "enumerate_diophantine", "weighted_dim_sums",
     "fcs_contains", "fcs_enumerate",
-    "LinkProblem", "RankReport", "BrunnianRank", "knot_rank", "brunnian_rank",
+    "RankReport", "BrunnianRank", "knot_rank", "brunnian_rank",
     "link_rank", "equal_dim_rank", "brunnian_is_infinite", "link_is_infinite",
     "so_rank", "stiefel_rank",
-    "FramedLinkProblem", "FramedRankReport", "HandlebodyReport",
+    "FramedRankReport", "HandlebodyReport",
     "framed_rank", "framed_knot_is_infinite", "fully_framed_is_infinite",
     "handlebody_report", "mcg_finite_index",
     "super_bracket", "left_normed_bracket", "component_dim_bruteforce",

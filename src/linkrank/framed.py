@@ -5,6 +5,10 @@ question for fully framed links.
 
 The framed rank is the plain link rank plus one Stiefel-manifold summand
 per component.  A "full framing" means l_k = m - p_k for every k.
+
+The entry points check the frame counts 0 <= l_k <= m - p_k and leave the
+link itself, m and the p_k, to ranks._as_link.  handlebody_report and
+mcg_finite_index check their own regime and answer None outside it.
 """
 
 from dataclasses import dataclass
@@ -12,44 +16,21 @@ from typing import Optional
 
 from .arith import as_integer
 from .errors import InternalConsistencyError, InvalidInputError
-from .ranks import LinkProblem, RankReport, _link_report, _sublink_infinite
-from .stiefel import stiefel_rank
+from .ranks import RankReport, _as_link, _link_report, _sublink_infinite
+from .stiefel import _stiefel_rank
 
 
-@dataclass(frozen=True)
-class FramedLinkProblem:
-    """Ambient dimension m and per-component (p_k, l_k) pairs with
-    p_k < m - 2 and 0 <= l_k <= m - p_k."""
-
-    m: int
-    components: tuple
-
-    def __post_init__(self):
-        m = as_integer(self.m, "the ambient dimension")
-        components = tuple(
-            (as_integer(p, "a component dimension"), as_integer(l, "a frame count"))
-            for p, l in self.components)
-        if not components:
-            raise InvalidInputError("a framed link needs at least one component")
-        for p, l in components:
-            if p < 1 or p >= m - 2:
-                raise InvalidInputError(
-                    f"codimension must exceed 2: component dimension {p} "
-                    f"inside ambient dimension {m}")
-            if l < 0 or l > m - p:
-                raise InvalidInputError(
-                    f"frame count must satisfy 0 <= l <= m - p, got l={l} "
-                    f"for p={p}, m={m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "components", components)
-
-    @property
-    def p(self):
-        return tuple(p for p, _ in self.components)
-
-    @property
-    def l(self):
-        return tuple(l for _, l in self.components)
+def _as_framed(m, components):
+    # the link check of ranks._as_link on the p_k, then 0 <= l_k <= m - p_k
+    components = tuple(components)
+    m, dims = _as_link(m, (p for p, _ in components))
+    frames = tuple(as_integer(l, "a frame count") for _, l in components)
+    for p, l in zip(dims, frames):
+        if l < 0 or l > m - p:
+            raise InvalidInputError(
+                f"frame count must satisfy 0 <= l <= m - p, got l={l} "
+                f"for p={p}, m={m}")
+    return m, dims, frames
 
 
 @dataclass(frozen=True)
@@ -67,13 +48,12 @@ def framed_rank(m, components):
     """Rank report for a framed link with (p_k, l_k) components in R^m: the
     underlying link rank plus one Stiefel summand stiefel_rank(p_k, m - p_k,
     l_k) per component."""
-    problem = FramedLinkProblem(m, components)
-    return _framed_rank(problem.m, problem.p, problem.l)
+    return _framed_rank(*_as_framed(m, components))
 
 
 def _framed_rank(m, dims, frames):
     link_report = _link_report(m, dims)
-    stiefel_ranks = tuple(stiefel_rank(p, m - p, l) for p, l in zip(dims, frames))
+    stiefel_ranks = tuple(_stiefel_rank(p, m - p, l) for p, l in zip(dims, frames))
     total = link_report.total_rank + sum(stiefel_ranks)
     return FramedRankReport(
         m=m,
@@ -88,33 +68,29 @@ def _framed_rank(m, dims, frames):
 
 def framed_knot_is_infinite(m, p, l):
     """Finiteness criterion for a single framed sphere, 1 <= l <= m - p."""
-    problem = FramedLinkProblem(m, ((p, l),))
-    m, (p, l) = problem.m, problem.components[0]
+    m, (p,), (l,) = _as_framed(m, ((p, l),))
     if l < 1:
         raise InvalidInputError(f"the criterion needs l >= 1, got l={l}")
-    if (p + 1) % 4 == 0 and 2 * m < 3 * p + 2 * l + 2:
-        return True
-    if (p + 1) % 2 == 0 and m == 2 * p + 1:
-        return True
-    if p % 2 == 0 and m == 2 * p + l:
-        return True
-    return False
+    return _framed_knot_infinite(m, p, l)
+
+
+def _framed_knot_infinite(m, p, l):
+    return ((p + 1) % 4 == 0 and 2 * m < 3 * p + 2 * l + 2
+            or (p + 1) % 2 == 0 and m == 2 * p + 1
+            or p % 2 == 0 and m == 2 * p + l)
 
 
 def _fully_framed_criterion(m, dims):
-    for p in dims:
-        if (p + 1) % 4 == 0:
-            return True
-        if (m + 1) % 4 == 0 and m + 1 == 2 * p + 2:
-            return True
-    return _sublink_infinite(m, dims)
+    # at l = m - p the first condition holds whenever p = 3 mod 4, and the
+    # third one never does, as it would need p = 0
+    return (any(_framed_knot_infinite(m, p, m - p) for p in dims)
+            or _sublink_infinite(m, dims))
 
 
 def fully_framed_is_infinite(m, dims):
     """Finiteness verdict for the link with every component fully framed
     (l_k = m - p_k), asserted against the computed framed rank."""
-    problem = LinkProblem(m, dims)
-    return _fully_framed_is_infinite(problem.m, problem.p)
+    return _fully_framed_is_infinite(*_as_link(m, dims))
 
 
 def _fully_framed_is_infinite(m, dims):

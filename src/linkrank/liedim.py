@@ -138,15 +138,17 @@ def witt(t, r):
 def witt_super(t, s, r):
     """Super variant of the necklace count.
 
-    t may be any rational; a non-integral or nonpositive t contributes 0.
+    t is an int or a Fraction; a non-integral or nonpositive t
+    contributes 0.
     For odd s and t congruent to 2 mod 4 the count picks up the extra
     witt(t/2, r) term coming from the odd part of the grading.
     """
+    if not isinstance(t, Fraction):
+        t = as_integer(t, "the degree t, unless a Fraction,")
     s = as_integer(s, "the parity carrier s")
     r = as_integer(r, "the letter count r")
     if s < 1 or r < 1:
         raise InvalidInputError(f"witt_super needs s >= 1 and r >= 1, got s={s}, r={r}")
-    t = Fraction(t)
     if t.denominator != 1 or t < 1:
         return 0
     t = int(t)
@@ -163,13 +165,6 @@ def enumerate_diophantine(weights, target, lower_bounds):
 
     Example: weights (3, 1), target 7, bounds (1, 1) -> [(1, 4), (2, 1)].
     """
-    return list(iter_diophantine(weights, target, lower_bounds))
-
-
-def iter_diophantine(weights, target, lower_bounds):
-    """The solutions of enumerate_diophantine, in the same order, as a
-    generator, so that a caller looking for one solution stops at it.
-    The arguments are checked at the call, not at the first next()."""
     weights = _as_weights(weights)
     lower_bounds = tuple(as_integer(b, "a lower bound") for b in lower_bounds)
     if len(lower_bounds) != len(weights):
@@ -177,29 +172,39 @@ def iter_diophantine(weights, target, lower_bounds):
             f"{len(lower_bounds)} lower bounds for {len(weights)} weights")
     if any(b not in (0, 1) for b in lower_bounds):
         raise InvalidInputError(f"lower bounds must each be 0 or 1, got {lower_bounds}")
-    return _solutions(weights, as_integer(target, "the target"), lower_bounds)
+    return list(_solutions(weights, as_integer(target, "the target"), lower_bounds))
 
 
 def _solutions(weights, target, lower_bounds):
+    # The solutions of enumerate_diophantine, in the same order, as a
+    # generator, so that a caller looking for one solution stops at it.
+    # The walk keeps its own stack: x[:k] is the fixed prefix, left[k] what
+    # it leaves of target, and the last coordinate is solved for directly.
     r = len(weights)
     # tail_min[k] = least weight the coordinates from k on must consume
     tail_min = [0] * (r + 1)
     for k in range(r - 1, -1, -1):
         tail_min[k] = tail_min[k + 1] + weights[k] * lower_bounds[k]
-
-    def extend(k, prefix, remaining):
-        if k == r:
-            if remaining == 0:
-                yield tuple(prefix)
+    last = r - 1
+    x = list(lower_bounds)
+    left = [target] * r
+    k = 0
+    while True:
+        if k == last:
+            v, rest = divmod(left[k], weights[k])
+            if not rest and v >= lower_bounds[k]:
+                x[k] = v
+                yield tuple(x)
+        elif weights[k] * x[k] + tail_min[k + 1] <= left[k]:
+            left[k + 1] = left[k] - weights[k] * x[k]
+            k += 1
+            x[k] = lower_bounds[k]
+            continue
+        # every value of coordinate k is spent: step the one before it
+        k -= 1
+        if k < 0:
             return
-        v = lower_bounds[k]
-        while weights[k] * v + tail_min[k + 1] <= remaining:
-            prefix.append(v)
-            yield from extend(k + 1, prefix, remaining - weights[k] * v)
-            prefix.pop()
-            v += 1
-
-    return extend(0, [], target)
+        x[k] += 1
 
 
 def weighted_dim_sums(weights, n):

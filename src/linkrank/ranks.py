@@ -3,7 +3,7 @@ codimension greater than two: single knots, Brunnian links (every proper
 sublink trivial) and general links, together with the matching finiteness
 criteria.
 
-A problem is an ambient dimension m plus component sphere dimensions
+A link is an ambient dimension m plus component sphere dimensions
 p = (p_1, ..., p_r) with every p_k < m - 2.  The attached generator system
 has weights a_k = m - p_k - 2, and every rank is a sum of component
 multiplicities over the multidegrees x of weighted degree N = m - 3.
@@ -21,7 +21,8 @@ Both finiteness criteria, for the link and for the fully framed link, walk
 only those fitting subsets (_fitting_subsets), the same family the Brunnian
 ranks are taken over.
 
-Each public function validates its arguments once, through LinkProblem;
+Each public function validates its arguments once, through _as_link, the
+one place the rule 1 <= p_k < m - 2 is written (framed links use it too);
 the cached cores _link_report(m, dims) and _brunnian(m, dims) take the
 validated integers and call only the unvalidated cores of liedim and fcs.
 
@@ -50,34 +51,21 @@ from .fcs import _member
 from .liedim import _multiplicity, _parities, _solutions, _weighted_dim_sums, witt_super
 
 
-@dataclass(frozen=True)
-class LinkProblem:
-    """Ambient dimension m and component dimensions p, all with p_k < m - 2."""
-
-    m: int
-    p: tuple
-
-    def __post_init__(self):
-        m = as_integer(self.m, "the ambient dimension")
-        p = tuple(as_integer(v, "a component dimension") for v in self.p)
-        if not p:
-            raise InvalidInputError("a link needs at least one component")
-        for v in p:
-            if v < 1:
-                raise InvalidInputError(f"component dimensions must be >= 1, got {v}")
-            if v >= m - 2:
-                raise InvalidInputError(
-                    f"codimension must exceed 2: component dimension {v} "
-                    f"inside ambient dimension {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def r(self):
-        return len(self.p)
-
-    def weights(self):
-        return tuple(self.m - v - 2 for v in self.p)
+def _as_link(m, dims):
+    # the one check of a link: integers m and p_k, at least one component,
+    # every 1 <= p_k < m - 2
+    m = as_integer(m, "the ambient dimension")
+    dims = tuple(as_integer(v, "a component dimension") for v in dims)
+    if not dims:
+        raise InvalidInputError("a link needs at least one component")
+    for v in dims:
+        if v < 1:
+            raise InvalidInputError(f"component dimensions must be >= 1, got {v}")
+        if v >= m - 2:
+            raise InvalidInputError(
+                f"codimension must exceed 2: component dimension {v} "
+                f"inside ambient dimension {m}")
+    return m, dims
 
 
 def _contributions(m, dims, lower, expected):
@@ -142,8 +130,8 @@ class RankReport:
 
 def knot_rank(m, p):
     """Rank of the group of knots S^p in R^m (0 or 1)."""
-    problem = LinkProblem(m, (p,))
-    return _knot_rank(problem.m, problem.p[0])
+    m, (p,) = _as_link(m, (p,))
+    return _knot_rank(m, p)
 
 
 def _knot_rank(m, p):
@@ -205,11 +193,11 @@ def brunnian_rank(m, dims):
 
     Example: brunnian_rank(5, (2, 2)).rank -> 1.
     """
-    problem = LinkProblem(m, dims)
-    if problem.r < 2:
+    m, dims = _as_link(m, dims)
+    if len(dims) < 2:
         raise InvalidInputError(
             "Brunnian rank needs at least two components; use knot_rank for one")
-    return _brunnian(problem.m, problem.p)
+    return _brunnian(m, dims)
 
 
 def _subsequence_infinite(m, dims):
@@ -236,15 +224,15 @@ def _sublink_infinite(m, dims):
 def brunnian_is_infinite(m, dims):
     """Finiteness verdict for the Brunnian group, decided by the solvability
     criterion and asserted against the computed rank."""
-    problem = LinkProblem(m, dims)
-    if problem.r < 2:
+    m, dims = _as_link(m, dims)
+    if len(dims) < 2:
         raise InvalidInputError("the Brunnian criterion needs at least two components")
-    verdict = _subsequence_infinite(problem.m, problem.p)
-    rank = _brunnian(problem.m, problem.p).rank
+    verdict = _subsequence_infinite(m, dims)
+    rank = _brunnian(m, dims).rank
     if verdict != (rank > 0):
         raise InternalConsistencyError(
             f"Brunnian criterion says {verdict} but the rank is {rank} "
-            f"for m={problem.m}, p={problem.p}")
+            f"for m={m}, p={dims}")
     return verdict
 
 
@@ -285,8 +273,7 @@ def _link_report(m, dims):
 def link_rank(m, dims):
     """Full rank report for the group of links of spheres of dimensions
     dims in R^m."""
-    problem = LinkProblem(m, dims)
-    return _link_report(problem.m, problem.p)
+    return _link_report(*_as_link(m, dims))
 
 
 def link_is_infinite(m, dims):
@@ -301,15 +288,15 @@ def equal_dim_rank(m, p, r):
     r = as_integer(r, "the number of components")
     if r < 1:
         raise InvalidInputError(f"need at least one component, got r={r}")
-    problem = LinkProblem(m, (p,) * r)
-    m, p = problem.m, problem.p[0]
+    m, dims = _as_link(m, (p,) * r)
+    p = dims[0]
     if p <= 1:
         raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={p}")
     s = m - p
     t = Fraction(m - 3, m - p - 2)
     c = _knot_rank(m, p)
     value = r * (witt_super(t - 1, s, r) + c - _delta(m, p)) - witt_super(t, s, r)
-    check = _link_report(m, problem.p).total_rank
+    check = _link_report(m, dims).total_rank
     if value != check:
         raise InternalConsistencyError(
             f"equal-dimension form gives {value} but the general formula gives "

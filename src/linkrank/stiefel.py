@@ -41,6 +41,10 @@ def stiefel_rank(p, q, l):
     if p < 1 or q < 1 or l < 0 or l > q:
         raise InvalidInputError(
             f"need p >= 1, q >= 1 and 0 <= l <= q, got p={p}, q={q}, l={l}")
+    return _stiefel_rank(p, q, l)
+
+
+def _stiefel_rank(p, q, l):
     if l == 0:
         return 0
     if p % 4 == 3:

@@ -111,6 +111,8 @@ def test_as_integer_rejects_non_integers():
                  lambda: witt(4.0, 2),
                  lambda: witt("4", 2),
                  lambda: witt_super(6, 3.0, 2),
+                 lambda: witt_super(6.0, 3, 2),
+                 lambda: witt_super("6", 3, 2),
                  lambda: so_rank(3.0, 4),
                  lambda: stiefel_rank(3.0, 4, 2),
                  lambda: stiefel_rank("3", 4, 2),

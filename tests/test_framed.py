@@ -2,7 +2,6 @@ import pytest
 
 from linkrank.errors import InvalidInputError
 from linkrank.framed import (
-    FramedLinkProblem,
     framed_knot_is_infinite,
     framed_rank,
     fully_framed_is_infinite,
@@ -13,15 +12,16 @@ from linkrank.ranks import link_rank
 
 
 def test_framed_problem_validation():
-    fp = FramedLinkProblem(8, ((5, 3), (5, 3)))
+    fp = framed_rank(8, ((5, 3), (5, 3)))
     assert fp.p == (5, 5)
     assert fp.l == (3, 3)
+    for components in (((6, 1),), ((5, 4),), ((5, -1),)):
+        with pytest.raises(InvalidInputError):
+            framed_rank(8, components)
+        with pytest.raises(InvalidInputError):
+            framed_knot_is_infinite(8, *components[0])
     with pytest.raises(InvalidInputError):
-        FramedLinkProblem(8, ((6, 1),))
-    with pytest.raises(InvalidInputError):
-        FramedLinkProblem(8, ((5, 4),))
-    with pytest.raises(InvalidInputError):
-        FramedLinkProblem(8, ((5, -1),))
+        framed_rank(8, ())
 
 
 def test_framed_rank_examples():
@@ -104,12 +104,11 @@ def test_handlebody_out_of_regime_is_inconclusive():
 
 def test_framed_non_integer_inputs_are_rejected():
     for bad in (8.0, 5.5, True, "5"):
-        with pytest.raises(InvalidInputError):
-            FramedLinkProblem(bad, ((5, 3),))
-        with pytest.raises(InvalidInputError):
-            FramedLinkProblem(8, ((bad, 3),))
-        with pytest.raises(InvalidInputError):
-            FramedLinkProblem(8, ((5, bad),))
+        for m, p, l in ((bad, 5, 3), (8, bad, 3), (8, 5, bad)):
+            with pytest.raises(InvalidInputError):
+                framed_rank(m, ((p, l),))
+            with pytest.raises(InvalidInputError):
+                framed_knot_is_infinite(m, p, l)
         with pytest.raises(InvalidInputError):
             handlebody_report(bad, (6, 6))
         with pytest.raises(InvalidInputError):

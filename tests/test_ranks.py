@@ -5,7 +5,6 @@ import pytest
 
 from linkrank.errors import InvalidInputError
 from linkrank.ranks import (
-    LinkProblem,
     brunnian_is_infinite,
     brunnian_rank,
     equal_dim_rank,
@@ -16,23 +15,19 @@ from linkrank.ranks import (
 
 
 def test_link_problem_validation():
-    lp = LinkProblem(6, (3, 3))
-    assert lp.r == 2
-    assert lp.weights() == (1, 1)
+    assert link_rank(6, [3, 3]).p == (3, 3)
     with pytest.raises(InvalidInputError):
-        LinkProblem(5, (3, 3))
+        link_rank(5, (3, 3))
     with pytest.raises(InvalidInputError):
-        LinkProblem(6, (0, 3))
+        link_rank(6, (0, 3))
     with pytest.raises(InvalidInputError):
-        LinkProblem(6, ())
+        link_rank(6, ())
 
 
 def test_link_problem_rejects_non_integers():
     # floats used to be truncated, so (6.9; 3.5, 3) answered for (6; 3, 3)
     for m, dims in [(6.9, (3, 3)), (6, (3.5, 3)), (6.0, (3, 3)), (6, (True, 3)),
                     (True, (1,)), ("6", (3, 3)), (6, ("3", 3))]:
-        with pytest.raises(InvalidInputError):
-            LinkProblem(m, dims)
         with pytest.raises(InvalidInputError):
             link_rank(m, dims)
     with pytest.raises(InvalidInputError):
@@ -123,6 +118,12 @@ def test_subset_decomposition_is_read_only():
     with pytest.raises(TypeError):
         report.subset_decomposition[(1,)] = 99
     assert sum(link_rank(6, (3, 3)).subset_decomposition.values()) == 4
+
+
+def test_contributions_walk_needs_no_deep_stack():
+    # 1100 components of weight 19 against target 37: no solution, and a
+    # walk recursing once per component would overflow the stack
+    assert link_rank(40, (19,) * 1100).contributions == ()
 
 
 def test_finiteness_examples():
