@@ -1,10 +1,14 @@
 """Exact elementary number theory: Moebius function, divisor lists,
 gcds of integer vectors and multinomial coefficients.
 
+multinomial checks its parts and then calls the unvalidated core
+_multinomial, which the dimension kernel in liedim calls directly on
+multidegrees it has already checked.
+
 Everything here is plain integer arithmetic; no floats anywhere.
 """
 
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import index
 
 from .errors import InvalidInputError
@@ -96,7 +100,9 @@ def multinomial(parts):
     parts = list(parts)
     if any(p < 0 for p in parts):
         raise InvalidInputError(f"multinomial takes nonnegative integers, got {parts}")
-    result = factorial(sum(parts))
-    for p in parts:
-        result //= factorial(p)
-    return result
+    return _multinomial(parts)
+
+
+def _multinomial(parts):
+    # multinomial on parts already known to be nonnegative integers
+    return factorial(sum(parts)) // prod(map(factorial, parts))

@@ -21,8 +21,13 @@ from .stiefel import _stiefel_rank
 
 
 def _as_framed(m, components):
-    # the link check of ranks._as_link on the p_k, then 0 <= l_k <= m - p_k
-    components = tuple(components)
+    # each component a pair (p_k, l_k); the link check of ranks._as_link on
+    # the p_k, then 0 <= l_k <= m - p_k
+    try:
+        components = tuple((p, l) for p, l in components)
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"a framed link is a sequence of (p, l) pairs, got {components!r}") from None
     m, dims = _as_link(m, (p for p, _ in components))
     frames = tuple(as_integer(l, "a frame count") for _, l in components)
     for p, l in zip(dims, frames):

@@ -17,6 +17,13 @@ Each public function validates its arguments once (the weights through
 _as_weights) and then calls an unvalidated core named with a leading
 underscore; the rank layer calls the cores only.
 
+The dimension of a component is a sum over the divisors of the gcd of its
+multidegree (the divisor-sum form of the super Witt formula).  Most
+multidegrees met in a rank have gcd 1, so the kernel starts from the
+divisor-1 term, one multinomial coefficient, and walks the other divisors
+only when the gcd exceeds 1.  A bracket-map multiplicity calls the cached
+kernel directly on x and on each x - e_k with x_k > 0.
+
 All arithmetic is exact.  Dimension values are asserted to come out as
 nonnegative integers; a failure of that assertion is an internal bug, not
 bad input.
@@ -24,14 +31,19 @@ bad input.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .arith import as_integer, divisors, gcd_multi, moebius, moebius_table, multinomial
+from .arith import _multinomial, as_integer, divisors, moebius, moebius_table
 from .errors import InternalConsistencyError, InvalidInputError
 
 
 def _as_weights(weights):
     # the one check of a weights tuple: nonempty, positive integers
-    weights = tuple(as_integer(a, "a generator weight") for a in weights)
+    try:
+        weights = tuple(as_integer(a, "a generator weight") for a in weights)
+    except TypeError:
+        raise InvalidInputError(
+            f"generator weights must be a sequence of integers, got {weights!r}") from None
     if not weights:
         raise InvalidInputError("a generator system needs at least one generator")
     if any(a < 1 for a in weights):
@@ -44,7 +56,11 @@ def _parities(weights):
 
 
 def _as_multidegree(weights, x):
-    x = tuple(as_integer(v, "a multidegree entry") for v in x)
+    try:
+        x = tuple(as_integer(v, "a multidegree entry") for v in x)
+    except TypeError:
+        raise InvalidInputError(
+            f"a multidegree must be a sequence of integers, got {x!r}") from None
     if len(x) != len(weights):
         raise InvalidInputError(
             f"multidegree {x} has {len(x)} entries but the system has "
@@ -60,24 +76,27 @@ def weighted_degree(weights, x):
 
 @lru_cache(maxsize=1 << 18)
 def _dim_by_parity(parities, x):
-    # Divisor-sum dimension count.  Callers guarantee every entry of x is
-    # nonnegative and at least one is positive.  Zero entries contribute
-    # nothing to the gcd, the multinomial or the sign.
+    # Divisor-sum dimension count over the divisors i of g = gcd(x):
+    #   (-1)^deg(x) / |x| * sum_i mu(i) (-1)^deg(x/i) multinomial(x/i).
+    # Callers guarantee every entry of x is nonnegative and at least one is
+    # positive.  Zero entries contribute nothing to the gcd, the multinomial
+    # or the sign.  The i = 1 term has the sign (-1)^deg(x) twice, so it
+    # enters as +multinomial(x); for most x, g = 1 and it is the only term.
     total = sum(x)
-    sign_parity = sum(p * v for p, v in zip(parities, x)) % 2
-    acc = 0
-    for i in divisors(gcd_multi(x)):
-        mu = moebius(i)
-        if mu == 0:
-            continue
-        xi = tuple(v // i for v in x)
-        term = mu * multinomial(xi)
-        if sum(p * v for p, v in zip(parities, xi)) % 2:
-            term = -term
-        acc += term
-    # (-1)^degree * acc / total must come out a nonnegative integer
-    if sign_parity:
-        acc = -acc
+    acc = _multinomial(x)
+    g = gcd(*x)
+    if g > 1:
+        sign_parity = sum(p * v for p, v in zip(parities, x)) % 2
+        for i in divisors(g)[1:]:
+            mu = moebius(i)
+            if mu == 0:
+                continue
+            xi = tuple(v // i for v in x)
+            term = mu * _multinomial(xi)
+            if (sign_parity + sum(p * v for p, v in zip(parities, xi))) % 2:
+                term = -term
+            acc += term
+    # acc / total must come out a nonnegative integer
     value, remainder = divmod(acc, total)
     if remainder or value < 0:
         raise InternalConsistencyError(
@@ -88,9 +107,9 @@ def _dim_by_parity(parities, x):
 
 def _dim(parities, x):
     # lie_component_dim on an already validated multidegree
-    if any(v < 0 for v in x):
+    if min(x) < 0:
         return 0
-    if all(v == 0 for v in x):
+    if max(x) == 0:
         return 1
     return _dim_by_parity(parities, x)
 
@@ -112,9 +131,17 @@ def multiplicity(weights, x):
 
 
 def _multiplicity(parities, x):
-    acc = -_dim(parities, x)
-    for k in range(len(x)):
-        acc += _dim(parities, x[:k] + (x[k] - 1,) + x[k + 1:])
+    if min(x) < 0 or sum(x) < 2:
+        acc = -_dim(parities, x)
+        for k in range(len(x)):
+            acc += _dim(parities, x[:k] + (x[k] - 1,) + x[k + 1:])
+        return acc
+    # x >= 0 with |x| >= 2: every x - e_k with x_k > 0 is nonnegative and
+    # nonzero, and one with x_k = 0 has a negative entry, so dimension 0
+    acc = -_dim_by_parity(parities, x)
+    for k, v in enumerate(x):
+        if v:
+            acc += _dim_by_parity(parities, x[:k] + (v - 1,) + x[k + 1:])
     return acc
 
 
@@ -166,7 +193,11 @@ def enumerate_diophantine(weights, target, lower_bounds):
     Example: weights (3, 1), target 7, bounds (1, 1) -> [(1, 4), (2, 1)].
     """
     weights = _as_weights(weights)
-    lower_bounds = tuple(as_integer(b, "a lower bound") for b in lower_bounds)
+    try:
+        lower_bounds = tuple(as_integer(b, "a lower bound") for b in lower_bounds)
+    except TypeError:
+        raise InvalidInputError(
+            f"lower bounds must be a sequence of integers, got {lower_bounds!r}") from None
     if len(lower_bounds) != len(weights):
         raise InvalidInputError(
             f"{len(lower_bounds)} lower bounds for {len(weights)} weights")

@@ -296,15 +296,24 @@ def verify_range(max_r, max_degree, max_letters):
                 f"{'' if r == max_r else 'more than '}{pairs} (system, multidegree) "
                 f"pairs, over the cap of {_MAX_PAIRS}")
     records = []
+    # the brute force sees the weights only through their parities, so
+    # weight vectors of one parity pattern share its results
+    brute = {}
     for r in range(1, max_r + 1):
         for weights in product(range(1, max_degree + 1), repeat=r):
             parities = _parities(weights)
             for x in filter(any, _multidegrees(r, max_letters)):
+                key = parities, x
+                if key not in brute:
+                    brute[key] = (
+                        component_dim_bruteforce(weights, x, budget=max_letters),
+                        whitehead_map_analysis(weights, x, budget=max_letters)
+                        if all(x) else None)
+                found, analysis = brute[key]
                 dim = _dim(parities, x)
-                checks = [("dimension", dim,
-                           component_dim_bruteforce(weights, x, budget=max_letters))]
-                if all(x):
-                    rank, kernel = whitehead_map_analysis(weights, x, budget=max_letters)
+                checks = [("dimension", dim, found)]
+                if analysis is not None:
+                    rank, kernel = analysis
                     checks += [("map rank", dim, rank),
                                ("map kernel", _multiplicity(parities, x), kernel)]
                 records += [VerificationRecord(weights, x, *check) for check in checks]

@@ -55,7 +55,11 @@ def _as_link(m, dims):
     # the one check of a link: integers m and p_k, at least one component,
     # every 1 <= p_k < m - 2
     m = as_integer(m, "the ambient dimension")
-    dims = tuple(as_integer(v, "a component dimension") for v in dims)
+    try:
+        dims = tuple(as_integer(v, "a component dimension") for v in dims)
+    except TypeError:
+        raise InvalidInputError(
+            f"component dimensions must be a sequence of integers, got {dims!r}") from None
     if not dims:
         raise InvalidInputError("a link needs at least one component")
     for v in dims:

@@ -6,9 +6,11 @@ from linkrank.arith import (as_integer, divisors, gcd_multi, moebius, moebius_ta
                             multinomial)
 from linkrank.errors import InvalidInputError
 from linkrank.fcs import fcs_contains
-from linkrank.framed import framed_knot_is_infinite
-from linkrank.liedim import lie_component_dim, multiplicity, weighted_degree, witt, witt_super
+from linkrank.framed import framed_knot_is_infinite, framed_rank, fully_framed_is_infinite
+from linkrank.liedim import (enumerate_diophantine, lie_component_dim, multiplicity,
+                             weighted_degree, witt, witt_super)
 from linkrank.oracle import component_dim_bruteforce, verify_range
+from linkrank.ranks import brunnian_rank, link_rank
 from linkrank.stiefel import so_rank, stiefel_rank
 
 
@@ -119,6 +121,16 @@ def test_as_integer_rejects_non_integers():
                  lambda: framed_knot_is_infinite(8, 5, "a"),
                  lambda: fcs_contains(True, 0, 1, 1),
                  lambda: verify_range(1.9, 1.9, 3.7),
-                 lambda: component_dim_bruteforce((1, 1), (1, 1), budget=2.5)):
+                 lambda: component_dim_bruteforce((1, 1), (1, 1), budget=2.5),
+                 # malformed shapes, that used to raise a bare TypeError or ValueError
+                 lambda: link_rank(8, 5),
+                 lambda: brunnian_rank(8, None),
+                 lambda: fully_framed_is_infinite(8, 5),
+                 lambda: framed_rank(8, 5),
+                 lambda: framed_rank(8, (5, 3)),
+                 lambda: framed_rank(8, ((5,),)),
+                 lambda: enumerate_diophantine(5, 3, (0,)),
+                 lambda: lie_component_dim(5, (1,)),
+                 lambda: multiplicity((1,), 3)):
         with pytest.raises(InvalidInputError):
             call()

@@ -1,8 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linkrank.arith import multinomial
 from linkrank.errors import InvalidInputError
 from linkrank.liedim import (
     _solutions,
@@ -83,6 +86,75 @@ def test_single_generator_multiplicity_is_a_delta():
         for t in range(1, 9):
             expected = 1 if t == (3 if a % 2 else 2) else 0
             assert multiplicity((a,), (t,)) == expected
+
+
+def _moebius(n):
+    sign = 1
+    d = 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return sign
+
+
+def _reference_dim(weights, x):
+    # (-1)^deg(x) / |x| * sum over every divisor i of gcd(x) of
+    # mu(i) (-1)^deg(x/i) |x/i|! / prod_k (x_k/i)!, in Fractions
+    if min(x) < 0:
+        return 0
+    if max(x) == 0:
+        return 1
+
+    def sign(y):
+        return (-1) ** sum(a * v for a, v in zip(weights, y))
+
+    g = math.gcd(*x)
+    acc = Fraction(0)
+    for i in range(1, g + 1):
+        if g % i == 0:
+            xi = [v // i for v in x]
+            term = Fraction(math.factorial(sum(xi)))
+            for v in xi:
+                term /= math.factorial(v)
+            acc += _moebius(i) * sign(xi) * term
+    value = sign(x) * acc / sum(x)
+    assert value.denominator == 1 and value >= 0
+    return int(value)
+
+
+@st.composite
+def weights_and_multidegrees(draw):
+    # half the draws are g * y with g >= 2, so that gcd(x) > 1 and
+    # gcd(x - e_k) > 1 both occur
+    r = draw(st.integers(1, 6))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=r, max_size=r)))
+    if draw(st.booleans()):
+        g = draw(st.integers(2, 6))
+        ys = draw(st.lists(st.integers(0, 12 // g), min_size=r, max_size=r))
+        return weights, tuple(g * y for y in ys)
+    return weights, tuple(draw(st.lists(st.integers(-1, 12), min_size=r, max_size=r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights_and_multidegrees())
+def test_kernel_matches_the_full_divisor_sum(case):
+    weights, x = case
+    dim = _reference_dim(weights, x)
+    assert lie_component_dim(weights, x) == dim
+    below = sum(_reference_dim(weights, x[:k] + (x[k] - 1,) + x[k + 1:])
+                for k in range(len(x)))
+    assert multiplicity(weights, x) == below - dim
+    if min(x) >= 0:
+        # a product of binomials: choose the places of each letter in turn
+        expected, placed = 1, 0
+        for v in x:
+            placed += v
+            expected *= math.comb(placed, v)
+        assert multinomial(x) == expected
 
 
 def test_witt_values():

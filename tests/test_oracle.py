@@ -10,6 +10,7 @@ from linkrank import liedim, oracle
 from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.liedim import lie_component_dim, multiplicity
 from linkrank.oracle import (
+    VerificationRecord,
     _independent_rows,
     _prefix_brackets,
     component_dim_bruteforce,
@@ -155,6 +156,42 @@ def test_verify_range_pair_count_is_exact(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_PAIRS", 137)
     with pytest.raises(ResourceLimitError, match="check 138 "):
         verify_range(2, 3, 4)
+
+
+def _unshared_records(max_r, max_degree, max_letters):
+    # verify_range's records with the brute force run once per weight vector
+    records = []
+    for r in range(1, max_r + 1):
+        for weights in itertools.product(range(1, max_degree + 1), repeat=r):
+            for x in itertools.product(range(max_letters + 1), repeat=r):
+                if not 1 <= sum(x) <= max_letters:
+                    continue
+                dim = lie_component_dim(weights, x)
+                records.append(VerificationRecord(
+                    weights, x, "dimension", dim,
+                    component_dim_bruteforce(weights, x, budget=max_letters)))
+                if all(x):
+                    rank, kernel = whitehead_map_analysis(weights, x, budget=max_letters)
+                    records.append(VerificationRecord(weights, x, "map rank", dim, rank))
+                    records.append(VerificationRecord(
+                        weights, x, "map kernel", multiplicity(weights, x), kernel))
+    return tuple(records)
+
+
+def test_verify_range_shares_the_brute_force_across_a_parity_pattern(monkeypatch):
+    # weights 1-3 form 2^r parity patterns: 2*5 + 4*20 + 8*55 = 530
+    # (parities, multidegree) pairs, 130 of them all-positive, against
+    # 3*5 + 9*20 + 27*55 = 1680 (weights, multidegree) pairs
+    expected = {args: _unshared_records(*args) for args in ((3, 3, 5), (2, 3, 6))}
+    calls = {}
+    for name in ("component_dim_bruteforce", "whitehead_map_analysis"):
+        def counted(*args, _call=getattr(oracle, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+    assert verify_range(3, 3, 5).records == expected[3, 3, 5]
+    assert calls == {"component_dim_bruteforce": 530, "whitehead_map_analysis": 130}
+    assert verify_range(2, 3, 6).records == expected[2, 3, 6]
 
 
 def _fraction_rank(rows):
