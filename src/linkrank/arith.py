@@ -25,6 +25,16 @@ def as_integer(value, what):
         raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
+def as_integers(values, what, whole):
+    """values as a tuple of exact ints, each checked by as_integer as `what`;
+    a values that is not a sequence is rejected, naming it as `whole`."""
+    try:
+        return tuple(as_integer(v, what) for v in values)
+    except TypeError:
+        raise InvalidInputError(
+            f"{whole} must be a sequence of integers, got {values!r}") from None
+
+
 def moebius(n):
     """Moebius mu(n): (-1)^k for a product of k distinct primes, else 0."""
     if n < 1:

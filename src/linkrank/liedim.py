@@ -21,8 +21,8 @@ The dimension of a component is a sum over the divisors of the gcd of its
 multidegree (the divisor-sum form of the super Witt formula).  Most
 multidegrees met in a rank have gcd 1, so the kernel starts from the
 divisor-1 term, one multinomial coefficient, and walks the other divisors
-only when the gcd exceeds 1.  A bracket-map multiplicity calls the cached
-kernel directly on x and on each x - e_k with x_k > 0.
+only when the gcd exceeds 1.  A bracket-map multiplicity skips each
+x - e_k with x_k = 0, whose dimension is 0.
 
 All arithmetic is exact.  Dimension values are asserted to come out as
 nonnegative integers; a failure of that assertion is an internal bug, not
@@ -33,17 +33,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import _multinomial, as_integer, divisors, moebius, moebius_table
+from .arith import _multinomial, as_integer, as_integers, divisors, moebius, moebius_table
 from .errors import InternalConsistencyError, InvalidInputError
 
 
 def _as_weights(weights):
     # the one check of a weights tuple: nonempty, positive integers
-    try:
-        weights = tuple(as_integer(a, "a generator weight") for a in weights)
-    except TypeError:
-        raise InvalidInputError(
-            f"generator weights must be a sequence of integers, got {weights!r}") from None
+    weights = as_integers(weights, "a generator weight", "generator weights")
     if not weights:
         raise InvalidInputError("a generator system needs at least one generator")
     if any(a < 1 for a in weights):
@@ -56,11 +52,7 @@ def _parities(weights):
 
 
 def _as_multidegree(weights, x):
-    try:
-        x = tuple(as_integer(v, "a multidegree entry") for v in x)
-    except TypeError:
-        raise InvalidInputError(
-            f"a multidegree must be a sequence of integers, got {x!r}") from None
+    x = as_integers(x, "a multidegree entry", "a multidegree")
     if len(x) != len(weights):
         raise InvalidInputError(
             f"multidegree {x} has {len(x)} entries but the system has "
@@ -131,17 +123,11 @@ def multiplicity(weights, x):
 
 
 def _multiplicity(parities, x):
-    if min(x) < 0 or sum(x) < 2:
-        acc = -_dim(parities, x)
-        for k in range(len(x)):
-            acc += _dim(parities, x[:k] + (x[k] - 1,) + x[k + 1:])
-        return acc
-    # x >= 0 with |x| >= 2: every x - e_k with x_k > 0 is nonnegative and
-    # nonzero, and one with x_k = 0 has a negative entry, so dimension 0
-    acc = -_dim_by_parity(parities, x)
+    # x - e_k with x_k = 0 has a negative entry, so dimension 0: skip it
+    acc = -_dim(parities, x)
     for k, v in enumerate(x):
         if v:
-            acc += _dim_by_parity(parities, x[:k] + (v - 1,) + x[k + 1:])
+            acc += _dim(parities, x[:k] + (v - 1,) + x[k + 1:])
     return acc
 
 
@@ -193,11 +179,7 @@ def enumerate_diophantine(weights, target, lower_bounds):
     Example: weights (3, 1), target 7, bounds (1, 1) -> [(1, 4), (2, 1)].
     """
     weights = _as_weights(weights)
-    try:
-        lower_bounds = tuple(as_integer(b, "a lower bound") for b in lower_bounds)
-    except TypeError:
-        raise InvalidInputError(
-            f"lower bounds must be a sequence of integers, got {lower_bounds!r}") from None
+    lower_bounds = as_integers(lower_bounds, "a lower bound", "lower bounds")
     if len(lower_bounds) != len(weights):
         raise InvalidInputError(
             f"{len(lower_bounds)} lower bounds for {len(weights)} weights")

@@ -45,7 +45,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Optional
 
-from .arith import as_integer
+from .arith import as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError
 from .fcs import _member
 from .liedim import _multiplicity, _parities, _solutions, _weighted_dim_sums, witt_super
@@ -55,11 +55,7 @@ def _as_link(m, dims):
     # the one check of a link: integers m and p_k, at least one component,
     # every 1 <= p_k < m - 2
     m = as_integer(m, "the ambient dimension")
-    try:
-        dims = tuple(as_integer(v, "a component dimension") for v in dims)
-    except TypeError:
-        raise InvalidInputError(
-            f"component dimensions must be a sequence of integers, got {dims!r}") from None
+    dims = as_integers(dims, "a component dimension", "component dimensions")
     if not dims:
         raise InvalidInputError("a link needs at least one component")
     for v in dims:
