@@ -1,9 +1,10 @@
 """Exact elementary number theory: Moebius function, divisor lists,
 gcds of integer vectors and multinomial coefficients.
 
-multinomial checks its parts and then calls the unvalidated core
-_multinomial, which the dimension kernel in liedim calls directly on
-multidegrees it has already checked.
+Each public function checks its arguments (through as_integer or
+as_integers) and then calls an unvalidated core named with a leading
+underscore; the dimension kernel in liedim calls the cores _moebius,
+_divisors and _multinomial directly on integers it has already checked.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """
@@ -37,8 +38,14 @@ def as_integers(values, what, whole):
 
 def moebius(n):
     """Moebius mu(n): (-1)^k for a product of k distinct primes, else 0."""
+    n = as_integer(n, "the argument of moebius")
     if n < 1:
         raise InvalidInputError(f"moebius(n) needs n >= 1, got {n}")
+    return _moebius(n)
+
+
+def _moebius(n):
+    # moebius on an int n >= 1
     result = 1
     d = 2
     while d * d <= n:
@@ -77,8 +84,14 @@ def moebius_table(n):
 
 def divisors(n):
     """All positive divisors of n in increasing order."""
+    n = as_integer(n, "the argument of divisors")
     if n < 1:
         raise InvalidInputError(f"divisors(n) needs n >= 1, got {n}")
+    return _divisors(n)
+
+
+def _divisors(n):
+    # divisors on an int n >= 1
     small = []
     large = []
     d = 1
@@ -94,7 +107,7 @@ def divisors(n):
 
 def gcd_multi(values):
     """gcd of a nonempty list of nonnegative integers; all zeros give 0."""
-    values = list(values)
+    values = as_integers(values, "a gcd_multi value", "the gcd_multi values")
     if not values:
         raise InvalidInputError("gcd_multi needs at least one value")
     g = 0
@@ -107,7 +120,7 @@ def gcd_multi(values):
 
 def multinomial(parts):
     """(sum parts)! / prod(part!) for nonnegative integer parts."""
-    parts = list(parts)
+    parts = as_integers(parts, "a multinomial part", "the multinomial parts")
     if any(p < 0 for p in parts):
         raise InvalidInputError(f"multinomial takes nonnegative integers, got {parts}")
     return _multinomial(parts)

@@ -14,7 +14,7 @@ mcg_finite_index check their own regime and answer None outside it.
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import as_integer
+from .arith import as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError
 from .ranks import RankReport, _as_link, _link_report, _sublink_infinite
 from .stiefel import _stiefel_rank
@@ -135,7 +135,7 @@ def handlebody_report(m_plus_1, handle_dims):
     sphere dimensions p_k = handle_dim_k - 1, full framings l_k = m - p_k.
     """
     m_plus_1 = as_integer(m_plus_1, "the dimension m + 1")
-    handle_dims = tuple(as_integer(v, "a handle dimension") for v in handle_dims)
+    handle_dims = as_integers(handle_dims, "a handle dimension", "handle dimensions")
     if not handle_dims:
         raise InvalidInputError("need at least one handle")
     if any(v < 1 for v in handle_dims):
@@ -171,7 +171,7 @@ def mcg_finite_index(m, p):
     finite index: True/False inside the applicable regime (m >= 5 and every
     component dimension at least floor(m/2)), None when inconclusive."""
     m = as_integer(m, "the ambient dimension")
-    dims = tuple(as_integer(v, "a component dimension") for v in p)
+    dims = as_integers(p, "a component dimension", "component dimensions")
     if not dims:
         raise InvalidInputError("need at least one component")
     if m < 5 or any(v < m // 2 for v in dims):

@@ -18,22 +18,30 @@ _as_weights) and then calls an unvalidated core named with a leading
 underscore; the rank layer calls the cores only.
 
 The dimension of a component is a sum over the divisors of the gcd of its
-multidegree (the divisor-sum form of the super Witt formula).  Most
-multidegrees met in a rank have gcd 1, so the kernel starts from the
-divisor-1 term, one multinomial coefficient, and walks the other divisors
-only when the gcd exceeds 1.  A bracket-map multiplicity skips each
-x - e_k with x_k = 0, whose dimension is 0.
+multidegree (the divisor-sum form of the super Witt formula): |x| dim(x)
+is the divisor-1 term, one multinomial coefficient, plus the terms of the
+divisors i > 1, which _divisor_terms sums and which exist only when the
+gcd exceeds 1.  Most multidegrees met in a rank have gcd 1.
 
-All arithmetic is exact.  Dimension values are asserted to come out as
-nonnegative integers; a failure of that assertion is an internal bug, not
-bad input.
+A bracket-map multiplicity sum_k dim(x - e_k) - dim(x) needs r + 1
+dimensions, but by Pascal's rule the multinomials of the x - e_k add up to
+the multinomial of x.  So the kernel computes one multinomial M and
+  |x| dim(x) = M + the i > 1 terms of x,
+  (|x| - 1) sum_k dim(x - e_k) = M + the i > 1 terms of each x - e_k,
+and it tells which x - e_k have a gcd above 1 from prefix and suffix gcds
+of x, without forming the x - e_k whose gcd is 1.
+
+All arithmetic is exact.  Each of these numerators is asserted to be a
+nonnegative multiple of its denominator; a failure of that assertion is an
+internal bug, not bad input.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 
-from .arith import _multinomial, as_integer, as_integers, divisors, moebius, moebius_table
+from .arith import _divisors, _moebius, _multinomial, as_integer, as_integers, moebius_table
 from .errors import InternalConsistencyError, InvalidInputError
 
 
@@ -66,35 +74,46 @@ def weighted_degree(weights, x):
     return sum(a * v for a, v in zip(weights, _as_multidegree(weights, x)))
 
 
+def _divisor_terms(parities, y, g):
+    # The divisor-sum terms of the divisors i > 1 of g = gcd(y) > 1, for y
+    # with nonnegative entries:
+    #   sum_i mu(i) (-1)^(deg(y) + deg(y/i)) multinomial(y/i).
+    # deg(y) = i deg(y/i), so the sign is + for odd i and (-1)^deg(y/i) for
+    # even i.  Zero entries contribute nothing to the gcd, the multinomial
+    # or the sign.
+    acc = 0
+    for i in _divisors(g)[1:]:
+        mu = _moebius(i)
+        if mu:
+            yi = tuple(v // i for v in y)
+            if i % 2 == 0 and sum(p * v for p, v in zip(parities, yi)) % 2:
+                mu = -mu
+            acc += mu * _multinomial(yi)
+    return acc
+
+
+def _exact_quotient(numerator, n, what, parities, x):
+    # numerator / n, which must come out a nonnegative integer
+    value, remainder = divmod(numerator, n)
+    if remainder or value < 0:
+        raise InternalConsistencyError(
+            f"{what} gave {Fraction(numerator, n)} for parities {parities} "
+            f"and multidegree {x}")
+    return value
+
+
 @lru_cache(maxsize=1 << 18)
 def _dim_by_parity(parities, x):
     # Divisor-sum dimension count over the divisors i of g = gcd(x):
     #   (-1)^deg(x) / |x| * sum_i mu(i) (-1)^deg(x/i) multinomial(x/i).
     # Callers guarantee every entry of x is nonnegative and at least one is
-    # positive.  Zero entries contribute nothing to the gcd, the multinomial
-    # or the sign.  The i = 1 term has the sign (-1)^deg(x) twice, so it
-    # enters as +multinomial(x); for most x, g = 1 and it is the only term.
-    total = sum(x)
+    # positive.  The i = 1 term has the sign (-1)^deg(x) twice, so it enters
+    # as +multinomial(x); for most x, g = 1 and it is the only term.
     acc = _multinomial(x)
     g = gcd(*x)
     if g > 1:
-        sign_parity = sum(p * v for p, v in zip(parities, x)) % 2
-        for i in divisors(g)[1:]:
-            mu = moebius(i)
-            if mu == 0:
-                continue
-            xi = tuple(v // i for v in x)
-            term = mu * _multinomial(xi)
-            if (sign_parity + sum(p * v for p, v in zip(parities, xi))) % 2:
-                term = -term
-            acc += term
-    # acc / total must come out a nonnegative integer
-    value, remainder = divmod(acc, total)
-    if remainder or value < 0:
-        raise InternalConsistencyError(
-            f"dimension formula gave {Fraction(acc, total)} for parities "
-            f"{parities} and multidegree {x}")
-    return value
+        acc += _divisor_terms(parities, x, g)
+    return _exact_quotient(acc, sum(x), "dimension formula", parities, x)
 
 
 def _dim(parities, x):
@@ -123,12 +142,32 @@ def multiplicity(weights, x):
 
 
 def _multiplicity(parities, x):
-    # x - e_k with x_k = 0 has a negative entry, so dimension 0: skip it
-    acc = -_dim(parities, x)
+    # The two divided sums of the module docstring, for n = |x| >= 2.  An
+    # x - e_k with x_k = 0 has a negative entry, dimension 0 and multinomial 0.
+    if min(x) < 0:
+        return 0
+    n = sum(x)
+    if n < 2:
+        # x = 0 gives -dim(0) = -1, and x = e_k gives dim(0) - dim(e_k) = 0
+        return n - 1
+    own = below = _multinomial(x)
+    # after[k] = gcd(x[k:]), and after[r] = 0
+    after = [*accumulate(reversed(x), gcd)][::-1] + [0]
+    if after[0] > 1:
+        own += _divisor_terms(parities, x, after[0])
+    before = 0
     for k, v in enumerate(x):
-        if v:
-            acc += _dim(parities, x[:k] + (v - 1,) + x[k + 1:])
-    return acc
+        # h: the gcd of the entries other than x_k, 1 for most k;
+        # gcd(x - e_k) = gcd(h, x_k - 1)
+        h = gcd(before, after[k + 1])
+        before = gcd(before, v)
+        if v and h != 1:
+            h = gcd(h, v - 1)
+            if h > 1:
+                below += _divisor_terms(parities, x[:k] + (v - 1,) + x[k + 1:], h)
+    return (_exact_quotient(below, n - 1, "the summed dimensions of the x - e_k",
+                            parities, x)
+            - _exact_quotient(own, n, "dimension formula", parities, x))
 
 
 def witt(t, r):
@@ -138,8 +177,8 @@ def witt(t, r):
     if t < 1 or r < 1:
         raise InvalidInputError(f"witt(t, r) needs t >= 1 and r >= 1, got t={t}, r={r}")
     acc = 0
-    for i in divisors(t):
-        mu = moebius(i)
+    for i in _divisors(t):
+        mu = _moebius(i)
         if mu:
             acc += mu * r ** (t // i)
     value, remainder = divmod(acc, t)

@@ -30,7 +30,7 @@ from itertools import product
 from math import comb, gcd
 from typing import NamedTuple
 
-from .arith import as_integer, multinomial
+from .arith import _multinomial, as_integer
 from .errors import InvalidInputError, ResourceLimitError
 from .liedim import _as_multidegree, _as_weights, _dim, _multiplicity, _parities
 
@@ -40,6 +40,7 @@ _MAX_PAIRS = 20_000
 
 
 def _check_size(x, budget):
+    # x already checked by the caller: nonnegative ints
     total = sum(x)
     if total < 1:
         raise InvalidInputError(
@@ -51,7 +52,7 @@ def _check_size(x, budget):
         raise ResourceLimitError(
             f"multidegree {x} has {total} letters, over the budget of {limit}; "
             f"pass a larger budget")
-    n_words = multinomial(x)
+    n_words = _multinomial(x)
     if n_words > _MAX_WORDS:
         raise ResourceLimitError(
             f"multidegree {x} spans {n_words} words, over the hard cap of {_MAX_WORDS}")

@@ -6,7 +6,8 @@ from linkrank.arith import (as_integer, divisors, gcd_multi, moebius, moebius_ta
                             multinomial)
 from linkrank.errors import InvalidInputError
 from linkrank.fcs import fcs_contains
-from linkrank.framed import framed_knot_is_infinite, framed_rank, fully_framed_is_infinite
+from linkrank.framed import (framed_knot_is_infinite, framed_rank, fully_framed_is_infinite,
+                             handlebody_report, mcg_finite_index)
 from linkrank.liedim import (enumerate_diophantine, lie_component_dim, multiplicity,
                              weighted_degree, witt, witt_super)
 from linkrank.oracle import component_dim_bruteforce, verify_range
@@ -131,6 +132,19 @@ def test_as_integer_rejects_non_integers():
                  lambda: framed_rank(8, ((5,),)),
                  lambda: enumerate_diophantine(5, 3, (0,)),
                  lambda: lie_component_dim(5, (1,)),
-                 lambda: multiplicity((1,), 3)):
+                 lambda: multiplicity((1,), 3),
+                 lambda: handlebody_report(9, 5),
+                 lambda: mcg_finite_index(8, 5),
+                 lambda: multinomial(5),
+                 lambda: gcd_multi(4),
+                 # number theory that used to read 2.5 as having no divisors,
+                 # True as 1 or 6.0 as 6, or raise a bare TypeError
+                 lambda: divisors(2.5),
+                 lambda: divisors(True),
+                 lambda: moebius(6.0),
+                 lambda: moebius("6"),
+                 lambda: multinomial([1.5, 2]),
+                 lambda: multinomial([True, 2]),
+                 lambda: gcd_multi([2.0, 4])):
         with pytest.raises(InvalidInputError):
             call()

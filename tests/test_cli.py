@@ -156,6 +156,9 @@ PINNED = [
     (["oracle", "verify", "--max-letters", "4"], "all 128 checks pass\n"),
     (["oracle", "verify", "--max-letters", "4", "--format", "csv"],
      Sha256("15a58483937f6771a4e9049abd7f3ee6181c126f9e2694cfae6c3e9c32f0a039")),
+    # 31 465 terms, many of them with a divisor correction
+    (["rank", "30", "27", "27", "27", "27", "27", "--details", "--format", "json"],
+     Sha256("688275cdc830a5685c10d90f4797e3b2c8e08b7d670f7bd54e8169512e14f830")),
 ]
 
 

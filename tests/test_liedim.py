@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkrank import liedim
 from linkrank.arith import multinomial
-from linkrank.errors import InvalidInputError
+from linkrank.errors import InternalConsistencyError, InvalidInputError
 from linkrank.liedim import (
+    _dim,
+    _multiplicity,
     _solutions,
     enumerate_diophantine,
     lie_component_dim,
@@ -155,6 +158,57 @@ def test_kernel_matches_the_full_divisor_sum(case):
             placed += v
             expected *= math.comb(placed, v)
         assert multinomial(x) == expected
+
+
+@st.composite
+def parities_and_multidegrees(draw):
+    # each draw one of: x = 0, a negative entry, gcd(x) > 1, gcd(x - e_k) > 1
+    # for a chosen k, or entries 0-12; r = 1 is one of the six lengths
+    r = draw(st.integers(1, 6))
+    parities = tuple(draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    kind = draw(st.sampled_from(("zero", "negative", "gcd of x", "gcd of x - e_k", "plain")))
+    if kind == "zero":
+        return parities, (0,) * r
+    if kind == "plain":
+        return parities, tuple(draw(st.lists(st.integers(0, 12), min_size=r, max_size=r)))
+    k = draw(st.integers(0, r - 1))
+    if kind == "negative":
+        x = draw(st.lists(st.integers(-2, 12), min_size=r, max_size=r))
+        x[k] = draw(st.integers(-3, -1))
+        return parities, tuple(x)
+    g = draw(st.integers(2, 6))
+    x = [g * y for y in draw(st.lists(st.integers(0, 12 // g), min_size=r, max_size=r))]
+    if kind == "gcd of x - e_k":
+        x[k] += 1
+    return parities, tuple(x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(parities_and_multidegrees())
+def test_multiplicity_matches_its_definition(case):
+    # the cross-check of the one-multinomial kernel: its definition from
+    # r + 1 dimensions, sum_{k: x_k > 0} dim(x - e_k) - dim(x)
+    parities, x = case
+    below = sum(_dim(parities, x[:k] + (v - 1,) + x[k + 1:]) for k, v in enumerate(x) if v > 0)
+    assert _multiplicity(parities, x) == below - _dim(parities, x)
+
+
+@pytest.mark.parametrize("x, error, what", [
+    # (2, 2) has gcd 2, while (1, 2) and (2, 1) have gcd 1
+    ((2, 2), 1, "dimension formula"),
+    ((2, 2), -4 * 10**6, "dimension formula"),
+    # of (3, 1), only x - e_2 = (3, 0) has a gcd above 1
+    ((3, 1), 1, "summed dimensions"),
+    ((3, 1), -3 * 10**6, "summed dimensions"),
+])
+def test_multiplicity_checks_both_numerators(monkeypatch, x, error, what):
+    # a divisor correction off by a non-multiple of the denominator, or
+    # by a multiple large enough to make the quotient negative
+    real = liedim._divisor_terms
+    monkeypatch.setattr(liedim, "_divisor_terms",
+                        lambda parities, y, g: real(parities, y, g) + error)
+    with pytest.raises(InternalConsistencyError, match=what):
+        _multiplicity((1, 0), x)
 
 
 def test_witt_values():
