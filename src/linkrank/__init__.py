@@ -5,9 +5,9 @@ formula.
 
 from .errors import (InternalConsistencyError, InvalidInputError,
                      LinkRankError, ResourceLimitError)
-from .arith import divisors, gcd_multi, moebius, multinomial
+from .arith import divisors, moebius, multinomial
 from .liedim import (enumerate_diophantine, lie_component_dim, multiplicity,
-                     weighted_degree, weighted_dim_sums, witt, witt_super)
+                     weighted_dim_sums, witt, witt_super)
 from .fcs import fcs_contains, fcs_enumerate
 from .ranks import (BrunnianRank, RankReport, brunnian_is_infinite, brunnian_rank,
                     equal_dim_rank, knot_rank, link_is_infinite, link_rank)
@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LinkRankError", "InvalidInputError", "InternalConsistencyError",
     "ResourceLimitError",
-    "moebius", "divisors", "gcd_multi", "multinomial",
-    "weighted_degree", "lie_component_dim", "multiplicity",
+    "moebius", "divisors", "multinomial", "lie_component_dim", "multiplicity",
     "witt", "witt_super", "enumerate_diophantine", "weighted_dim_sums",
     "fcs_contains", "fcs_enumerate",
     "RankReport", "BrunnianRank", "knot_rank", "brunnian_rank",

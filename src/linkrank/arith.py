@@ -1,15 +1,15 @@
-"""Exact elementary number theory: Moebius function, divisor lists,
-gcds of integer vectors and multinomial coefficients.
+"""Exact elementary number theory: Moebius function, divisor lists and
+multinomial coefficients.
 
 Each public function checks its arguments (through as_integer or
 as_integers) and then calls an unvalidated core named with a leading
-underscore; the dimension kernel in liedim calls the cores _moebius,
-_divisors and _multinomial directly on integers it has already checked.
+underscore; liedim calls the cores _moebius, _moebius_table, _divisors
+and _multinomial directly on integers it has already checked.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """
 
-from math import factorial, gcd, prod
+from math import factorial, prod
 from operator import index
 
 from .errors import InvalidInputError
@@ -62,8 +62,14 @@ def _moebius(n):
 
 def moebius_table(n):
     """[mu(0), mu(1), ..., mu(n)] by a linear sieve, with mu(0) = 0."""
+    n = as_integer(n, "the argument of moebius_table")
     if n < 0:
         raise InvalidInputError(f"moebius_table(n) needs n >= 0, got {n}")
+    return _moebius_table(n)
+
+
+def _moebius_table(n):
+    # moebius_table on an int n >= 0
     mu = [0] + [1] * n
     composite = bytearray(n + 1)
     primes = []
@@ -103,19 +109,6 @@ def _divisors(n):
         d += 1
     small.extend(reversed(large))
     return small
-
-
-def gcd_multi(values):
-    """gcd of a nonempty list of nonnegative integers; all zeros give 0."""
-    values = as_integers(values, "a gcd_multi value", "the gcd_multi values")
-    if not values:
-        raise InvalidInputError("gcd_multi needs at least one value")
-    g = 0
-    for v in values:
-        if v < 0:
-            raise InvalidInputError(f"gcd_multi takes nonnegative integers, got {v}")
-        g = gcd(g, v)
-    return g
 
 
 def multinomial(parts):

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .arith import as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError
-from .ranks import RankReport, _as_link, _link_report, _sublink_infinite
+from .ranks import RankReport, _as_link, _link_report
 from .stiefel import _stiefel_rank
 
 
@@ -86,10 +86,11 @@ def _framed_knot_infinite(m, p, l):
 
 
 def _fully_framed_criterion(m, dims):
-    # at l = m - p the first condition holds whenever p = 3 mod 4, and the
-    # third one never does, as it would need p = 0
+    # the framed-knot bullets added to the link verdict.  At l = m - p the
+    # first bullet holds whenever p = 3 mod 4, which covers every knot with
+    # rank 1, and the third never does, as it would need p = 0.
     return (any(_framed_knot_infinite(m, p, m - p) for p in dims)
-            or _sublink_infinite(m, dims))
+            or _link_report(m, dims).infinite)
 
 
 def fully_framed_is_infinite(m, dims):

@@ -21,7 +21,9 @@ The dimension of a component is a sum over the divisors of the gcd of its
 multidegree (the divisor-sum form of the super Witt formula): |x| dim(x)
 is the divisor-1 term, one multinomial coefficient, plus the terms of the
 divisors i > 1, which _divisor_terms sums and which exist only when the
-gcd exceeds 1.  Most multidegrees met in a rank have gcd 1.
+gcd exceeds 1.  Most multidegrees met in a rank have gcd 1.  This formula
+is written once, in _dim_formula, which takes the multinomial and the gcd
+from its caller; _dim and _multiplicity both call it.
 
 A bracket-map multiplicity sum_k dim(x - e_k) - dim(x) needs r + 1
 dimensions, but by Pascal's rule the multinomials of the x - e_k add up to
@@ -41,7 +43,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .arith import _divisors, _moebius, _multinomial, as_integer, as_integers, moebius_table
+from .arith import _divisors, _moebius, _moebius_table, _multinomial, as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError
 
 
@@ -66,12 +68,6 @@ def _as_multidegree(weights, x):
             f"multidegree {x} has {len(x)} entries but the system has "
             f"{len(weights)} generators")
     return x
-
-
-def weighted_degree(weights, x):
-    """Total weight sum(a_k * x_k) of a multidegree."""
-    weights = _as_weights(weights)
-    return sum(a * v for a, v in zip(weights, _as_multidegree(weights, x)))
 
 
 def _divisor_terms(parities, y, g):
@@ -102,18 +98,15 @@ def _exact_quotient(numerator, n, what, parities, x):
     return value
 
 
-@lru_cache(maxsize=1 << 18)
-def _dim_by_parity(parities, x):
-    # Divisor-sum dimension count over the divisors i of g = gcd(x):
-    #   (-1)^deg(x) / |x| * sum_i mu(i) (-1)^deg(x/i) multinomial(x/i).
-    # Callers guarantee every entry of x is nonnegative and at least one is
-    # positive.  The i = 1 term has the sign (-1)^deg(x) twice, so it enters
-    # as +multinomial(x); for most x, g = 1 and it is the only term.
-    acc = _multinomial(x)
-    g = gcd(*x)
+def _dim_formula(parities, x, n, m, g):
+    # Divisor-sum dimension count of x >= 0 with n = |x| >= 1, given
+    # m = multinomial(x) and g = gcd(x), over the divisors i of g:
+    #   (-1)^deg(x) / n * sum_i mu(i) (-1)^deg(x/i) multinomial(x/i).
+    # The i = 1 term has the sign (-1)^deg(x) twice, so it enters as +m;
+    # for most x, g = 1 and it is the only term.
     if g > 1:
-        acc += _divisor_terms(parities, x, g)
-    return _exact_quotient(acc, sum(x), "dimension formula", parities, x)
+        m += _divisor_terms(parities, x, g)
+    return _exact_quotient(m, n, "dimension formula", parities, x)
 
 
 def _dim(parities, x):
@@ -122,7 +115,7 @@ def _dim(parities, x):
         return 0
     if max(x) == 0:
         return 1
-    return _dim_by_parity(parities, x)
+    return _dim_formula(parities, x, sum(x), _multinomial(x), gcd(*x))
 
 
 def lie_component_dim(weights, x):
@@ -150,11 +143,9 @@ def _multiplicity(parities, x):
     if n < 2:
         # x = 0 gives -dim(0) = -1, and x = e_k gives dim(0) - dim(e_k) = 0
         return n - 1
-    own = below = _multinomial(x)
+    m = below = _multinomial(x)
     # after[k] = gcd(x[k:]), and after[r] = 0
     after = [*accumulate(reversed(x), gcd)][::-1] + [0]
-    if after[0] > 1:
-        own += _divisor_terms(parities, x, after[0])
     before = 0
     for k, v in enumerate(x):
         # h: the gcd of the entries other than x_k, 1 for most k;
@@ -167,7 +158,7 @@ def _multiplicity(parities, x):
                 below += _divisor_terms(parities, x[:k] + (v - 1,) + x[k + 1:], h)
     return (_exact_quotient(below, n - 1, "the summed dimensions of the x - e_k",
                             parities, x)
-            - _exact_quotient(own, n, "dimension formula", parities, x))
+            - _dim_formula(parities, x, n, m, after[0]))
 
 
 def witt(t, r):
@@ -298,7 +289,7 @@ def _weighted_dim_sums(weights, n):
                 break
             acc += c * b[j - a]
         b[j] = acc
-    mu = moebius_table(n)
+    mu = _moebius_table(n)
     sums = [0] * (n + 1)
     for i in range(1, n + 1):
         if mu[i] == 0:

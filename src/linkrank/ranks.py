@@ -17,9 +17,10 @@ x >= 1 on S, is sum_{T within S} (-1)^|S - T| M(T); it is 0 whenever the
 weights of S add up to more than N.  The link rank is M(all components)
 plus the knot ranks minus the delta corrections.
 
-Both finiteness criteria, for the link and for the fully framed link, walk
-only those fitting subsets (_fitting_subsets), the same family the Brunnian
-ranks are taken over.
+The link finiteness criterion walks only those fitting subsets
+(_fitting_subsets), the same family the Brunnian ranks are taken over.  The
+fully framed criterion (framed) adds the framed-knot bullets to the link
+verdict and walks no subsets of its own.
 
 Each public function validates its arguments once, through _as_link, the
 one place the rule 1 <= p_k < m - 2 is written (framed links use it too);

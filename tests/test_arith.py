@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from linkrank.arith import (as_integer, divisors, gcd_multi, moebius, moebius_table,
-                            multinomial)
+from linkrank.arith import as_integer, divisors, moebius, moebius_table, multinomial
 from linkrank.errors import InvalidInputError
 from linkrank.fcs import fcs_contains
 from linkrank.framed import (framed_knot_is_infinite, framed_rank, fully_framed_is_infinite,
                              handlebody_report, mcg_finite_index)
-from linkrank.liedim import (enumerate_diophantine, lie_component_dim, multiplicity,
-                             weighted_degree, witt, witt_super)
+from linkrank.liedim import (enumerate_diophantine, lie_component_dim, multiplicity, witt,
+                             witt_super)
 from linkrank.oracle import component_dim_bruteforce, verify_range
 from linkrank.ranks import brunnian_rank, link_rank
 from linkrank.stiefel import so_rank, stiefel_rank
@@ -46,25 +45,6 @@ def test_divisors_sorted_and_complete():
         assert len(ds) == len(set(ds))
         assert all(n % d == 0 for d in ds)
         assert all(d in ds for d in range(1, n + 1) if n % d == 0)
-
-
-def test_gcd_multi_basic():
-    assert gcd_multi([4, 6]) == 2
-    assert gcd_multi([5]) == 5
-    assert gcd_multi([7, 11, 13]) == 1
-
-
-def test_gcd_multi_ignores_zeros():
-    assert gcd_multi([0, 4, 6]) == 2
-    assert gcd_multi([0, 0, 9]) == 9
-    assert gcd_multi([0, 0]) == 0
-
-
-def test_gcd_multi_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        gcd_multi([])
-    with pytest.raises(InvalidInputError):
-        gcd_multi([3, -3])
 
 
 def test_multinomial_values():
@@ -110,7 +90,6 @@ def test_as_integer_rejects_non_integers():
     # public entry points that used to truncate, coerce or raise a bare TypeError
     for call in (lambda: lie_component_dim((1, 1), (1.9, 1)),
                  lambda: multiplicity((1, 1), (1.9, 1)),
-                 lambda: weighted_degree((1, 1), ("2", 1)),
                  lambda: witt(4.0, 2),
                  lambda: witt("4", 2),
                  lambda: witt_super(6, 3.0, 2),
@@ -136,7 +115,6 @@ def test_as_integer_rejects_non_integers():
                  lambda: handlebody_report(9, 5),
                  lambda: mcg_finite_index(8, 5),
                  lambda: multinomial(5),
-                 lambda: gcd_multi(4),
                  # number theory that used to read 2.5 as having no divisors,
                  # True as 1 or 6.0 as 6, or raise a bare TypeError
                  lambda: divisors(2.5),
@@ -145,6 +123,7 @@ def test_as_integer_rejects_non_integers():
                  lambda: moebius("6"),
                  lambda: multinomial([1.5, 2]),
                  lambda: multinomial([True, 2]),
-                 lambda: gcd_multi([2.0, 4])):
+                 lambda: moebius_table(2.5),
+                 lambda: moebius_table(True)):
         with pytest.raises(InvalidInputError):
             call()

@@ -145,12 +145,11 @@ def test_subsets_too_heavy_for_a_positive_solution_have_rank_zero():
 # code reaches their unvalidated cores instead
 VALIDATING = ("weighted_dim_sums", "enumerate_diophantine", "multiplicity",
               "fcs_contains", "knot_rank", "lie_component_dim", "stiefel_rank",
-              "divisors", "moebius", "multinomial")
+              "divisors", "moebius", "moebius_table", "multinomial")
 
 
 def _cold_results():
-    for cache in (ranks._link_report, ranks._brunnian, liedim._weighted_dim_sums,
-                  liedim._dim_by_parity):
+    for cache in (ranks._link_report, ranks._brunnian, liedim._weighted_dim_sums):
         cache.cache_clear()
     results = []
     for m, dims in ((10, (7,)), (6, (3, 3)), (9, (5, 6)), (8, (5, 5, 5)),

@@ -1,6 +1,7 @@
 import pytest
 
-from linkrank.errors import InvalidInputError
+from linkrank import framed
+from linkrank.errors import InternalConsistencyError, InvalidInputError
 from linkrank.framed import (
     framed_knot_is_infinite,
     framed_rank,
@@ -76,6 +77,18 @@ def test_fully_framed_matches_maximal_framing_rank():
             for p2 in range(p1, m - 2):
                 full = framed_rank(m, ((p1, m - p1), (p2, m - p2)))
                 assert fully_framed_is_infinite(m, (p1, p2)) == (full.total_rank > 0)
+
+
+def test_full_framing_check_fires(monkeypatch):
+    # (9; 3): link rank 0, framed rank 1 from stiefel_rank(3, 6, 6); only a
+    # framed-knot bullet makes the verdict infinite, and without them the
+    # criterion says finite, against that rank
+    assert link_rank(9, (3,)).total_rank == 0
+    assert framed_rank(9, ((3, 6),)).total_rank == 1
+    assert fully_framed_is_infinite(9, (3,)) is True
+    monkeypatch.setattr(framed, "_framed_knot_infinite", lambda m, p, l: False)
+    with pytest.raises(InternalConsistencyError, match="full-framing criterion"):
+        fully_framed_is_infinite(9, (3,))
 
 
 def test_handlebody_reports():

@@ -15,7 +15,6 @@ from linkrank.liedim import (
     enumerate_diophantine,
     lie_component_dim,
     multiplicity,
-    weighted_degree,
     weighted_dim_sums,
     witt,
     witt_super,
@@ -29,17 +28,6 @@ def test_generator_system_validation():
             call((), ())
         with pytest.raises(InvalidInputError):
             call((2, 0), (1, 1))
-
-
-def test_weighted_degree_values():
-    assert weighted_degree((1, 1), (1, 1)) == 2
-    assert weighted_degree((3, 1), (2, 1)) == 7
-    assert weighted_degree((2, 2, 2), (1, 1, 1)) == 6
-
-
-def test_weighted_degree_length_mismatch():
-    with pytest.raises(InvalidInputError):
-        weighted_degree((1, 1), (1, 1, 1))
 
 
 def test_component_dim_small_cases():
