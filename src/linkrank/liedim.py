@@ -23,7 +23,8 @@ is the divisor-1 term, one multinomial coefficient, plus the terms of the
 divisors i > 1, which _divisor_terms sums and which exist only when the
 gcd exceeds 1.  Most multidegrees met in a rank have gcd 1.  This formula
 is written once, in _dim_formula, which takes the multinomial and the gcd
-from its caller; _dim and _multiplicity both call it.
+from its caller; _dim (through the cache _dim_by_parity) and _multiplicity
+both call it.
 
 A bracket-map multiplicity sum_k dim(x - e_k) - dim(x) needs r + 1
 dimensions, but by Pascal's rule the multinomials of the x - e_k add up to
@@ -98,15 +99,23 @@ def _exact_quotient(numerator, n, what, parities, x):
     return value
 
 
-def _dim_formula(parities, x, n, m, g):
+def _dim_formula(parities, x, n, multinomial, g):
     # Divisor-sum dimension count of x >= 0 with n = |x| >= 1, given
-    # m = multinomial(x) and g = gcd(x), over the divisors i of g:
+    # multinomial = multinomial(x) and g = gcd(x), over the divisors i of g:
     #   (-1)^deg(x) / n * sum_i mu(i) (-1)^deg(x/i) multinomial(x/i).
-    # The i = 1 term has the sign (-1)^deg(x) twice, so it enters as +m;
-    # for most x, g = 1 and it is the only term.
+    # The i = 1 term has the sign (-1)^deg(x) twice, so it enters as
+    # +multinomial; for most x, g = 1 and it is the only term.
     if g > 1:
-        m += _divisor_terms(parities, x, g)
-    return _exact_quotient(m, n, "dimension formula", parities, x)
+        multinomial += _divisor_terms(parities, x, g)
+    return _exact_quotient(multinomial, n, "dimension formula", parities, x)
+
+
+@lru_cache(maxsize=1 << 18)
+def _dim_by_parity(parities, x):
+    # _dim_formula behind a cache, for x >= 0 with at least one positive
+    # entry; only lie_component_dim and the oracle's verify_range reach it,
+    # and bench/ reports its hit ratio as liedim.dim_cache_hit_ratio
+    return _dim_formula(parities, x, sum(x), _multinomial(x), gcd(*x))
 
 
 def _dim(parities, x):
@@ -115,7 +124,7 @@ def _dim(parities, x):
         return 0
     if max(x) == 0:
         return 1
-    return _dim_formula(parities, x, sum(x), _multinomial(x), gcd(*x))
+    return _dim_by_parity(parities, x)
 
 
 def lie_component_dim(weights, x):
@@ -143,7 +152,7 @@ def _multiplicity(parities, x):
     if n < 2:
         # x = 0 gives -dim(0) = -1, and x = e_k gives dim(0) - dim(e_k) = 0
         return n - 1
-    m = below = _multinomial(x)
+    multinomial = below = _multinomial(x)
     # after[k] = gcd(x[k:]), and after[r] = 0
     after = [*accumulate(reversed(x), gcd)][::-1] + [0]
     before = 0
@@ -158,7 +167,7 @@ def _multiplicity(parities, x):
                 below += _divisor_terms(parities, x[:k] + (v - 1,) + x[k + 1:], h)
     return (_exact_quotient(below, n - 1, "the summed dimensions of the x - e_k",
                             parities, x)
-            - _dim_formula(parities, x, n, m, after[0]))
+            - _dim_formula(parities, x, n, multinomial, after[0]))
 
 
 def witt(t, r):

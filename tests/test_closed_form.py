@@ -149,7 +149,8 @@ VALIDATING = ("weighted_dim_sums", "enumerate_diophantine", "multiplicity",
 
 
 def _cold_results():
-    for cache in (ranks._link_report, ranks._brunnian, liedim._weighted_dim_sums):
+    for cache in (ranks._link_report, ranks._brunnian, liedim._weighted_dim_sums,
+                  liedim._dim_by_parity):
         cache.cache_clear()
     results = []
     for m, dims in ((10, (7,)), (6, (3, 3)), (9, (5, 6)), (8, (5, 5, 5)),
