@@ -17,10 +17,14 @@ x >= 1 on S, is sum_{T within S} (-1)^|S - T| M(T); it is 0 whenever the
 weights of S add up to more than N.  The link rank is M(all components)
 plus the knot ranks minus the delta corrections.
 
-The link finiteness criterion walks only those fitting subsets
-(_fitting_subsets), the same family the Brunnian ranks are taken over.  The
-fully framed criterion (framed) adds the framed-knot bullets to the link
-verdict and walks no subsets of its own.
+A sublink enters every rank and criterion only through its weights, so it
+is keyed by their sorted tuple.  _sublinks lists those whose weights fit in
+N, each after its sub-multisets; the rest have rank 0.  The inversion
+removes one copy of a weight per pass, as the transform over subsets removes
+one component.  The link criterion walks the same family, and the split
+check weighs each multiset t by its number of component subsets,
+prod_a C(count of a in the link, count of a in t).  The fully framed
+criterion (framed) adds the framed-knot bullets and walks no sublinks.
 
 Each public function validates its arguments once, through _as_link, the
 one place the rule 1 <= p_k < m - 2 is written (framed links use it too);
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb, prod
 from types import MappingProxyType
 from typing import Optional
 
@@ -111,13 +116,14 @@ class RankReport:
         """Read-only map from every nonempty 1-based component subset, by
         size and then lexicographically, to its Brunnian rank (its knot
         rank for a single component), built on first access."""
-        ranks = _brunnian_ranks(self.m, self.p)
+        weights = [self.m - v - 2 for v in self.p]
+        ranks = _brunnian_ranks(tuple(sorted(weights)), self.m - 3)
         split = {}
         for size in range(1, len(self.p) + 1):
             for subset in combinations(range(len(self.p)), size):
                 split[tuple(k + 1 for k in subset)] = (
                     self.knot_ranks[subset[0]] if size == 1
-                    else ranks.get(sum(1 << k for k in subset), 0))
+                    else ranks.get(tuple(sorted(weights[k] for k in subset)), 0))
         return MappingProxyType(split)
 
     @cached_property
@@ -147,46 +153,46 @@ def _delta(m, p):
 
 
 def _multiplicity_sum(weights, target):
-    # M(T): the multiplicities of all x >= 0 of weighted degree target
-    dims = _weighted_dim_sums(tuple(sorted(weights)), target)
+    # M(T): the multiplicities of all x >= 0 of weighted degree target; every
+    # caller passes sorted weights, the key of the _weighted_dim_sums cache
+    dims = _weighted_dim_sums(weights, target)
     return sum(dims[target - a] for a in weights if a <= target) - dims[target]
 
 
-def _fitting_subsets(weights, target):
-    """Bitmasks (bit k for component k) of the component subsets whose
-    weights add up to at most target, the empty subset first and every
-    subset before its supersets.  Only these subsets have a solution
-    x >= 1 of sum(a_k x_k) = target."""
-    family = [(0, 0)]
-    for k, a in enumerate(weights):
-        family += [(mask | 1 << k, total + a) for mask, total in family
-                   if total + a <= target]
-    return [mask for mask, _ in family]
+def _sublinks(weights, target):
+    """Sorted sub-multisets of the sorted weights adding up to at most target,
+    the empty one first and each after its own.  Only these sublinks have a
+    solution x >= 1 of sum(a_k x_k) = target."""
+    family = [((), 0)]
+    for a in sorted(set(weights)):
+        count = weights.count(a)
+        family = [(t + (a,) * j, total + j * a) for t, total in family
+                  for j in range(count + 1) if total + j * a <= target]
+    return [t for t, _ in family]
 
 
-def _brunnian_ranks(m, dims):
-    """Brunnian rank of every component subset whose weights add up to at
-    most m - 3, keyed by bitmask (bit k for component k).  Every other
-    subset has no positive solution, so its rank is 0."""
-    target = m - 3
-    weights = tuple(m - v - 2 for v in dims)
-    # the fitting subsets are closed under taking subsets, so the Moebius
-    # transform below never reads outside them
-    ranks = {0: 0}
-    for mask in _fitting_subsets(weights, target)[1:]:
-        ranks[mask] = _multiplicity_sum(
-            [a for k, a in enumerate(weights) if mask >> k & 1], target)
-    for k in range(len(weights)):
-        bit = 1 << k
-        for mask in ranks:
-            if mask & bit:
-                ranks[mask] -= ranks[mask ^ bit]
+def _brunnian_ranks(weights, target):
+    """Brunnian rank of every sublink in _sublinks(weights, target), keyed by
+    its sorted weights; the others have rank 0.  The family is closed under
+    taking sub-multisets, so the Moebius transform never reads outside it."""
+    ranks = {(): 0}
+    for t in _sublinks(weights, target)[1:]:
+        ranks[t] = _multiplicity_sum(t, target)
+    # pass j of weight a stands for its j-th component: it drops one copy of
+    # a from each sublink with more than j, supersets first to read old values
+    for a in set(weights):
+        for j in range(weights.count(a)):
+            for t in reversed(ranks):
+                if t.count(a) > j:
+                    i = t.index(a)
+                    ranks[t] -= ranks[t[:i] + t[i + 1:]]
     return ranks
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=2 ** 14)
 def _brunnian(m, dims):
-    return BrunnianRank(m, dims, _brunnian_ranks(m, dims).get((1 << len(dims)) - 1, 0))
+    weights = tuple(sorted(m - v - 2 for v in dims))
+    return BrunnianRank(m, dims, _brunnian_ranks(weights, m - 3).get(weights, 0))
 
 
 def brunnian_rank(m, dims):
@@ -213,15 +219,6 @@ def _subsequence_infinite(m, dims):
     return next(solutions, None) is not None
 
 
-def _sublink_infinite(m, dims):
-    # some sublink of two or more components has an infinite Brunnian
-    # summand; only the fitting subsets have a positive solution at all
-    weights = tuple(m - v - 2 for v in dims)
-    return any(
-        _subsequence_infinite(m, tuple(v for k, v in enumerate(dims) if mask >> k & 1))
-        for mask in _fitting_subsets(weights, m - 3) if mask & (mask - 1))
-
-
 def brunnian_is_infinite(m, dims):
     """Finiteness verdict for the Brunnian group, decided by the solvability
     criterion and asserted against the computed rank."""
@@ -237,38 +234,39 @@ def brunnian_is_infinite(m, dims):
     return verdict
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=2 ** 14)
 def _link_report(m, dims):
     if m - 3 < 1:
         raise InternalConsistencyError(f"degree target m - 3 = {m - 3} is not positive")
     knot_ranks = tuple(_knot_rank(m, v) for v in dims)
-    total = (_multiplicity_sum([m - v - 2 for v in dims], m - 3)
+    weights = tuple(sorted(m - v - 2 for v in dims))
+    total = (_multiplicity_sum(weights, m - 3)
              + sum(knot_ranks) - sum(_delta(m, v) for v in dims))
 
     # the same total split into the knot ranks plus one Brunnian summand per
-    # subset of two or more components; the subsets that do not fit add 0
-    ranks = _brunnian_ranks(m, dims)
+    # subset of two or more components; the sublinks that do not fit add 0
+    ranks = _brunnian_ranks(weights, m - 3)
     split_total = sum(knot_ranks) + sum(
-        value for mask, value in ranks.items() if mask & (mask - 1))
+        value * prod(comb(weights.count(a), t.count(a)) for a in set(t))
+        for t, value in ranks.items() if len(t) >= 2)
     if split_total != total:
         raise InternalConsistencyError(
             f"closed formula gives rank {total} but the subset splitting gives "
             f"{split_total} for m={m}, p={dims}")
 
-    infinite = any(knot_ranks) or _sublink_infinite(m, dims)
+    # is some sublink of two or more components infinite?  one per multiset
+    infinite = any(knot_ranks) or any(
+        _subsequence_infinite(m, tuple(m - a - 2 for a in t))
+        for t in ranks if len(t) >= 2)
     if infinite != (total > 0):
         raise InternalConsistencyError(
             f"finiteness criterion says {infinite} but the rank is {total} "
             f"for m={m}, p={dims}")
 
     return RankReport(
-        m=m,
-        p=dims,
-        total_rank=total,
-        brunnian_rank=ranks.get((1 << len(dims)) - 1, 0) if len(dims) >= 2 else None,
-        knot_ranks=knot_ranks,
-        infinite=infinite,
-    )
+        m=m, p=dims, total_rank=total,
+        brunnian_rank=ranks.get(weights, 0) if len(dims) >= 2 else None,
+        knot_ranks=knot_ranks, infinite=infinite)
 
 
 def link_rank(m, dims):

@@ -111,15 +111,31 @@ def test_criterion_checks_fire(cold_caches, monkeypatch):
 
 
 def test_dropped_fitting_subset_is_caught(cold_caches, monkeypatch):
-    # weights (1, 1, 1) against target 5: the last fitting subset is the
-    # whole link, whose Brunnian rank is positive
-    real = ranks._fitting_subsets
-    monkeypatch.setattr(ranks, "_fitting_subsets",
+    # weights (1, 1, 1) against target 5: the last fitting sub-multiset is
+    # the whole link, whose Brunnian rank is positive
+    real = ranks._sublinks
+    monkeypatch.setattr(ranks, "_sublinks",
                         lambda weights, target: real(weights, target)[:-1])
     with pytest.raises(InternalConsistencyError, match="subset splitting"):
         link_rank(8, (5, 5, 5))
     with pytest.raises(InternalConsistencyError, match="Brunnian criterion"):
         brunnian_is_infinite(8, (5, 5, 5))
+
+
+def test_equal_weights_take_one_multiplicity_sum_per_size(cold_caches, monkeypatch):
+    # sublinks are keyed by their weights: 18 equal components need one sum
+    # per size 1..18 plus the link total, not one per component subset
+    calls = []
+    real = ranks._multiplicity_sum
+
+    def counting(weights, target):
+        calls.append(weights)
+        return real(weights, target)
+
+    monkeypatch.setattr(ranks, "_multiplicity_sum", counting)
+    assert link_rank(60, (57,) * 18).total_rank == equal_dim_rank(60, 57, 18)
+    assert len(calls) <= 19
+    assert link_rank(6, (3,) * 200).total_rank == equal_dim_rank(6, 3, 200) == 1353400
 
 
 def test_equal_dim_check_fires(cold_caches, monkeypatch):

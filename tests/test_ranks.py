@@ -101,7 +101,9 @@ def test_two_component_rank_splits_into_brunnian_plus_knots():
 
 
 def test_subset_decomposition_sums_to_total():
-    for m, dims in [(6, (3, 3)), (8, (5, 5, 5)), (9, (3, 4, 5)), (12, (3, 5, 7, 9))]:
+    # (10; 7, 7, 6, 6, 7) repeats weights, so distinct subsets share an entry
+    for m, dims in [(6, (3, 3)), (8, (5, 5, 5)), (9, (3, 4, 5)), (12, (3, 5, 7, 9)),
+                    (10, (7, 7, 6, 6, 7))]:
         report = link_rank(m, dims)
         assert sum(report.subset_decomposition.values()) == report.total_rank
         assert set(report.subset_decomposition) == {
@@ -109,6 +111,9 @@ def test_subset_decomposition_sums_to_total():
             for size in range(1, len(dims) + 1)
             for subset in itertools.combinations(range(1, len(dims) + 1), size)
         }
+        for subset, value in report.subset_decomposition.items():
+            if len(subset) >= 2:
+                assert value == brunnian_rank(m, tuple(dims[k - 1] for k in subset)).rank
 
 
 def test_subset_decomposition_is_read_only():
