@@ -32,7 +32,7 @@ from .fcs import _parity, fcs_enumerate
 from .framed import framed_rank
 from .liedim import multiplicity, witt_super
 from .oracle import verify_range
-from .ranks import brunnian_is_infinite, brunnian_rank, link_rank
+from .ranks import brunnian_rank, link_rank
 from .stiefel import stiefel_rank
 
 
@@ -62,11 +62,10 @@ def _cmd_rank(args):
     if args.brunnian:
         report = brunnian_rank(args.m, args.p)
         rank = brunnian = report.rank
-        infinite = brunnian_is_infinite(args.m, args.p)
     else:
         report = link_rank(args.m, args.p)
         rank, brunnian = report.total_rank, report.brunnian_rank
-        infinite = report.infinite
+    infinite = report.infinite
     payload, table = _record({"m": report.m, "p": list(report.p), "rank": rank,
                               "brunnian_rank": brunnian, "infinite": infinite})
     text = [f"m = {report.m}, p = ({', '.join(map(str, report.p))})"]
@@ -301,7 +300,3 @@ def main(argv=None):
         # the reader is gone; keep the interpreter's final flush silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-
-
-if __name__ == "__main__":
-    sys.exit(main())

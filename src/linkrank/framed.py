@@ -72,11 +72,18 @@ def _framed_rank(m, dims, frames):
 
 
 def framed_knot_is_infinite(m, p, l):
-    """Finiteness criterion for a single framed sphere, 1 <= l <= m - p."""
+    """Finiteness criterion for a single framed sphere, 1 <= l <= m - p,
+    asserted against the computed framed rank."""
     m, (p,), (l,) = _as_framed(m, ((p, l),))
     if l < 1:
         raise InvalidInputError(f"the criterion needs l >= 1, got l={l}")
-    return _framed_knot_infinite(m, p, l)
+    verdict = _framed_knot_infinite(m, p, l)
+    rank = _framed_rank(m, (p,), (l,)).total_rank
+    if verdict != (rank > 0):
+        raise InternalConsistencyError(
+            f"framed-knot criterion says {verdict} but the framed rank is {rank} "
+            f"for m={m}, p={p}, l={l}")
+    return verdict
 
 
 def _framed_knot_infinite(m, p, l):
@@ -85,28 +92,25 @@ def _framed_knot_infinite(m, p, l):
             or p % 2 == 0 and m == 2 * p + l)
 
 
-def _fully_framed_criterion(m, dims):
+def _fully_framed(m, dims):
+    # the full-framing report, its verdict asserted against the criterion:
     # the framed-knot bullets added to the link verdict.  At l = m - p the
     # first bullet holds whenever p = 3 mod 4, which covers every knot with
     # rank 1, and the third never does, as it would need p = 0.
-    return (any(_framed_knot_infinite(m, p, m - p) for p in dims)
-            or _link_report(m, dims).infinite)
+    report = _framed_rank(m, dims, tuple(m - v for v in dims))
+    verdict = (any(_framed_knot_infinite(m, p, m - p) for p in dims)
+               or report.link_report.infinite)
+    if verdict != report.infinite:
+        raise InternalConsistencyError(
+            f"full-framing criterion says {verdict} but the framed rank is "
+            f"{report.total_rank} for m={m}, p={dims}")
+    return report
 
 
 def fully_framed_is_infinite(m, dims):
     """Finiteness verdict for the link with every component fully framed
     (l_k = m - p_k), asserted against the computed framed rank."""
-    return _fully_framed_is_infinite(*_as_link(m, dims))
-
-
-def _fully_framed_is_infinite(m, dims):
-    verdict = _fully_framed_criterion(m, dims)
-    report = _framed_rank(m, dims, tuple(m - v for v in dims))
-    if verdict != (report.total_rank > 0):
-        raise InternalConsistencyError(
-            f"full-framing criterion says {verdict} but the framed rank is "
-            f"{report.total_rank} for m={m}, p={dims}")
-    return verdict
+    return _fully_framed(*_as_link(m, dims)).infinite
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,12 @@ def handlebody_report(m_plus_1, handle_dims):
 
     sets_finite = None
     group_rank = None
-    if codim_ok:
-        if weak and not _fully_framed_is_infinite(m, dims):
+    if codim_ok and weak:  # strict implies weak
+        report = _fully_framed(m, dims)
+        if not report.infinite:
             sets_finite = True
         if strict:
-            group_rank = _framed_rank(m, dims, tuple(m - v for v in dims)).total_rank
+            group_rank = report.total_rank
     return HandlebodyReport(
         m_plus_1=m_plus_1,
         handle_dims=handle_dims,
@@ -179,4 +184,4 @@ def mcg_finite_index(m, p):
         return None
     if any(not (1 <= v < m - 2) for v in dims):
         return None
-    return not _fully_framed_is_infinite(m, dims)
+    return not _fully_framed(m, dims).infinite

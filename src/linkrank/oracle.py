@@ -180,13 +180,6 @@ def _eliminator():
     return add
 
 
-def _independent_rows(rows):
-    """Indices of the rows (dicts column -> int) independent of the rows
-    before them: the greedy maximal independent subset."""
-    add = _eliminator()
-    return [i for i, row in enumerate(rows) if add({j: v for j, v in row.items() if v})]
-
-
 def component_dim_bruteforce(weights, x, budget=None):
     """Dimension of the multidegree-x component, computed from scratch as
     the rank of the spanning family of left-normed brackets."""

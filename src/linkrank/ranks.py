@@ -28,8 +28,10 @@ criterion (framed) adds the framed-knot bullets and walks no sublinks.
 
 Each public function validates its arguments once, through _as_link, the
 one place the rule 1 <= p_k < m - 2 is written (framed links use it too);
-the cached cores _link_report(m, dims) and _brunnian(m, dims) take the
+_link_report(m, dims), the one cached core, and brunnian_rank take the
 validated integers and call only the unvalidated cores of liedim and fcs.
+Every finiteness verdict is the `infinite` field of the report that holds
+the rank; the Brunnian one is decided and checked on first access.
 
 Independent checks raise InternalConsistencyError on a mismatch:
 
@@ -100,6 +102,18 @@ class BrunnianRank:
         """((multidegree, multiplicity), ...) over the positive solutions,
         enumerated on first access and checked against rank."""
         return _contributions(self.m, self.p, 1, self.rank)
+
+    @cached_property
+    def infinite(self):
+        """Finiteness verdict from the solvability criterion, decided on first
+        access and checked against rank."""
+        verdict = _subsequence_infinite(
+            tuple(sorted(self.m - v - 2 for v in self.p)), self.m - 3)
+        if verdict != (self.rank > 0):
+            raise InternalConsistencyError(
+                f"Brunnian criterion says {verdict} but the rank is {self.rank} "
+                f"for m={self.m}, p={self.p}")
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -189,12 +203,6 @@ def _brunnian_ranks(weights, target):
     return ranks
 
 
-@lru_cache(maxsize=2 ** 14)
-def _brunnian(m, dims):
-    weights = tuple(sorted(m - v - 2 for v in dims))
-    return BrunnianRank(m, dims, _brunnian_ranks(weights, m - 3).get(weights, 0))
-
-
 def brunnian_rank(m, dims):
     """Rank of the group of Brunnian links; needs at least two components.
 
@@ -204,34 +212,24 @@ def brunnian_rank(m, dims):
     if len(dims) < 2:
         raise InvalidInputError(
             "Brunnian rank needs at least two components; use knot_rank for one")
-    return _brunnian(m, dims)
+    weights = tuple(sorted(m - v - 2 for v in dims))
+    return BrunnianRank(m, dims, _brunnian_ranks(weights, m - 3).get(weights, 0))
 
 
-def _subsequence_infinite(m, dims):
+def _subsequence_infinite(weights, target):
     # two components: a positive solution lying in the membership family;
     # three or more: any positive solution at all.  Both stop at the first
     # witness.  The family index m - p_k = a_k + 2 has the parity of a_k.
-    weights = tuple(m - v - 2 for v in dims)
-    solutions = _solutions(weights, m - 3, (1,) * len(dims))
-    if len(dims) == 2:
+    solutions = _solutions(weights, target, (1,) * len(weights))
+    if len(weights) == 2:
         pi, pj = weights[0] % 2, weights[1] % 2
         return any(_member(pi, pj, x, y) for x, y in solutions)
     return next(solutions, None) is not None
 
 
 def brunnian_is_infinite(m, dims):
-    """Finiteness verdict for the Brunnian group, decided by the solvability
-    criterion and asserted against the computed rank."""
-    m, dims = _as_link(m, dims)
-    if len(dims) < 2:
-        raise InvalidInputError("the Brunnian criterion needs at least two components")
-    verdict = _subsequence_infinite(m, dims)
-    rank = _brunnian(m, dims).rank
-    if verdict != (rank > 0):
-        raise InternalConsistencyError(
-            f"Brunnian criterion says {verdict} but the rank is {rank} "
-            f"for m={m}, p={dims}")
-    return verdict
+    """Finiteness verdict for the Brunnian group: brunnian_rank(m, dims).infinite."""
+    return brunnian_rank(m, dims).infinite
 
 
 @lru_cache(maxsize=2 ** 14)
@@ -256,8 +254,7 @@ def _link_report(m, dims):
 
     # is some sublink of two or more components infinite?  one per multiset
     infinite = any(knot_ranks) or any(
-        _subsequence_infinite(m, tuple(m - a - 2 for a in t))
-        for t in ranks if len(t) >= 2)
+        _subsequence_infinite(t, m - 3) for t in ranks if len(t) >= 2)
     if infinite != (total > 0):
         raise InternalConsistencyError(
             f"finiteness criterion says {infinite} but the rank is {total} "

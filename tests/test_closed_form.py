@@ -64,7 +64,7 @@ def wide_problems(draw):
 def test_criteria_equal_the_walk_over_every_subset(problem):
     # the reference is the plain loop over all 2^r - 1 subsets, fitting or not
     m, dims = problem
-    sublink = any(ranks._subsequence_infinite(m, subset)
+    sublink = any(ranks._subsequence_infinite(tuple(m - p - 2 for p in subset), m - 3)
                   for size in range(2, len(dims) + 1)
                   for subset in itertools.combinations(dims, size))
     knot = any((p + 1) % 4 == 0 and 2 * m < 3 * p + 4 for p in dims)
@@ -77,12 +77,9 @@ def test_criteria_equal_the_walk_over_every_subset(problem):
 @pytest.fixture
 def cold_caches():
     # the checks run only when a value is computed, not on a cache hit
-    caches = (ranks._link_report, ranks._brunnian)
-    for cache in caches:
-        cache.cache_clear()
+    ranks._link_report.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    ranks._link_report.cache_clear()
 
 
 def test_contributions_check_fires(cold_caches, monkeypatch):
@@ -103,7 +100,7 @@ def test_subset_split_check_fires(cold_caches, monkeypatch):
 
 
 def test_criterion_checks_fire(cold_caches, monkeypatch):
-    monkeypatch.setattr(ranks, "_subsequence_infinite", lambda m, dims: False)
+    monkeypatch.setattr(ranks, "_subsequence_infinite", lambda weights, target: False)
     with pytest.raises(InternalConsistencyError, match="Brunnian criterion"):
         brunnian_is_infinite(8, (5, 5, 5))
     with pytest.raises(InternalConsistencyError, match="finiteness criterion"):
@@ -165,7 +162,7 @@ VALIDATING = ("weighted_dim_sums", "enumerate_diophantine", "multiplicity",
 
 
 def _cold_results():
-    for cache in (ranks._link_report, ranks._brunnian, liedim._weighted_dim_sums,
+    for cache in (ranks._link_report, liedim._weighted_dim_sums,
                   liedim._dim_by_parity):
         cache.cache_clear()
     results = []

@@ -86,9 +86,21 @@ def test_full_framing_check_fires(monkeypatch):
     assert link_rank(9, (3,)).total_rank == 0
     assert framed_rank(9, ((3, 6),)).total_rank == 1
     assert fully_framed_is_infinite(9, (3,)) is True
+    assert handlebody_report(10, (4,)).sets_finite is None
     monkeypatch.setattr(framed, "_framed_knot_infinite", lambda m, p, l: False)
     with pytest.raises(InternalConsistencyError, match="full-framing criterion"):
         fully_framed_is_infinite(9, (3,))
+    # the handlebody of one 4-handle in dimension 10 induces the same (9; 3)
+    with pytest.raises(InternalConsistencyError, match="full-framing criterion"):
+        handlebody_report(10, (4,))
+
+
+def test_framed_knot_check_fires(monkeypatch):
+    # (7; 3, 1): framed rank 1, so the criterion must say infinite
+    assert framed_rank(7, ((3, 1),)).total_rank == 1
+    monkeypatch.setattr(framed, "_framed_knot_infinite", lambda m, p, l: False)
+    with pytest.raises(InternalConsistencyError, match="framed-knot criterion"):
+        framed_knot_is_infinite(7, 3, 1)
 
 
 def test_handlebody_reports():

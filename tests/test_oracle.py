@@ -11,7 +11,7 @@ from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.liedim import lie_component_dim, multiplicity
 from linkrank.oracle import (
     VerificationRecord,
-    _independent_rows,
+    _eliminator,
     _prefix_brackets,
     component_dim_bruteforce,
     left_normed_bracket,
@@ -232,7 +232,9 @@ def test_independent_rows_match_a_fraction_rank(rows):
     expected = [i for i in range(len(rows))
                 if _fraction_rank(rows[:i + 1]) > _fraction_rank(rows[:i])]
     sparse = [dict(enumerate(row)) for row in rows]
-    assert _independent_rows(sparse) == expected
+    add = _eliminator()
+    assert [i for i, row in enumerate(sparse)
+            if add({j: v for j, v in row.items() if v})] == expected
     assert sparse == [dict(enumerate(row)) for row in rows]
 
 

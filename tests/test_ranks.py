@@ -140,6 +140,14 @@ def test_finiteness_examples():
     assert link_is_infinite(8, (5, 5)) is False
 
 
+def test_brunnian_report_ignores_component_order():
+    for m in range(5, 15):
+        for size in (2, 3):
+            for dims in itertools.combinations(range(1, m - 2), size):
+                forward, backward = brunnian_rank(m, dims), brunnian_rank(m, dims[::-1])
+                assert (forward.rank, forward.infinite) == (backward.rank, backward.infinite)
+
+
 def test_two_component_equal_dims_integer_ratio_criterion():
     # with both dimensions equal the verdict reduces to an integer test on
     # (m-3)/(m-p-2), with a short list of excluded values per parity
