@@ -3,8 +3,8 @@ multinomial coefficients.
 
 Each public function checks its arguments (through as_integer or
 as_integers) and then calls an unvalidated core named with a leading
-underscore; liedim calls the cores _moebius, _moebius_table, _divisors
-and _multinomial directly on integers it has already checked.
+underscore; liedim calls the cores _moebius, _divisors and _multinomial
+directly on integers it has already checked.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """
@@ -58,34 +58,6 @@ def _moebius(n):
     if n > 1:
         result = -result
     return result
-
-
-def moebius_table(n):
-    """[mu(0), mu(1), ..., mu(n)] by a linear sieve, with mu(0) = 0."""
-    n = as_integer(n, "the argument of moebius_table")
-    if n < 0:
-        raise InvalidInputError(f"moebius_table(n) needs n >= 0, got {n}")
-    return _moebius_table(n)
-
-
-def _moebius_table(n):
-    # moebius_table on an int n >= 0
-    mu = [0] + [1] * n
-    composite = bytearray(n + 1)
-    primes = []
-    for i in range(2, n + 1):
-        if not composite[i]:
-            primes.append(i)
-            mu[i] = -1
-        for q in primes:
-            if i * q > n:
-                break
-            composite[i * q] = 1
-            if i % q == 0:
-                mu[i * q] = 0
-                break
-            mu[i * q] = -mu[i]
-    return mu
 
 
 def divisors(n):

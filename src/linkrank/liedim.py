@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .arith import _divisors, _moebius, _moebius_table, _multinomial, as_integer, as_integers
+from .arith import _divisors, _moebius, _multinomial, as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError
 
 
@@ -265,9 +265,13 @@ def weighted_dim_sums(weights, n):
     with D(0) = 1 for the empty bracket.
 
     This is the weight-graded form of the super Witt formula (Kang-Kim
-    1996, Petrogradsky 2003): with f_s(t) = sum_k s^(a_k mod 2) t^(a_k)
-    and B^s_j = j [t^j] -log(1 - f_s(t)),
-    D(d) = (1/d) sum_{i|d} mu(i) B^s_{d/i} with s = (-1)^(i+1).
+    1996, Petrogradsky 2003).  A component of weighted degree d has
+    parity d, so with f(t) = sum_k t^(a_k) the Poincare-Birkhoff-Witt
+    theorem for Lie superalgebras reads
+      1/(1 - f(t)) = prod_{d even} (1 - t^d)^(-D(d)) prod_{d odd} (1 + t^d)^D(d),
+    and its logarithm, with b_j = j [t^j] -log(1 - f(t)), is
+      b_j = sum_{d|j} eps d D(d),  eps = -1 if d is odd and j/d even, else 1,
+    which is solved for D(1), D(2), ... in turn.
     Results are cached by the sorted weights and n.
 
     Example: weights (1, 1), n = 2 -> (1, 2, 3): two odd letters in
@@ -288,8 +292,7 @@ def _weighted_dim_sums(weights, n):
         if a <= n:
             counts[a] = counts.get(a, 0) + 1
     terms = sorted(counts.items())
-    # b[j] = j [t^j] -log(1 - f_1(t)) from t f' = (1 - f) t (-log(1 - f))'.
-    # f_{-1}(t) = f_1(-t), so the s = -1 series is (-1)^j b[j].
+    # b[j] = j [t^j] -log(1 - f(t)) from t f' = (1 - f) t (-log(1 - f))'
     b = [0] * (n + 1)
     for j in range(1, n + 1):
         acc = j * counts.get(j, 0)
@@ -298,23 +301,23 @@ def _weighted_dim_sums(weights, n):
                 break
             acc += c * b[j - a]
         b[j] = acc
-    mu = _moebius_table(n)
-    sums = [0] * (n + 1)
-    for i in range(1, n + 1):
-        if mu[i] == 0:
-            continue
-        flip = i % 2 == 0
-        for j in range(1, n // i + 1):
-            term = b[j]
-            if flip and j % 2:
-                term = -term
-            sums[i * j] += mu[i] * term
+    # b[j] = sum_{d|j} eps d D(d): once D(d) is solved, eps d D(d) leaves
+    # the b of each multiple j = k d, so b[d] = d D(d) when d is reached;
+    # for odd d, eps = -1 at even k
     out = [1]
     for d in range(1, n + 1):
-        value, remainder = divmod(sums[d], d)
+        value, remainder = divmod(b[d], d)
         if remainder or value < 0:
             raise InternalConsistencyError(
-                f"weight-graded Witt formula gave {Fraction(sums[d], d)} in degree {d} "
+                f"weight-graded Witt formula gave {Fraction(b[d], d)} in degree {d} "
                 f"for weights {weights}")
         out.append(value)
+        if d % 2:
+            for j in range(2 * d, n + 1, 2 * d):
+                b[j] += b[d]
+            for j in range(3 * d, n + 1, 2 * d):
+                b[j] -= b[d]
+        else:
+            for j in range(2 * d, n + 1, d):
+                b[j] -= b[d]
     return tuple(out)

@@ -160,10 +160,10 @@ def _knot_rank(m, p):
 
 
 def _delta(m, p):
-    # 1 exactly when 2(m-3)/(m-p-2) equals 4 (m-p even) or 6 (m-p odd),
-    # as rational numbers
+    # 1 exactly when 2(m-3)/(m-p-2) equals 4 (m-p even) or 6 (m-p odd);
+    # _as_link makes m - p - 2 >= 1, so the test clears that denominator
     target = 4 if (m - p) % 2 == 0 else 6
-    return 1 if Fraction(2 * (m - 3), m - p - 2) == target else 0
+    return 1 if 2 * (m - 3) == target * (m - p - 2) else 0
 
 
 def _multiplicity_sum(weights, target):

@@ -235,6 +235,8 @@ def test_criterion_11_subset_splitting():
 
 def test_criterion_12_single_frame_sphere_oracle():
     with criterion(12, "single-frame sphere cross-check"):
+        # one frame vector: the target is the (q-1)-sphere, rationally one
+        # class in degree q-1 plus one in degree 2q-3 when q-1 is even
         for p in range(1, 41):
             for q in range(2, 41):
                 n = q - 1

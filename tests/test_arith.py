@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from linkrank.arith import as_integer, divisors, moebius, moebius_table, multinomial
+from linkrank.arith import as_integer, divisors, moebius, multinomial
 from linkrank.errors import InvalidInputError
 from linkrank.fcs import fcs_contains
 from linkrank.framed import (framed_knot_is_infinite, framed_rank, fully_framed_is_infinite,
@@ -75,13 +75,6 @@ def test_multinomial_rejects_negative_part():
         multinomial([2, -1])
 
 
-def test_moebius_table_matches_moebius():
-    assert moebius_table(0) == [0]
-    assert moebius_table(300) == [0] + [moebius(n) for n in range(1, 301)]
-    with pytest.raises(InvalidInputError):
-        moebius_table(-1)
-
-
 def test_as_integer_rejects_non_integers():
     assert as_integer(7, "n") == 7
     for bad in (7.0, 6.9, True, False, "7", None):
@@ -122,8 +115,6 @@ def test_as_integer_rejects_non_integers():
                  lambda: moebius(6.0),
                  lambda: moebius("6"),
                  lambda: multinomial([1.5, 2]),
-                 lambda: multinomial([True, 2]),
-                 lambda: moebius_table(2.5),
-                 lambda: moebius_table(True)):
+                 lambda: multinomial([True, 2])):
         with pytest.raises(InvalidInputError):
             call()

@@ -158,7 +158,7 @@ def test_subsets_too_heavy_for_a_positive_solution_have_rank_zero():
 # code reaches their unvalidated cores instead
 VALIDATING = ("weighted_dim_sums", "enumerate_diophantine", "multiplicity",
               "fcs_contains", "knot_rank", "lie_component_dim", "stiefel_rank",
-              "divisors", "moebius", "moebius_table", "multinomial")
+              "divisors", "moebius", "multinomial")
 
 
 def _cold_results():

@@ -57,26 +57,10 @@ def test_framed_knot_verdicts():
         framed_knot_is_infinite(7, 5, 1)
 
 
-def test_framed_knot_matches_framed_rank_positivity():
-    for m in range(5, 15):
-        for p in range(1, m - 2):
-            for l in range(1, m - p + 1):
-                verdict = framed_knot_is_infinite(m, p, l)
-                assert verdict == (framed_rank(m, ((p, l),)).total_rank > 0)
-
-
 def test_fully_framed_verdicts():
     assert fully_framed_is_infinite(8, (5, 5)) is False
     assert fully_framed_is_infinite(8, (5, 5, 5)) is True
     assert fully_framed_is_infinite(7, (3,)) is True
-
-
-def test_fully_framed_matches_maximal_framing_rank():
-    for m in range(5, 13):
-        for p1 in range(1, m - 2):
-            for p2 in range(p1, m - 2):
-                full = framed_rank(m, ((p1, m - p1), (p2, m - p2)))
-                assert fully_framed_is_infinite(m, (p1, p2)) == (full.total_rank > 0)
 
 
 def test_full_framing_check_fires(monkeypatch):

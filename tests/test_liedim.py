@@ -252,10 +252,13 @@ def test_enumerate_diophantine_order_and_bounds():
 
 
 def test_weighted_dim_sums_match_component_sums():
-    for weights in [(1,), (2,), (1, 1), (1, 2), (2, 3), (1, 1, 2), (3, 1, 4, 1)]:
-        sums = weighted_dim_sums(weights, 10)
+    # degrees up to 24 reach divisors such as 12, 18 and 24, where the sign of
+    # an odd degree under an even quotient compounds
+    for weights in [(1,), (2,), (1, 1), (1, 2), (2, 3), (1, 1, 2), (3, 1, 4, 1),
+                    (1, 2, 3), (2, 3, 5), (1, 1, 1, 2)]:
+        sums = weighted_dim_sums(weights, 24)
         assert sums[0] == 1
-        for d in range(1, 11):
+        for d in range(1, 25):
             expected = sum(lie_component_dim(weights, x)
                            for x in enumerate_diophantine(weights, d, (0,) * len(weights)))
             assert sums[d] == expected, (weights, d)

@@ -41,16 +41,6 @@ def test_stiefel_rank_invalid_inputs():
         stiefel_rank(0, 4, 1)
 
 
-def test_single_frame_matches_sphere_ranks():
-    # one frame vector: the target is the (q-1)-sphere, rationally one
-    # class in degree q-1 plus one in degree 2q-3 when q-1 is even
-    for p in range(1, 21):
-        for q in range(2, 21):
-            n = q - 1
-            expected = 1 if (p == n or (n % 2 == 0 and p == 2 * n - 1)) else 0
-            assert stiefel_rank(p, q, 1) == expected
-
-
 def test_rank_bounded_by_fibration_neighbours():
     for p in range(1, 21):
         for q in range(1, 21):
