@@ -36,10 +36,36 @@ from .ranks import brunnian_rank, link_rank
 from .stiefel import stiefel_rank
 
 
+def _json(payload):
+    """json.dumps(payload, indent=2, sort_keys=True), where an optional
+    "contributions" key holds (multidegree, multiplicity) pairs, each to be
+    written as {"multidegree": [...], "multiplicity": ...}.
+
+    With an indent the standard encoder is pure Python, and a rank can have
+    hundreds of thousands of terms.  So each term is written from one
+    template, and the list is set in its sorted-key place: just before the
+    line of the next key, which is at a two-space indent (every deeper key
+    is indented further, and a JSON string holds no raw newline).
+    """
+    rest = dict(payload)
+    terms = rest.pop("contributions", None)
+    out = json.dumps(rest, indent=2, sort_keys=True)
+    if terms is None:
+        return out
+    sep = ",\n        "
+    entries = ",\n".join(
+        f'    {{\n      "multidegree": [\n        {sep.join(map(str, x))}\n      ],\n'
+        f'      "multiplicity": {value}\n    }}' for x, value in terms)
+    listing = f"[\n{entries}\n  ]" if terms else "[]"
+    following = min(key for key in rest if key > "contributions")
+    at = out.index(f"\n  {json.dumps(following)}: ")
+    return f'{out[:at]}\n  "contributions": {listing},{out[at:]}'
+
+
 def _emit(fmt, payload, table, text):
     """Print payload as JSON, table as CSV or text as lines; the only stdout writer."""
     if fmt == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = _json(payload) + "\n"
     elif fmt == "csv":
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(table)
@@ -76,8 +102,7 @@ def _cmd_rank(args):
     text.append(f"infinite: {'yes' if infinite else 'no'}")
     if args.details:
         terms = report.contributions
-        payload["contributions"] = [{"multidegree": list(x), "multiplicity": value}
-                                    for x, value in terms]
+        payload["contributions"] = terms
         text.append("contributions:")
         text += [f"  {x}: {value}" for x, value in terms]
         if not args.brunnian:

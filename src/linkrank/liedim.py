@@ -1,7 +1,8 @@
 """Dimensions of multigraded components of a free graded Lie superalgebra
 over the rationals, the derived bracket-map multiplicities, necklace (Witt)
 counts, the weight-graded Witt sums the ranks are computed from, and the
-Diophantine enumerations behind the per-multidegree cross-checks.
+Diophantine enumerations (and their counts) behind the per-multidegree
+cross-checks.
 
 Conventions used throughout the package:
 
@@ -257,6 +258,20 @@ def _solutions(weights, target, lower_bounds):
         if k < 0:
             return
         x[k] += 1
+
+
+def _count_solutions(weights, target, lower_bounds):
+    # The number of solutions _solutions walks, without walking them: the
+    # coefficient of t^n in prod_k 1/(1 - t^(a_k)), where n is what the lower
+    # bounds leave of target, in O(r n) integer steps.
+    n = target - sum(a * b for a, b in zip(weights, lower_bounds))
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for a in weights:
+        for t in range(a, n + 1):
+            ways[t] += ways[t - a]
+    return ways[n]
 
 
 def weighted_dim_sums(weights, n):

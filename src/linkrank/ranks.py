@@ -35,8 +35,9 @@ the rank; the Brunnian one is decided and checked on first access.
 
 Independent checks raise InternalConsistencyError on a mismatch:
 
-* the per-multidegree terms (`contributions`) are enumerated on first
-  access and must add up to the closed-form value;
+* the per-multidegree terms (`contributions`) are counted by a generating
+  function, refused over _MAX_TERMS, and enumerated on first access; there
+  must be as many as counted, and they must add up to the closed-form value;
 * the link rank must equal its split into knot ranks plus one Brunnian
   rank per component subset, which tests the delta terms and the subsets
   left out as having no positive solution;
@@ -54,9 +55,14 @@ from types import MappingProxyType
 from typing import Optional
 
 from .arith import as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .fcs import _member
-from .liedim import _multiplicity, _parities, _solutions, _weighted_dim_sums, witt_super
+from .liedim import (_count_solutions, _multiplicity, _parities, _solutions,
+                     _weighted_dim_sums, witt_super)
+
+# the most entries contributions or subset_decomposition lists; it admits
+# the 31 465 terms of (30; 27^5) and the benchmark's guard of 32 000
+_MAX_TERMS = 200_000
 
 
 def _as_link(m, dims):
@@ -78,11 +84,19 @@ def _as_link(m, dims):
 
 def _contributions(m, dims, lower, expected):
     # (x, multiplicity) over the solutions x >= lower of sum(a_k x_k) = m - 3,
-    # checked against the closed-form sum
+    # counted before they are enumerated, and checked against the count and
+    # the closed-form sum
     weights = tuple(m - v - 2 for v in dims)
+    bounds = (lower,) * len(dims)
+    count = _count_solutions(weights, m - 3, bounds)
+    if count > _MAX_TERMS:
+        raise ResourceLimitError(
+            f"m={m}, p={dims} has {count} contributions, over the cap of {_MAX_TERMS}")
     parities = _parities(weights)
-    terms = tuple((x, _multiplicity(parities, x))
-                  for x in _solutions(weights, m - 3, (lower,) * len(dims)))
+    terms = tuple((x, _multiplicity(parities, x)) for x in _solutions(weights, m - 3, bounds))
+    if len(terms) != count:
+        raise InternalConsistencyError(
+            f"enumerated {len(terms)} solutions but counted {count} for m={m}, p={dims}")
     total = sum(value for _, value in terms)
     if total != expected:
         raise InternalConsistencyError(
@@ -100,7 +114,8 @@ class BrunnianRank:
     @cached_property
     def contributions(self):
         """((multidegree, multiplicity), ...) over the positive solutions,
-        enumerated on first access and checked against rank."""
+        enumerated on first access and checked against rank; refused with
+        ResourceLimitError when there are more than _MAX_TERMS."""
         return _contributions(self.m, self.p, 1, self.rank)
 
     @cached_property
@@ -129,7 +144,13 @@ class RankReport:
     def subset_decomposition(self):
         """Read-only map from every nonempty 1-based component subset, by
         size and then lexicographically, to its Brunnian rank (its knot
-        rank for a single component), built on first access."""
+        rank for a single component), built on first access.  Refused with
+        ResourceLimitError when there are more than _MAX_TERMS subsets."""
+        subsets = 2 ** len(self.p) - 1
+        if subsets > _MAX_TERMS:
+            raise ResourceLimitError(
+                f"the decomposition of m={self.m}, p={self.p} lists {subsets} component "
+                f"subsets, over the cap of {_MAX_TERMS}")
         weights = [self.m - v - 2 for v in self.p]
         ranks = _brunnian_ranks(tuple(sorted(weights)), self.m - 3)
         split = {}
@@ -143,7 +164,8 @@ class RankReport:
     @cached_property
     def contributions(self):
         """((multidegree, multiplicity), ...) over x >= 0, enumerated on first
-        access and checked against total_rank."""
+        access and checked against total_rank; refused with
+        ResourceLimitError when there are more than _MAX_TERMS."""
         expected = (self.total_rank - sum(self.knot_ranks)
                     + sum(_delta(self.m, v) for v in self.p))
         return _contributions(self.m, self.p, 0, expected)

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkrank import cli
 from linkrank.oracle import VerificationRecord, VerificationReport
@@ -186,3 +190,72 @@ def test_closed_pipe_exits_141_without_traceback():
         os.close(write_end)
     assert result.stderr == b""
     assert result.returncode == 141
+
+
+def test_details_over_the_term_cap_exits_three(capsys):
+    # C(62, 5) = 6 471 002 terms: counted and refused, never listed
+    argv = ["rank", "60", *["57"] * 6]
+    start = time.perf_counter()
+    assert cli.main([*argv, "--details"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource limit: " in captured.err
+    assert "has 6471002 contributions, over the cap of 200000" in captured.err
+    assert cli.main(argv) == 0
+    assert "rank: " in capsys.readouterr().out
+
+
+def test_details_refuses_the_decomposition_of_18_components(capsys):
+    # 1 140 terms, but 2^18 - 1 component subsets; --brunnian lists no subsets
+    argv = ["rank", "6", *["3"] * 18, "--details"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lists 262143 component subsets, over the cap of 200000" in captured.err
+    assert cli.main([*argv, "--brunnian"]) == 0
+    assert capsys.readouterr().out.endswith("contributions:\n")
+
+
+def reference_json(payload):
+    """The cross-check of the JSON writer: the standard encoder, on the
+    payload with each (multidegree, multiplicity) term spelled out."""
+    if "contributions" in payload:
+        payload = {**payload, "contributions": [
+            {"multidegree": list(x), "multiplicity": value}
+            for x, value in payload["contributions"]]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+big = st.integers(-10 ** 40, 10 ** 40)
+
+
+@st.composite
+def rank_payloads(draw):
+    # the key sets of rank --format json: brunnian_rank for r >= 2 only,
+    # contributions with --details, decomposition with --details unless
+    # --brunnian; entries of any size or sign, decomposition keys any text
+    r = draw(st.integers(1, 4))
+    ints = st.lists(big, min_size=r, max_size=r)
+    payload = {"m": draw(big), "p": draw(ints), "rank": draw(big),
+               "infinite": draw(st.booleans())}
+    if r >= 2:
+        payload["brunnian_rank"] = draw(big)
+    if draw(st.booleans()):
+        payload["contributions"] = tuple(draw(st.lists(
+            st.tuples(ints.map(tuple), big), max_size=5)))
+        if r == 1 or draw(st.booleans()):
+            payload["decomposition"] = draw(st.dictionaries(st.text(), big, max_size=4))
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_payloads())
+def test_json_matches_the_standard_encoder(payload):
+    expected = reference_json(payload)
+    kept = dict(payload)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli._emit("json", payload, None, None)
+    assert buffer.getvalue() == expected
+    assert payload == kept

@@ -91,6 +91,15 @@ def test_contributions_check_fires(cold_caches, monkeypatch):
         brunnian_rank(6, (3, 3)).contributions
 
 
+def test_contributions_count_check_fires(cold_caches, monkeypatch):
+    real = ranks._count_solutions
+    monkeypatch.setattr(ranks, "_count_solutions", lambda *args: real(*args) + 1)
+    with pytest.raises(InternalConsistencyError, match="enumerated 4 solutions but counted 5"):
+        link_rank(6, (3, 3)).contributions
+    with pytest.raises(InternalConsistencyError, match="enumerated 2 solutions but counted 3"):
+        brunnian_rank(6, (3, 3)).contributions
+
+
 def test_subset_split_check_fires(cold_caches, monkeypatch):
     # (6; 3, 3) has delta = 1 for each component; dropping it leaves the
     # closed formula two above the split

@@ -9,6 +9,7 @@ from linkrank import liedim
 from linkrank.arith import multinomial
 from linkrank.errors import InternalConsistencyError, InvalidInputError
 from linkrank.liedim import (
+    _count_solutions,
     _dim,
     _multiplicity,
     _solutions,
@@ -281,6 +282,37 @@ def test_weighted_dim_sums_input_checks():
         weighted_dim_sums((1, 1), -1)
     with pytest.raises(InvalidInputError):
         weighted_dim_sums((1.5, 1), 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 1)), min_size=1, max_size=6),
+       st.integers(-3, 40))
+def test_solution_count_matches_the_walk(pairs, target):
+    # each lower bound 0 or 1, drawn per coordinate, so both uniform cases
+    # and mixed ones occur
+    weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    assert _count_solutions(weights, target, bounds) == len(
+        list(_solutions(weights, target, bounds)))
+
+
+@pytest.mark.parametrize("fake", [
+    lambda a, b: (a // b, 1),  # a remainder: D(d) not an integer
+    lambda a, b: (-1, 0),      # D(d) negative
+], ids=["remainder", "negative"])
+def test_weighted_dim_sums_checks_each_quotient(monkeypatch, fake):
+    # divmod appears in _weighted_dim_sums only in the check of
+    # D(d) = b[d] / d, which the fake fails at d = 1; the cache is cleared on
+    # both sides so that no faulty value outlives the test
+    liedim._weighted_dim_sums.cache_clear()
+    monkeypatch.setattr(liedim, "divmod", fake, raising=False)
+    try:
+        with pytest.raises(InternalConsistencyError, match=r"weight-graded Witt formula "
+                           r"gave 1 in degree 1 for weights \(1, 2\)"):
+            weighted_dim_sums((1, 2), 4)
+    finally:
+        monkeypatch.undo()
+        liedim._weighted_dim_sums.cache_clear()
+    assert weighted_dim_sums((1, 2), 4) == (1, 1, 2, 1, 1)
 
 
 def test_solutions_are_lazy():

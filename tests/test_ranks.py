@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from linkrank.errors import InvalidInputError
+from linkrank import ranks
+from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.ranks import (
     brunnian_is_infinite,
     brunnian_rank,
@@ -129,6 +130,38 @@ def test_contributions_walk_needs_no_deep_stack():
     # 1100 components of weight 19 against target 37: no solution, and a
     # walk recursing once per component would overflow the stack
     assert link_rank(40, (19,) * 1100).contributions == ()
+
+
+def test_contributions_and_decomposition_over_the_cap_are_refused():
+    # (60; 57^6) has C(62, 5) terms of x >= 0 and C(56, 5) of x >= 1; the
+    # ranks themselves stay closed-form and fast
+    report = link_rank(60, (57,) * 6)
+    assert report.total_rank > 0
+    with pytest.raises(ResourceLimitError, match="has 6471002 contributions"):
+        report.contributions
+    with pytest.raises(ResourceLimitError, match="has 3819816 contributions"):
+        brunnian_rank(60, (57,) * 6).contributions
+    # 18 components: 1140 terms, but 2^18 - 1 component subsets
+    report = link_rank(6, (3,) * 18)
+    assert len(report.contributions) == 1140
+    with pytest.raises(ResourceLimitError, match="lists 262143 component subsets"):
+        report.subset_decomposition
+
+
+@pytest.mark.parametrize("read, size", [
+    (lambda: link_rank(6, (3, 3)).contributions, 4),
+    (lambda: brunnian_rank(6, (3, 3)).contributions, 2),
+    (lambda: link_rank(6, (3, 3)).subset_decomposition, 3),
+], ids=["contributions", "brunnian contributions", "decomposition"])
+def test_the_cap_admits_exactly_its_size(monkeypatch, read, size):
+    # a report keeps what it has listed, so each cap reads a fresh one
+    monkeypatch.setattr(ranks, "_MAX_TERMS", size)
+    ranks._link_report.cache_clear()
+    assert len(read()) == size
+    monkeypatch.setattr(ranks, "_MAX_TERMS", size - 1)
+    ranks._link_report.cache_clear()
+    with pytest.raises(ResourceLimitError, match=f"over the cap of {size - 1}"):
+        read()
 
 
 def test_finiteness_examples():
