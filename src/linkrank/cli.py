@@ -309,6 +309,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # an exact answer may have more digits than the interpreter converts to
+    # a string by default; lift that cap for this call only
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args.func(args)
         return 0
@@ -325,3 +330,6 @@ def main(argv=None):
         # the reader is gone; keep the interpreter's final flush silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)

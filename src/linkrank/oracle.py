@@ -4,15 +4,25 @@ Multigraded components of the free graded Lie superalgebra are realized
 inside the free associative algebra on the same letters: a polynomial is a
 dict mapping words (tuples of generator indices) to integer coefficients,
 the bracket is the supercommutator [u, v] = uv - (-1)^(|u| |v|) vu, where
-|w| is the total weight of the word w modulo 2, extended bilinearly.  Each
-component is spanned by the left-normed brackets of all words of the given
-multidegree (symmetry plus the Jacobi identity rewrite any bracket into
-such), so its dimension is the rank of the matrix of those spanning vectors.
+|w| is the total weight of the word w modulo 2, extended bilinearly.  The
+dimension of a component is the rank of a spanning family of it.
+
+The family is the left-normed brackets of the words of multidegree x that
+begin with its rarest letter k (the lowest index with the least positive
+x_k).  They span: the multilinear component on n distinct letters
+y_1..y_n has dimension (n - 1)!, and the brackets [y_1, y_s2, ..., y_sn]
+are a basis of it, since each holds the word y_1 y_s2...y_sn with
+coefficient 1 and no other of them holds that word.  Substituting letters
+of x for the y_i, with y_1 -> k, keeps parities and maps that basis onto
+this family, so it spans the x component (Reutenauer, Free Lie Algebras,
+1993, for the even case; the signs carry over verbatim).  The family has
+multinomial(x) * x_k / |x| members, and when x_k = 1 they are independent,
+so no row is eliminated to zero.
 
 A left-normed bracket is built by steps [u, P_k], one sign per step,
-since all words of a homogeneous bracket have one parity.  The words of a
-multidegree are walked in lexicographic order, each prefix bracketed once,
-and each bracket streams into the elimination as a sparse integer row.  It
+since all words of a homogeneous bracket have one parity.  The words are
+walked in lexicographic order, each prefix bracketed once, and each
+bracket streams into the elimination as a sparse integer row.  It
 is reduced by the kept rows in the order they were kept (no back
 substitution), divided by its content, and kept with a +-1 pivot if it has
 one, exactly when it is independent of the rows before it.  No fraction,
@@ -20,7 +30,8 @@ float or closed-form dimension is used.
 
 Both brute-force functions take a generator system as a tuple of
 positive weights.  A single computation may touch at most a budget of
-letters (default 8, overridable per call with budget=) and 1500 words.
+letters (default 8, overridable per call with budget=) and a component of
+1500 words, counted as multinomial(x) and not as the smaller family walked.
 `verify_range` sets the budget to its max_letters and refuses more than
 20 000 (system, multidegree) pairs before it starts.  Each of these limits
 raises ResourceLimitError.
@@ -112,12 +123,20 @@ def left_normed_bracket(word, parities):
 
 def _prefix_brackets(x, parities):
     """The left-normed brackets of the words of multidegree x (parities
-    0/1) in lexicographic word order, each prefix bracketed once.  The
-    walk keeps its own stack, so a word may be of any length."""
-    counts, total, r = list(x), sum(x), len(x)
+    0/1) that begin with its rarest letter, in lexicographic word order,
+    each prefix bracketed once.  They span the component (see the module
+    docstring).  The walk keeps its own stack, so a word may be of any
+    length."""
+    counts, r = list(x), len(x)
+    first = min((v, k) for k, v in enumerate(x) if v)[1]  # least positive x_k, lowest k
+    counts[first] -= 1
+    tail = sum(counts)  # letters after the first
+    if not tail:
+        yield {(first,): 1}
+        return
     # one frame per prefix: [its bracket, its parity, its last letter,
-    # the next letter to try appending]
-    stack = [[None, 0, None, 0]]
+    # the next letter to try appending]; frame i holds i + 1 letters
+    stack = [[{(first,): 1}, parities[first], first, 0]]
     while stack:
         frame = stack[-1]
         prefix, parity, last, k = frame
@@ -125,12 +144,11 @@ def _prefix_brackets(x, parities):
             k += 1
         if k == r:
             stack.pop()
-            if last is not None:
-                counts[last] += 1
+            counts[last] += 1
             continue
         frame[3] = k + 1
-        poly = {(k,): 1} if prefix is None else _bracket_step(prefix, k, parity & parities[k])
-        if len(stack) == total:
+        poly = _bracket_step(prefix, k, parity & parities[k])
+        if len(stack) == tail:
             yield poly
         else:
             counts[k] -= 1

@@ -17,15 +17,8 @@ def so_rank(p, q):
     if p < 1 or q < 2:
         # SO(0) and SO(1) are points, and there is no homotopy below p = 1
         return 0
-    if p % 4 == 3:
-        if p == q - 1:
-            return 2
-        if 2 * (q - 1) > p:
-            return 1
-        return 0
-    if p % 4 == 1 and p == q - 1:
-        return 1
-    return 0
+    # SO(q) is the Stiefel manifold of (q - 1)-frames in q-space
+    return _stiefel_rank(p, q, q - 1)
 
 
 def stiefel_rank(p, q, l):

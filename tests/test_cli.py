@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkrank import cli
 from linkrank.oracle import VerificationRecord, VerificationReport
+from linkrank.ranks import link_rank
 
 
 def run_cli(*args):
@@ -85,6 +87,28 @@ def test_error_messages_go_to_stderr():
     result = run_cli("rank", "5", "3", "3")
     assert result.stdout == b""
     assert b"error" in result.stderr.lower()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_answers_past_the_default_digit_cap_print_in_full(capsys, fmt):
+    # 4 764-digit ranks: past the interpreter's default cap of 4 300 digits
+    # on converting an int to a string
+    argv = ["rank", "10003", "10000", "10000", "10000", "--format", fmt]
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    report = link_rank(10003, (10000,) * 3)
+    ranks = (report.total_rank, report.brunnian_rank)
+    printed = re.findall(rb"[0-9]{4300,}", result.stdout)
+    # JSON sorts its keys, so brunnian_rank comes first there
+    assert len(printed) == 2
+    for digits, value in zip(printed, ranks[::-1] if fmt == "json" else ranks):
+        assert 10 ** (len(digits) - 1) <= value < 10 ** len(digits)
+        assert int(digits[-18:]) == value % 10 ** 18
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == result.stdout
+    if cap is not None:
+        assert sys.get_int_max_str_digits() == cap
 
 
 class Sha256(str):

@@ -247,18 +247,73 @@ def systems_and_multidegrees(draw):
     return parities, x
 
 
+def words_of(x):
+    """Every word of multidegree x, in lexicographic order."""
+    return sorted(set(itertools.permutations(
+        [k for k, n in enumerate(x) for _ in range(n)])))
+
+
+def full_word_dim(parities, x):
+    """The cross-check of the oracle's spanning family: the rank of the
+    left-normed brackets of every word of multidegree x, not only of the
+    words that begin with the rarest letter."""
+    return sum(map(_eliminator(), (left_normed_bracket(w, parities) for w in words_of(x))))
+
+
 @settings(max_examples=150, deadline=None)
 @given(systems_and_multidegrees())
 def test_prefix_brackets_equal_left_normed_brackets(case):
     parities, x = case
-    letters = [k for k, n in enumerate(x) for _ in range(n)]
-    words = sorted(set(itertools.permutations(letters)))
+    rarest = min(k for k in range(len(x)) if x[k] == min(filter(None, x)))
+    words = [w for w in words_of(x) if w[0] == rarest]
     shared = list(_prefix_brackets(x, parities))
     assert shared == [left_normed_bracket(w, parities) for w in words]
     # the same brackets folded from the general supercommutator
     assert shared == [functools.reduce(
         lambda poly, k: super_bracket(poly, {(k,): 1}, parities), w[1:], {w[:1]: 1})
         for w in words]
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_and_multidegrees())
+def test_rarest_letter_family_spans_like_every_word(case):
+    parities, x = case
+    weights = tuple(2 - p for p in parities)
+    dim = full_word_dim(parities, x)
+    assert component_dim_bruteforce(weights, x) == dim
+    if all(x):
+        # the domain blocks are bases of the components at x - e_k, or
+        # the formal piece that maps onto P_k when x - e_k is all zeros
+        lowered = [x[:k] + (v - 1,) + x[k + 1:] for k, v in enumerate(x)]
+        domain = sum(full_word_dim(parities, y) if any(y) else 1 for y in lowered)
+        analysis = whitehead_map_analysis(weights, x)
+        assert analysis.rank == dim
+        assert analysis.rank + analysis.kernel_dim == domain
+
+
+def test_rarest_letter_family_wastes_no_rows_on_a_single_letter(monkeypatch):
+    rows = []
+
+    def counted():
+        add = _eliminator()
+
+        def noted(poly):
+            rows.append(add(poly))
+            return rows[-1]
+        return noted
+
+    monkeypatch.setattr(oracle, "_eliminator", counted)
+    # the rarest letter twice in seven: 210 * 2 / 7 rows, 30 of them kept
+    assert component_dim_bruteforce((1, 2, 3), (2, 2, 3)) == 30
+    assert (len(rows), sum(rows)) == (60, 30)
+    # the rarest letter once: each bracket holds one word that begins with
+    # it, its own, so the rows are independent and every one is kept
+    for weights, x in [((1,), (1,)), ((2, 1), (1, 3)), ((1, 1, 2), (3, 1, 2)),
+                       ((1, 2, 1, 2), (2, 2, 1, 2)), ((2, 2, 2, 2), (1, 1, 1, 1))]:
+        rows.clear()
+        dim = component_dim_bruteforce(weights, x)
+        assert rows == [True] * (oracle._multinomial(x) // sum(x))
+        assert dim == len(rows)
 
 
 def test_oracle_consults_no_closed_form(monkeypatch):

@@ -48,3 +48,18 @@ def test_rank_bounded_by_fibration_neighbours():
                 value = stiefel_rank(p, q, l)
                 assert value in (0, 1, 2)
                 assert value <= so_rank(p, q) + so_rank(p - 1, q - l)
+
+
+def _so_generator_degrees(q):
+    # rational generators of SO(q): degree 4i - 1 for 1 <= i < q/2, and
+    # the Euler class in degree q - 1 when q is even
+    degrees = [4 * i - 1 for i in range(1, (q + 1) // 2)]
+    return degrees + [q - 1] if q % 2 == 0 else degrees
+
+
+def test_so_rank_is_the_stiefel_rank_of_q_minus_one_frames():
+    for p in range(1, 80):
+        for q in range(2, 80):
+            value = so_rank(p, q)
+            assert value == _so_generator_degrees(q).count(p)
+            assert value == stiefel_rank(p, q, q - 1)
