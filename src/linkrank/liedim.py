@@ -287,7 +287,8 @@ def weighted_dim_sums(weights, n):
     and its logarithm, with b_j = j [t^j] -log(1 - f(t)), is
       b_j = sum_{d|j} eps d D(d),  eps = -1 if d is odd and j/d even, else 1,
     which is solved for D(1), D(2), ... in turn.
-    Results are cached by the sorted weights and n.
+    The sums are cached by the sorted weights alone: the longest D(0..n')
+    solved so far answers every n <= n', and a longer n is solved afresh.
 
     Example: weights (1, 1), n = 2 -> (1, 2, 3): two odd letters in
     degree 1, and in degree 2 the three self- and cross-brackets.
@@ -296,12 +297,30 @@ def weighted_dim_sums(weights, n):
     n = as_integer(n, "the degree bound")
     if n < 0:
         raise InvalidInputError(f"the degree bound must be >= 0, got {n}")
-    return _weighted_dim_sums(weights, n)
+    return _weighted_dim_sums(weights, n)[:n + 1]
+
+
+def _weighted_dim_sums(weights, n):
+    # D(0..n') for some n' >= n, for sorted weights: the cell of the weights
+    # keeps the longest solve so far, and a failed solve leaves it as it was;
+    # the run read or solved here is returned, not the cell, which another
+    # thread may have refilled with a shorter run in between
+    cell = _dim_sums_cell(weights)
+    sums = cell[0]
+    if len(sums) <= n:
+        sums = cell[0] = _solve_dim_sums(weights, n)
+    return sums
 
 
 @lru_cache(maxsize=1 << 12)
-def _weighted_dim_sums(weights, n):
-    # weights sorted, so that a permutation hits the same cache entry
+def _dim_sums_cell(weights):
+    # a one-element list per sorted weight tuple, never handed out; weights
+    # sorted, so that a permutation shares the cell
+    return [()]
+
+
+def _solve_dim_sums(weights, n):
+    # D(0..n) for sorted weights, each D(d) checked to be a whole count
     counts = {}
     for a in weights:
         if a <= n:

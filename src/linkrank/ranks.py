@@ -190,7 +190,8 @@ def _delta(m, p):
 
 def _multiplicity_sum(weights, target):
     # M(T): the multiplicities of all x >= 0 of weighted degree target; every
-    # caller passes sorted weights, the key of the _weighted_dim_sums cache
+    # caller passes sorted weights, the key of the Witt-sum cache, whose
+    # D(0..n') may run past target, so it is indexed, never measured
     dims = _weighted_dim_sums(weights, target)
     return sum(dims[target - a] for a in weights if a <= target) - dims[target]
 

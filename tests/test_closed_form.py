@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from linkrank import liedim, ranks
+from linkrank import ranks
 from linkrank.errors import InternalConsistencyError
 from linkrank.framed import framed_rank, fully_framed_is_infinite
 from linkrank.oracle import verify_range
@@ -170,10 +170,8 @@ VALIDATING = ("weighted_dim_sums", "enumerate_diophantine", "multiplicity",
               "divisors", "moebius", "multinomial")
 
 
-def _cold_results():
-    for cache in (ranks._link_report, liedim._weighted_dim_sums,
-                  liedim._dim_by_parity):
-        cache.cache_clear()
+def _cold_results(clear_caches):
+    clear_caches()
     results = []
     for m, dims in ((10, (7,)), (6, (3, 3)), (9, (5, 6)), (8, (5, 5, 5)),
                     (20, (9, 10, 11)), (14, (9, 10, 8, 11))):
@@ -188,8 +186,8 @@ def _cold_results():
     return results
 
 
-def test_arguments_are_validated_once(monkeypatch):
-    before = _cold_results()
+def test_arguments_are_validated_once(clear_caches, monkeypatch):
+    before = _cold_results(clear_caches)
 
     def refuse(*args, **kwargs):
         raise AssertionError("internal code called a validating entry point")
@@ -200,4 +198,4 @@ def test_arguments_are_validated_once(monkeypatch):
         for name in VALIDATING:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    assert _cold_results() == before
+    assert _cold_results(clear_caches) == before

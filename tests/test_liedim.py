@@ -284,6 +284,22 @@ def test_weighted_dim_sums_input_checks():
         weighted_dim_sums((1.5, 1), 3)
 
 
+_DEGREES = st.lists(st.integers(0, 40), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=5).map(sorted).map(tuple),
+       st.one_of(_DEGREES, _DEGREES.map(sorted),
+                 _DEGREES.map(lambda degrees: sorted(degrees, reverse=True))))
+def test_weighted_dim_sums_answer_degrees_in_any_order(clear_caches, weights, degrees):
+    # one cache entry per weight tuple serves every degree up to the longest
+    # solved, and a longer degree replaces it; each answer, in ascending,
+    # descending or mixed order, is what a fresh solve of its degree gives
+    clear_caches()
+    for n in degrees:
+        assert weighted_dim_sums(weights, n) == liedim._solve_dim_sums(weights, n)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 1)), min_size=1, max_size=6),
        st.integers(-3, 40))
@@ -299,19 +315,24 @@ def test_solution_count_matches_the_walk(pairs, target):
     lambda a, b: (a // b, 1),  # a remainder: D(d) not an integer
     lambda a, b: (-1, 0),      # D(d) negative
 ], ids=["remainder", "negative"])
-def test_weighted_dim_sums_checks_each_quotient(monkeypatch, fake):
-    # divmod appears in _weighted_dim_sums only in the check of
-    # D(d) = b[d] / d, which the fake fails at d = 1; the cache is cleared on
-    # both sides so that no faulty value outlives the test
-    liedim._weighted_dim_sums.cache_clear()
+def test_weighted_dim_sums_checks_each_quotient(clear_caches, monkeypatch, fake):
+    # divmod appears in the Witt-sum solve only in the check of
+    # D(d) = b[d] / d, which the fake fails at d = 1; the caches are cleared
+    # on both sides so that no faulty value outlives the test
+    clear_caches()
+    assert weighted_dim_sums((1, 2), 2) == (1, 1, 2)
     monkeypatch.setattr(liedim, "divmod", fake, raising=False)
     try:
         with pytest.raises(InternalConsistencyError, match=r"weight-graded Witt formula "
                            r"gave 1 in degree 1 for weights \(1, 2\)"):
             weighted_dim_sums((1, 2), 4)
+        # the failed longer solve left the shorter entry in place: it answers
+        # without a solve, which the fake would fail
+        assert weighted_dim_sums((1, 2), 2) == (1, 1, 2)
+        assert weighted_dim_sums((2, 1), 1) == (1, 1)
     finally:
         monkeypatch.undo()
-        liedim._weighted_dim_sums.cache_clear()
+        clear_caches()
     assert weighted_dim_sums((1, 2), 4) == (1, 1, 2, 1, 1)
 
 

@@ -325,8 +325,8 @@ def test_oracle_consults_no_closed_form(monkeypatch):
         raise AssertionError("the oracle consulted a closed form")
 
     for name in ("lie_component_dim", "multiplicity", "_multiplicity", "weighted_dim_sums",
-                 "_weighted_dim_sums", "_dim", "_dim_by_parity", "_dim_formula", "witt",
-                 "witt_super"):
+                 "_weighted_dim_sums", "_dim_sums_cell", "_solve_dim_sums", "_dim",
+                 "_dim_by_parity", "_dim_formula", "witt", "witt_super"):
         monkeypatch.setattr(liedim, name, refuse)
     for name in ("_dim", "_multiplicity"):
         monkeypatch.setattr(oracle, name, refuse)

@@ -1,9 +1,10 @@
 import itertools
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
-from linkrank import ranks
+from linkrank import liedim, ranks
 from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.ranks import (
     brunnian_is_infinite,
@@ -162,6 +163,58 @@ def test_the_cap_admits_exactly_its_size(monkeypatch, read, size):
     ranks._link_report.cache_clear()
     with pytest.raises(ResourceLimitError, match=f"over the cap of {size - 1}"):
         read()
+
+
+# links whose weights m - p - 2 stay fixed as m moves, so that each sublink
+# recurs at many targets m - 3
+_SWEEP = [(m, tuple(m - 2 - a for a in weights))
+          for m in range(6, 21)
+          for weights in ((1,), (1, 2), (2, 1, 3), (1, 1, 2, 4), (3, 3), (2, 2, 5, 1))
+          if max(weights) <= m - 3]
+
+
+def test_sweep_solves_each_sublink_once_per_longer_target(clear_caches, monkeypatch):
+    cold = {}
+    for link in _SWEEP:
+        clear_caches()
+        report = ranks._link_report(*link)
+        cold[link] = (report, dict(report.subset_decomposition))
+
+    requested = defaultdict(set)
+    solves = Counter()
+    real_sums, real_solve = ranks._weighted_dim_sums, liedim._solve_dim_sums
+
+    def sums(weights, n):
+        requested[weights].add(n)
+        return real_sums(weights, n)
+
+    def solve(weights, n):
+        solves[weights] += 1
+        return real_solve(weights, n)
+
+    monkeypatch.setattr(ranks, "_weighted_dim_sums", sums)
+    monkeypatch.setattr(liedim, "_solve_dim_sums", solve)
+
+    def sweep(links):
+        # past the report cache, so that every link reads its Witt sums again
+        for link in links:
+            report = ranks._link_report.__wrapped__(*link)
+            assert (report, dict(report.subset_decomposition)) == cold[link], link
+
+    clear_caches()
+    sweep(sorted(_SWEEP, reverse=True))
+    # descending, a sublink is first met at its largest target: one solve each
+    assert solves and set(solves.values()) == {1}
+    sweep(sorted(_SWEEP))
+    assert set(solves.values()) == {1}
+
+    clear_caches()
+    solves.clear()
+    sweep(sorted(_SWEEP))
+    # ascending, a sublink is solved once per target it is met at, so never
+    # more often than there are distinct targets
+    assert solves == {weights: len(targets) for weights, targets in requested.items()}
+    assert 1 < max(solves.values()) <= len({m - 3 for m, _ in _SWEEP})
 
 
 def test_finiteness_examples():
