@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * a generator system is a tuple of positive integer weights, one per
   generator; a generator is odd or even according to its weight parity,
   and only those parities influence dimensions;
+* dimensions and multiplicities are invariant under relabelling the
+  generators of one parity: for fixed parities, permuting the entries of x
+  among coordinates of equal parity leaves them unchanged, so ranks
+  computes one multiplicity per such class of contributions;
 * a multidegree x is an integer tuple of the same length counting how many
   times each generator occurs;
 * the component of the all-zero multidegree has dimension 1 by convention,

@@ -36,8 +36,12 @@ the rank; the Brunnian one is decided and checked on first access.
 Independent checks raise InternalConsistencyError on a mismatch:
 
 * the per-multidegree terms (`contributions`) are counted by a generating
-  function, refused over _MAX_TERMS, and enumerated on first access; there
-  must be as many as counted, and they must add up to the closed-form value;
+  function, refused over _MAX_TERMS, and enumerated on first access, each
+  listed with its own x; the multiplicity is computed once per parity class
+  (the x that differ by swapping entries at coordinates whose weights have
+  one parity), with its two exact-quotient checks, and every member of the
+  class takes it; there must be as many terms as counted, and they must add
+  up to the closed-form value;
 * the link rank must equal its split into knot ranks plus one Brunnian
   rank per component subset, which tests the delta terms and the subsets
   left out as having no positive solution;
@@ -51,6 +55,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, prod
+from operator import add
 from types import MappingProxyType
 from typing import Optional
 
@@ -93,7 +98,21 @@ def _contributions(m, dims, lower, expected):
         raise ResourceLimitError(
             f"m={m}, p={dims} has {count} contributions, over the cap of {_MAX_TERMS}")
     parities = _parities(weights)
-    terms = tuple((x, _multiplicity(parities, x)) for x in _solutions(weights, m - 3, bounds))
+    # a multiplicity is unchanged by swapping entries of x at coordinates of
+    # one parity, so the kernel runs once per class of x: its sorted entries
+    # when the weights share one parity, else the sorted odd-weight entries
+    # then the sorted even-weight ones, which the shift by m - 2 (more than
+    # any entry) keeps apart in one sort
+    shift = [0 if p else m - 2 for p in parities] if 0 < sum(parities) < len(dims) else None
+    values = {}
+    terms = []
+    for x in _solutions(weights, m - 3, bounds):
+        key = tuple(sorted(x if shift is None else map(add, x, shift)))
+        value = values.get(key)
+        if value is None:
+            value = values[key] = _multiplicity(parities, x)
+        terms.append((x, value))
+    terms = tuple(terms)
     if len(terms) != count:
         raise InternalConsistencyError(
             f"enumerated {len(terms)} solutions but counted {count} for m={m}, p={dims}")

@@ -9,6 +9,7 @@ import pytest
 from linkrank import ranks
 from linkrank.errors import InternalConsistencyError
 from linkrank.framed import framed_rank, fully_framed_is_infinite
+from linkrank.liedim import _multiplicity, _solutions
 from linkrank.oracle import verify_range
 from linkrank.ranks import (brunnian_is_infinite, brunnian_rank, equal_dim_rank,
                             link_is_infinite, link_rank)
@@ -53,6 +54,29 @@ def test_closed_form_equals_enumeration(problem):
 
 
 @st.composite
+def mixed_parity_problems(draw):
+    m, dims = draw(link_problems())
+    hypothesis.assume(len({(m - p) % 2 for p in dims}) == 2)
+    return m, dims
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.example((8, (3, 4, 5)))
+@hypothesis.given(mixed_parity_problems())
+def test_contributions_equal_the_unshared_multiplicities(problem):
+    # the cross-check of one multiplicity per parity class: every term
+    # against its own kernel call.  (8; 3, 4, 5) has weights (3, 2, 1), where
+    # (0, 2, 1) and (1, 0, 2) are one class only if the parities are ignored
+    m, dims = problem
+    weights = tuple(m - p - 2 for p in dims)
+    parities = tuple(a % 2 for a in weights)
+    for lower, report in ((0, link_rank(m, dims)), (1, brunnian_rank(m, dims))):
+        unshared = [(x, _multiplicity(parities, x))
+                    for x in _solutions(weights, m - 3, (lower,) * len(dims))]
+        assert list(report.contributions) == unshared
+
+
+@st.composite
 def wide_problems(draw):
     m = draw(st.integers(4, 40))
     r = draw(st.integers(1, 8))
@@ -83,12 +107,35 @@ def cold_caches():
 
 
 def test_contributions_check_fires(cold_caches, monkeypatch):
+    # one kernel call per parity class, but every term takes its class's
+    # value: the 4 terms of the link (2 classes) and the 2 Brunnian terms
+    # (1 class) are each 1 too high
     real = ranks._multiplicity
     monkeypatch.setattr(ranks, "_multiplicity", lambda parities, x: real(parities, x) + 1)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="add up to 8 but the Witt formula gives 4"):
         link_rank(6, (3, 3)).contributions
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="add up to 4 but the Witt formula gives 2"):
         brunnian_rank(6, (3, 3)).contributions
+
+
+def test_contributions_take_one_multiplicity_per_parity_class(cold_caches, monkeypatch):
+    # weights (1, 1, 2) against target 7: x and (x_2, x_1, x_3) share a
+    # class; weights (1, 1, 1) against 5: one class per partition of 5
+    calls = []
+    real = ranks._multiplicity
+
+    def counting(parities, x):
+        calls.append(x)
+        return real(parities, x)
+
+    monkeypatch.setattr(ranks, "_multiplicity", counting)
+    for report, terms, classes in ((link_rank(10, (7, 7, 6)), 20, 10),
+                                   (brunnian_rank(10, (7, 7, 6)), 6, 3),
+                                   (link_rank(8, (5, 5, 5)), 21, 5),
+                                   (brunnian_rank(8, (5, 5, 5)), 6, 2)):
+        calls.clear()
+        assert len(report.contributions) == terms
+        assert len(calls) == classes
 
 
 def test_contributions_count_check_fires(cold_caches, monkeypatch):

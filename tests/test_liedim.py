@@ -64,6 +64,32 @@ def test_dim_depends_only_on_weight_parity():
         assert multiplicity((1, 2), x) == multiplicity((5, 2), x)
 
 
+@st.composite
+def parity_preserving_permutations(draw):
+    # weights, x, and x with its entries moved by a permutation that sends
+    # each coordinate to one whose weight has the same parity
+    r = draw(st.integers(1, 5))
+    weights = tuple(draw(st.lists(st.integers(1, 6), min_size=r, max_size=r)))
+    x = tuple(draw(st.lists(st.integers(0, 6), min_size=r, max_size=r)))
+    moved = [None] * r
+    for parity in (0, 1):
+        places = [k for k in range(r) if weights[k] % 2 == parity]
+        for k, j in zip(places, draw(st.permutations(places))):
+            moved[j] = x[k]
+    return weights, x, tuple(moved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parity_preserving_permutations())
+def test_swaps_within_a_parity_keep_dim_and_multiplicity(case):
+    # the premise of ranks._contributions computing one multiplicity per
+    # parity class of multidegrees
+    weights, x, moved = case
+    parities = tuple(a % 2 for a in weights)
+    assert _dim(parities, moved) == _dim(parities, x)
+    assert _multiplicity(parities, moved) == _multiplicity(parities, x)
+
+
 def test_multiplicity_table_entries():
     assert multiplicity((2, 2), (4, 4)) == 2
     assert multiplicity((1, 2), (2, 3)) == 1
