@@ -303,10 +303,13 @@ def _build_parser():
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     # an exact answer may have more digits than the interpreter converts to

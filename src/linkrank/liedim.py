@@ -35,9 +35,7 @@ A bracket-map multiplicity sum_k dim(x - e_k) - dim(x) needs r + 1
 dimensions, but by Pascal's rule the multinomials of the x - e_k add up to
 the multinomial of x.  So the kernel computes one multinomial M and
   |x| dim(x) = M + the i > 1 terms of x,
-  (|x| - 1) sum_k dim(x - e_k) = M + the i > 1 terms of each x - e_k,
-and it tells which x - e_k have a gcd above 1 from prefix and suffix gcds
-of x, without forming the x - e_k whose gcd is 1.
+  (|x| - 1) sum_k dim(x - e_k) = M + the i > 1 terms of each x - e_k.
 
 All arithmetic is exact.  Each of these numerators is asserted to be a
 nonnegative multiple of its denominator; a failure of that assertion is an
@@ -46,7 +44,6 @@ internal bug, not bad input.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd
 
 from .arith import _divisors, _moebius, _multinomial, as_integer, as_integers
@@ -158,21 +155,15 @@ def _multiplicity(parities, x):
         # x = 0 gives -dim(0) = -1, and x = e_k gives dim(0) - dim(e_k) = 0
         return n - 1
     multinomial = below = _multinomial(x)
-    # after[k] = gcd(x[k:]), and after[r] = 0
-    after = [*accumulate(reversed(x), gcd)][::-1] + [0]
-    before = 0
     for k, v in enumerate(x):
-        # h: the gcd of the entries other than x_k, 1 for most k;
-        # gcd(x - e_k) = gcd(h, x_k - 1)
-        h = gcd(before, after[k + 1])
-        before = gcd(before, v)
-        if v and h != 1:
-            h = gcd(h, v - 1)
+        if v:
+            y = x[:k] + (v - 1,) + x[k + 1:]
+            h = gcd(*y)
             if h > 1:
-                below += _divisor_terms(parities, x[:k] + (v - 1,) + x[k + 1:], h)
+                below += _divisor_terms(parities, y, h)
     return (_exact_quotient(below, n - 1, "the summed dimensions of the x - e_k",
                             parities, x)
-            - _dim_formula(parities, x, n, multinomial, after[0]))
+            - _dim_formula(parities, x, n, multinomial, gcd(*x)))
 
 
 def witt(t, r):
@@ -234,7 +225,10 @@ def enumerate_diophantine(weights, target, lower_bounds):
 
 def _solutions(weights, target, lower_bounds):
     # The solutions of enumerate_diophantine, in the same order, as a
-    # generator, so that a caller looking for one solution stops at it.
+    # generator, so that the two-component criterion stops at its first
+    # witness.  It finds a prefix dead only at the last coordinate, so a
+    # caller that needs to know whether any solution exists counts them
+    # with _count_solutions instead of calling it.
     # The walk keeps its own stack: x[:k] is the fixed prefix, left[k] what
     # it leaves of target, and the last coordinate is solved for directly.
     r = len(weights)

@@ -26,12 +26,25 @@ check weighs each multiset t by its number of component subsets,
 prod_a C(count of a in the link, count of a in t).  The fully framed
 criterion (framed) adds the framed-knot bullets and walks no sublinks.
 
-Each public function validates its arguments once, through _as_link, the
-one place the rule 1 <= p_k < m - 2 is written (framed links use it too);
-_link_report(m, dims), the one cached core, and brunnian_rank take the
-validated integers and call only the unvalidated cores of liedim and fcs.
+Each public function validates its arguments once, through _as_link,
+which writes the rule 1 <= p_k < m - 2 (framed_rank and
+fully_framed_is_infinite call it too; framed.handlebody_report and
+framed.mcg_finite_index write the rule again, as they answer None outside
+it instead of raising); _link_report(m, dims), the one cached core, and
+brunnian_rank take the validated integers and call only the unvalidated
+cores of liedim and fcs.
+
 Every finiteness verdict is the `infinite` field of the report that holds
-the rank; the Brunnian one is decided and checked on first access.
+the rank; the Brunnian one is decided and checked on first access.  The
+criteria never read the Witt sums.  A Brunnian sublink of three or more
+components is infinite exactly when sum a_k x_k = m - 3 has a solution
+x >= 1, and liedim._count_solutions counts those solutions in
+O(r (m - 3)) steps without listing them.  One of two components is
+infinite when such a solution lies in the membership family of fcs, and
+the walk of liedim._solutions stops at the first one that does, after at
+most (m - 3) / a_1 values of x_1.  A link is infinite when one of its
+knot ranks is 1 or one of its fitting sublinks of two or more components
+is infinite.
 
 Independent checks raise InternalConsistencyError on a mismatch:
 
@@ -106,7 +119,8 @@ def _contributions(m, dims, lower, expected):
     shift = [0 if p else m - 2 for p in parities] if 0 < sum(parities) < len(dims) else None
     values = {}
     terms = []
-    for x in _solutions(weights, m - 3, bounds):
+    # a count of 0 skips the walk, which would visit every dead prefix
+    for x in (_solutions(weights, m - 3, bounds) if count else ()):
         key = tuple(sorted(x if shift is None else map(add, x, shift)))
         value = values.get(key)
         if value is None:
@@ -259,14 +273,14 @@ def brunnian_rank(m, dims):
 
 
 def _subsequence_infinite(weights, target):
-    # two components: a positive solution lying in the membership family;
-    # three or more: any positive solution at all.  Both stop at the first
-    # witness.  The family index m - p_k = a_k + 2 has the parity of a_k.
-    solutions = _solutions(weights, target, (1,) * len(weights))
-    if len(weights) == 2:
-        pi, pj = weights[0] % 2, weights[1] % 2
-        return any(_member(pi, pj, x, y) for x, y in solutions)
-    return next(solutions, None) is not None
+    # three or more components: any positive solution at all, counted;
+    # two: a positive solution lying in the membership family, walked up to
+    # the first witness.  The family index m - p_k = a_k + 2 has the parity
+    # of a_k.
+    if len(weights) > 2:
+        return _count_solutions(weights, target, (1,) * len(weights)) > 0
+    pi, pj = weights[0] % 2, weights[1] % 2
+    return any(_member(pi, pj, x, y) for x, y in _solutions(weights, target, (1, 1)))
 
 
 def brunnian_is_infinite(m, dims):

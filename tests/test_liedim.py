@@ -364,7 +364,8 @@ def test_weighted_dim_sums_checks_each_quotient(clear_caches, monkeypatch, fake)
 
 def test_solutions_are_lazy():
     # 12 letters of weight 1 in degree 60: far too many solutions to list;
-    # the finiteness criteria stop at the first one
+    # the generator hands out the first without the rest, as the
+    # two-component criterion needs to stop at its first witness
     solutions = _solutions((1,) * 12, 60, (1,) * 12)
     assert next(solutions) == (1,) * 11 + (49,)
 

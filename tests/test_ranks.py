@@ -128,9 +128,11 @@ def test_subset_decomposition_is_read_only():
 
 
 def test_contributions_walk_needs_no_deep_stack():
-    # 1100 components of weight 19 against target 37: no solution, and a
-    # walk recursing once per component would overflow the stack
-    assert link_rank(40, (19,) * 1100).contributions == ()
+    # 1099 components of weight 19 and one of weight 37 against target 37:
+    # one solution, found 1100 coordinates deep, and a walk recursing once
+    # per component would overflow the stack
+    assert link_rank(40, (19,) * 1099 + (1,)).contributions == (
+        ((0,) * 1099 + (1,), 0),)
 
 
 def test_contributions_and_decomposition_over_the_cap_are_refused():
@@ -217,7 +219,41 @@ def test_sweep_solves_each_sublink_once_per_longer_target(clear_caches, monkeypa
     assert 1 < max(solves.values()) <= len({m - 3 for m, _ in _SWEEP})
 
 
-def test_finiteness_examples():
+@pytest.fixture
+def no_walk_of_three(clear_caches, monkeypatch):
+    # the walk finds a prefix dead only at its last coordinate, so with no
+    # solution it can run for minutes; three or more weights must be counted
+    real = ranks._solutions
+
+    def walk(weights, target, lower_bounds):
+        if len(weights) >= 3:
+            raise AssertionError(f"walked the solutions for weights {weights}")
+        return real(weights, target, lower_bounds)
+
+    clear_caches()
+    monkeypatch.setattr(ranks, "_solutions", walk)
+    yield
+    clear_caches()
+
+
+@pytest.mark.parametrize("m, dims", [
+    (200, (196,) * 5), (200, (196,) * 6), (300, (296,) * 6), (120, (116,) * 8),
+])
+def test_links_without_a_solution_are_decided_without_a_walk(no_walk_of_three, m, dims):
+    # every weight even and m - 3 odd: no solution, rank 0, and no sublink
+    # of three or more components is walked
+    report = link_rank(m, dims)
+    assert (report.total_rank, report.infinite) == (0, False)
+
+
+def test_dead_brunnian_verdict_and_empty_details_take_no_walk(no_walk_of_three):
+    assert brunnian_rank(300, (296,) * 6).infinite is False
+    assert link_rank(300, (296,) * 6).contributions == ()
+    assert brunnian_rank(300, (296,) * 6).contributions == ()
+
+
+def test_finiteness_examples(no_walk_of_three):
+    # the three-component verdicts are counted, the two-component ones walked
     assert brunnian_is_infinite(8, (5, 5)) is False
     assert brunnian_is_infinite(8, (5, 5, 5)) is True
     assert brunnian_is_infinite(9, (6, 6)) is True
