@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .fcs import _parity, fcs_enumerate
@@ -63,7 +64,8 @@ def _json(payload):
 
 
 def _emit(fmt, payload, table, text):
-    """Print payload as JSON, table as CSV or text as lines; the only stdout writer."""
+    """Print payload as JSON, table as CSV or text (an iterable of lines) as
+    lines; the only stdout writer."""
     if fmt == "json":
         out = _json(payload) + "\n"
     elif fmt == "csv":
@@ -101,16 +103,17 @@ def _cmd_rank(args):
         text.append(f"brunnian rank: {brunnian}")
     text.append(f"infinite: {'yes' if infinite else 'no'}")
     if args.details:
+        # the term and subset lines are generators, formatted only when the
+        # text format prints them
         terms = report.contributions
         payload["contributions"] = terms
-        text.append("contributions:")
-        text += [f"  {x}: {value}" for x, value in terms]
+        text = chain(text, ["contributions:"], (f"  {x}: {value}" for x, value in terms))
         if not args.brunnian:
             split = {",".join(map(str, subset)): value
                      for subset, value in report.subset_decomposition.items()}
             payload["decomposition"] = split
-            text.append("decomposition:")
-            text += [f"  components {{{key}}}: {value}" for key, value in split.items()]
+            text = chain(text, ["decomposition:"],
+                         (f"  components {{{key}}}: {value}" for key, value in split.items()))
     _emit(args.format, payload, table, text)
 
 

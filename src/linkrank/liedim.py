@@ -37,6 +37,19 @@ the multinomial of x.  So the kernel computes one multinomial M and
   |x| dim(x) = M + the i > 1 terms of x,
   (|x| - 1) sum_k dim(x - e_k) = M + the i > 1 terms of each x - e_k.
 
+The solutions of sum a_k x_k = n with x >= the lower bounds are walked by
+_solutions in lexicographic order, pruned by reachability: _reach keeps,
+for each suffix of coordinates, the set of sums it can make as a bitset
+(the coin-problem table; Ramirez Alfonsin, The Diophantine Frobenius
+Problem, 2005), so the walk extends only prefixes that end in a solution,
+and it solves the last two coordinates together from one modular inverse.
+So its cost follows the solutions it lists, times at most target / a_k
+value tests at each coordinate it steps through, and not the number of
+dead prefixes, which can be exponential in r.
+_count_solutions counts the same solutions by a generating function that
+shares nothing with the walk or with the Witt sums, so the rank layer
+holds the walk to the count and the sum of its terms to the Witt sums.
+
 All arithmetic is exact.  Each of these numerators is asserted to be a
 nonnegative multiple of its denominator; a failure of that assertion is an
 internal bug, not bad input.
@@ -223,34 +236,83 @@ def enumerate_diophantine(weights, target, lower_bounds):
     return list(_solutions(weights, as_integer(target, "the target"), lower_bounds))
 
 
+def _reach(weights, target, lower_bounds):
+    # reach[k], for 1 <= k <= r - 2, is a bitset as an int: bit v is set when
+    # the coordinates k.. can add up to v <= target under their lower bounds
+    # (the coin-problem table of the suffix); the other entries are None, so
+    # r <= 2 builds nothing.  Each coordinate ors in its multiples of a_k by
+    # doubling the shift, O(log(target / a_k)) big-int steps.
+    r = len(weights)
+    reach = [None] * r
+    if r < 3:
+        return reach
+    mask = (1 << max(target + 1, 0)) - 1
+    bits = 1 & mask
+    for k in range(r - 1, 0, -1):
+        a = weights[k]
+        shift = a
+        while shift <= target:
+            bits = (bits | bits << shift) & mask
+            shift <<= 1
+        bits = bits << a * lower_bounds[k] & mask
+        if k < r - 1:
+            reach[k] = bits
+    return reach
+
+
 def _solutions(weights, target, lower_bounds):
     # The solutions of enumerate_diophantine, in the same order, as a
     # generator, so that the two-component criterion stops at its first
-    # witness.  It finds a prefix dead only at the last coordinate, so a
-    # caller that needs to know whether any solution exists counts them
-    # with _count_solutions instead of calling it.
-    # The walk keeps its own stack: x[:k] is the fixed prefix, left[k] what
-    # it leaves of target, and the last coordinate is solved for directly.
+    # witness.  Each coordinate k < r - 2 steps only to the values that
+    # leave a sum the coordinates after it can reach (_reach), and the last
+    # two are solved together, so every prefix the walk extends ends in a
+    # solution and its cost follows its output.
+    # The walk keeps its own stack: x[:k] is the fixed prefix and left[k]
+    # what it leaves of target.
     r = len(weights)
-    # tail_min[k] = least weight the coordinates from k on must consume
-    tail_min = [0] * (r + 1)
-    for k in range(r - 1, -1, -1):
-        tail_min[k] = tail_min[k + 1] + weights[k] * lower_bounds[k]
-    last = r - 1
+    if r == 1:
+        v, rest = divmod(target, weights[0])
+        if not rest and v >= lower_bounds[0]:
+            yield (v,)
+        return
+    # a u + b v = n for the last two: u is fixed mod b / g, and each step of
+    # u by stride = b / g lowers v by drop = a / g
+    last = r - 2
+    a, b = weights[last], weights[last + 1]
+    low_u, low_v = lower_bounds[last], lower_bounds[last + 1]
+    g = gcd(a, b)
+    stride, drop = b // g, a // g
+    inverse = pow(drop, -1, stride)
+    reach = _reach(weights, target, lower_bounds)
     x = list(lower_bounds)
-    left = [target] * r
+    left = [target] * (last + 1)
     k = 0
     while True:
         if k == last:
-            v, rest = divmod(left[k], weights[k])
-            if not rest and v >= lower_bounds[k]:
-                x[k] = v
-                yield tuple(x)
-        elif weights[k] * x[k] + tail_min[k + 1] <= left[k]:
-            left[k + 1] = left[k] - weights[k] * x[k]
-            k += 1
-            x[k] = lower_bounds[k]
-            continue
+            n = left[k]
+            # a u may use at most what the bound of v leaves
+            top = n - b * low_v
+            if not n % g and top >= a * low_u:
+                u = n // g * inverse % stride
+                if u < low_u:
+                    u += (low_u - u + stride - 1) // stride * stride
+                v = (n - a * u) // b
+                prefix = tuple(x[:last])
+                while a * u <= top:
+                    yield prefix + (u, v)
+                    u += stride
+                    v -= drop
+        else:
+            a_k, bits = weights[k], reach[k + 1]
+            rest = left[k] - a_k * x[k]
+            while rest >= 0 and not bits >> rest & 1:
+                rest -= a_k
+                x[k] += 1
+            if rest >= 0:
+                left[k + 1] = rest
+                k += 1
+                x[k] = lower_bounds[k]
+                continue
         # every value of coordinate k is spent: step the one before it
         k -= 1
         if k < 0:

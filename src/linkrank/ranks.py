@@ -41,10 +41,12 @@ components is infinite exactly when sum a_k x_k = m - 3 has a solution
 x >= 1, and liedim._count_solutions counts those solutions in
 O(r (m - 3)) steps without listing them.  One of two components is
 infinite when such a solution lies in the membership family of fcs, and
-the walk of liedim._solutions stops at the first one that does, after at
-most (m - 3) / a_1 values of x_1.  A link is infinite when one of its
-knot ranks is 1 or one of its fitting sublinks of two or more components
-is infinite.
+the walk of liedim._solutions stops at the first one that does.  For two
+weights the walk builds no table: it finds x_1 mod a_2 / gcd(a_1, a_2)
+from one modular inverse and then steps x_1 by that stride, so it visits
+only solutions, at most (m - 3) / lcm(a_1, a_2) + 1 of them.  A link is
+infinite when one of its knot ranks is 1 or one of its fitting sublinks
+of two or more components is infinite.
 
 Independent checks raise InternalConsistencyError on a mismatch:
 
@@ -119,7 +121,8 @@ def _contributions(m, dims, lower, expected):
     shift = [0 if p else m - 2 for p in parities] if 0 < sum(parities) < len(dims) else None
     values = {}
     terms = []
-    # a count of 0 skips the walk, which would visit every dead prefix
+    # a count of 0 lists nothing, so it skips the walk and its reachability
+    # table; a link with no solution is then decided by the count alone
     for x in (_solutions(weights, m - 3, bounds) if count else ()):
         key = tuple(sorted(x if shift is None else map(add, x, shift)))
         value = values.get(key)

@@ -160,6 +160,15 @@ PINNED = [
     # 31 465 terms, many of them with a divisor correction
     (["rank", "30", "27", "27", "27", "27", "27", "--details", "--format", "json"],
      Sha256("688275cdc830a5685c10d90f4797e3b2c8e08b7d670f7bd54e8169512e14f830")),
+    # the same terms as text lines, which are formatted lazily
+    (["rank", "30", "27", "27", "27", "27", "27", "--details"],
+     Sha256("26dedc142a9b130f62e56c38059eb70826060eca138b84dbd6aef5e5ebb1133d")),
+    # weights of both parities and three distinct values, so the walk steps
+    # its last two coordinates by a stride and classes mix parities
+    (["rank", "20", "17", "16", "15", "17", "--details"],
+     Sha256("756da08b889e169827cbb4c5593ca9d4b8130d7303bbd3596513a01a9bc523c3")),
+    (["rank", "20", "17", "16", "15", "17", "--details", "--format", "json"],
+     Sha256("f3d288df2796cfd0feaeaffb96c716d62c959d6b8fdee1d8fadd159fa31fc45a")),
 ]
 
 

@@ -1,9 +1,10 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from linkrank import liedim
 from linkrank.arith import multinomial
@@ -12,6 +13,7 @@ from linkrank.liedim import (
     _count_solutions,
     _dim,
     _multiplicity,
+    _reach,
     _solutions,
     enumerate_diophantine,
     lie_component_dim,
@@ -335,6 +337,101 @@ def test_solution_count_matches_the_walk(pairs, target):
     weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
     assert _count_solutions(weights, target, bounds) == len(
         list(_solutions(weights, target, bounds)))
+
+
+def unpruned_solutions(weights, target, lower_bounds):
+    # The reference for _solutions: a depth-first walk without a
+    # reachability table, which extends every prefix that leaves room for
+    # the bounds after it and finds a prefix dead only when it solves the
+    # last coordinate.
+    r = len(weights)
+    # tail_min[k] = least weight the coordinates from k on must consume
+    tail_min = [0] * (r + 1)
+    for k in range(r - 1, -1, -1):
+        tail_min[k] = tail_min[k + 1] + weights[k] * lower_bounds[k]
+    last = r - 1
+    x = list(lower_bounds)
+    left = [target] * r
+    k = 0
+    while True:
+        if k == last:
+            v, rest = divmod(left[k], weights[k])
+            if not rest and v >= lower_bounds[k]:
+                x[k] = v
+                yield tuple(x)
+        elif weights[k] * x[k] + tail_min[k + 1] <= left[k]:
+            left[k + 1] = left[k] - weights[k] * x[k]
+            k += 1
+            x[k] = lower_bounds[k]
+            continue
+        k -= 1
+        if k < 0:
+            return
+        x[k] += 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 1)), min_size=1, max_size=7),
+       st.integers(-3, 60))
+def test_pruned_walk_matches_the_unpruned_walk(pairs, target):
+    # the same tuples in the same order; cases whose unpruned walk would
+    # visit more than 20 000 prefixes of r - 1 coordinates are skipped (a
+    # slack coordinate of weight 1 counts the prefixes that fit in target)
+    weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    prefixes = _count_solutions(weights[:-1] + (1,), target - weights[-1] * bounds[-1],
+                                bounds[:-1] + (0,))
+    assume(prefixes <= 20_000)
+    assert list(_solutions(weights, target, bounds)) == list(
+        unpruned_solutions(weights, target, bounds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 1)), min_size=1, max_size=7),
+       st.integers(-3, 60))
+def test_reach_bits_are_the_reachable_sums(pairs, target):
+    # bit v of reach[k] is set exactly when the coordinates k.. add up to v
+    # under their bounds, for 1 <= k <= r - 2; the other entries are None
+    weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    r = len(weights)
+    reach = _reach(weights, target, bounds)
+    assert len(reach) == r
+    sums = {0}
+    for k in range(r - 1, 0, -1):
+        sums = {s + weights[k] * v for s in sums
+                for v in range(bounds[k], target // weights[k] + 1)
+                if s + weights[k] * v <= target}
+        if k < r - 1:
+            assert reach[k] == sum(1 << v for v in sums), k
+    assert reach[0] is None and reach[-1] is None
+
+
+def test_walk_extends_only_live_prefixes():
+    # A walk that extends dead prefixes still lists the right solutions, only
+    # slowly, so its work is counted, not timed: line events inside
+    # _solutions, stopped at about ten times the 7 000 the pruned walk takes
+    # here.  Six weights 2 and one 295 reach 297 only as 2 + 295, yet an
+    # unpruned walk would try the ~10^10 prefixes of the six weights 2.
+    code = liedim._solutions.__code__
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        if event == "line":
+            steps += 1
+            if steps > 70_000:
+                raise AssertionError("the walk passed 70 000 line events")
+        return count
+
+    def enter(frame, event, arg):
+        return count if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        found = list(_solutions((2,) * 6 + (295,), 297, (0,) * 7))
+    finally:
+        sys.settrace(previous)
+    assert found == [tuple(int(j == i) for j in range(6)) + (1,) for i in range(5, -1, -1)]
 
 
 @pytest.mark.parametrize("fake", [
