@@ -14,18 +14,17 @@ Subcommands:
 
 Every subcommand takes --format text|json|csv.  CSV is a header line and
 then rows; rank, framed, witt and stiefel give one row, with lists joined
-by spaces and an empty brunnian_rank for a one-component link.  Exit
+by spaces and an empty brunnian_rank for a one-component link.  json and
+csv are imported by the first call that writes that format, and fractions
+by the witt index parser, so a text-format call loads none of them.  Exit
 codes: 0 success, 2 invalid input, 3 resource limit exceeded, 1 internal
 consistency failure, 141 stdout closed early (a closed pipe).
 """
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
@@ -48,6 +47,7 @@ def _json(payload):
     line of the next key, which is at a two-space indent (every deeper key
     is indented further, and a JSON string holds no raw newline).
     """
+    import json
     rest = dict(payload)
     terms = rest.pop("contributions", None)
     out = json.dumps(rest, indent=2, sort_keys=True)
@@ -69,6 +69,7 @@ def _emit(fmt, payload, table, text):
     if fmt == "json":
         out = _json(payload) + "\n"
     elif fmt == "csv":
+        import csv
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(table)
         out = buffer.getvalue()
@@ -195,6 +196,7 @@ def _cmd_fcs(args):
 
 
 def _parse_rational(text):
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -11,8 +11,7 @@ link itself, m and the p_k, to ranks._as_link.  handlebody_report and
 mcg_finite_index check their own regime and answer None outside it.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError
@@ -38,8 +37,7 @@ def _as_framed(m, components):
     return m, dims, frames
 
 
-@dataclass(frozen=True)
-class FramedRankReport:
+class FramedRankReport(NamedTuple):
     m: int
     p: tuple
     l: tuple
@@ -113,8 +111,7 @@ def fully_framed_is_infinite(m, dims):
     return _fully_framed(*_as_link(m, dims)).infinite
 
 
-@dataclass(frozen=True)
-class HandlebodyReport:
+class HandlebodyReport(NamedTuple):
     """Findings for thickenings of a wedge of spheres and for embeddings of
     the corresponding handlebody, both in dimension m_plus_1.
 

@@ -55,7 +55,6 @@ nonnegative multiple of its denominator; a failure of that assertion is an
 internal bug, not bad input.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -108,6 +107,7 @@ def _exact_quotient(numerator, n, what, parities, x):
     # numerator / n, which must come out a nonnegative integer
     value, remainder = divmod(numerator, n)
     if remainder or value < 0:
+        from fractions import Fraction
         raise InternalConsistencyError(
             f"{what} gave {Fraction(numerator, n)} for parities {parities} "
             f"and multidegree {x}")
@@ -192,6 +192,7 @@ def witt(t, r):
             acc += mu * r ** (t // i)
     value, remainder = divmod(acc, t)
     if remainder or value < 0:
+        from fractions import Fraction
         raise InternalConsistencyError(f"necklace count gave {Fraction(acc, t)} for t={t}, r={r}")
     return value
 
@@ -204,6 +205,7 @@ def witt_super(t, s, r):
     For odd s and t congruent to 2 mod 4 the count picks up the extra
     witt(t/2, r) term coming from the odd part of the grading.
     """
+    from fractions import Fraction
     if not isinstance(t, Fraction):
         t = as_integer(t, "the degree t, unless a Fraction,")
     s = as_integer(s, "the parity carrier s")
@@ -402,6 +404,7 @@ def _solve_dim_sums(weights, n):
     for d in range(1, n + 1):
         value, remainder = divmod(b[d], d)
         if remainder or value < 0:
+            from fractions import Fraction
             raise InternalConsistencyError(
                 f"weight-graded Witt formula gave {Fraction(b[d], d)} in degree {d} "
                 f"for weights {weights}")

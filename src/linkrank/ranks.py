@@ -34,6 +34,10 @@ it instead of raising); _link_report(m, dims), the one cached core, and
 brunnian_rank take the validated integers and call only the unvalidated
 cores of liedim and fcs.
 
+A report is a read-only tuple of its fields (typing.NamedTuple); a
+subclass adds the attributes computed on first access as cached_property
+values, which live in the instance __dict__.
+
 Every finiteness verdict is the `infinite` field of the report that holds
 the rank; the Brunnian one is decided and checked on first access.  The
 criteria never read the Witt sums.  A Brunnian sublink of three or more
@@ -65,14 +69,12 @@ Independent checks raise InternalConsistencyError on a mismatch:
 * equal_dim_rank must agree with its one-weight closed form.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, prod
 from operator import add
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
@@ -141,12 +143,24 @@ def _contributions(m, dims, lower, expected):
     return terms
 
 
-@dataclass(frozen=True)
-class BrunnianRank:
+class _ReadOnly:
+    # cached_property writes into the instance __dict__ itself; every other
+    # assignment is refused, as _link_report hands one report to all callers
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class _BrunnianFields(NamedTuple):
     m: int
     p: tuple
     rank: int
 
+
+class BrunnianRank(_ReadOnly, _BrunnianFields):
     @cached_property
     def contributions(self):
         """((multidegree, multiplicity), ...) over the positive solutions,
@@ -167,8 +181,7 @@ class BrunnianRank:
         return verdict
 
 
-@dataclass(frozen=True)
-class RankReport:
+class _RankFields(NamedTuple):
     m: int
     p: tuple
     total_rank: int
@@ -176,6 +189,8 @@ class RankReport:
     knot_ranks: tuple
     infinite: bool
 
+
+class RankReport(_ReadOnly, _RankFields):
     @cached_property
     def subset_decomposition(self):
         """Read-only map from every nonempty 1-based component subset, by
@@ -347,6 +362,7 @@ def equal_dim_rank(m, p, r):
     p = dims[0]
     if p <= 1:
         raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={p}")
+    from fractions import Fraction
     s = m - p
     t = Fraction(m - 3, m - p - 2)
     c = _knot_rank(m, p)

@@ -71,6 +71,13 @@ def test_invalid_input_exits_two():
     assert run_cli("rank", "6").returncode == 2
 
 
+@pytest.mark.parametrize("t", ["1/0", "half"])
+def test_witt_rejects_a_non_rational_index(capsys, t):
+    assert cli.main(["witt", t, "3", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: expected an integer or a fraction a/b, got {t!r}\n")
+
+
 def test_oversized_oracle_range_exits_three():
     result = run_cli("oracle", "verify", "--max-r", "6", "--max-degree", "50",
                      "--max-letters", "1")

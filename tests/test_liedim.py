@@ -228,6 +228,35 @@ def test_multiplicity_checks_both_numerators(monkeypatch, x, error, what):
         _multiplicity((1, 0), x)
 
 
+def test_failed_quotient_checks_render_the_reduced_fraction(monkeypatch):
+    # each check formats numerator / denominator as a Fraction, imported
+    # only when the check fails; force each raise site once
+    def message(call, *args):
+        with pytest.raises(InternalConsistencyError) as info:
+            call(*args)
+        return str(info.value)
+
+    assert message(liedim._exact_quotient, 7, 2, "check", (1,), (7,)) == (
+        "check gave 7/2 for parities (1,) and multidegree (7,)")
+    assert message(liedim._exact_quotient, -6, 4, "check", (0,), (4,)) == (
+        "check gave -3/2 for parities (0,) and multidegree (4,)")
+    real = liedim._divisor_terms
+    monkeypatch.setattr(liedim, "_divisor_terms",
+                        lambda parities, y, g: real(parities, y, g) + 1)
+    assert message(_multiplicity, (1, 0), (2, 2)) == (
+        "dimension formula gave 9/4 for parities (1, 0) and multidegree (2, 2)")
+    assert message(_multiplicity, (1, 0), (3, 1)) == (
+        "the summed dimensions of the x - e_k gave 4/3 for parities (1, 0) "
+        "and multidegree (3, 1)")
+    monkeypatch.setattr(liedim, "_moebius", lambda i: 1)
+    assert message(witt, 4, 2) == "necklace count gave 11/2 for t=4, r=2"
+    # a remainder reported at d = 2, where b[2] = 2: the message shows 2/2 as 1
+    monkeypatch.setattr(liedim, "divmod", lambda a, b: (a // b, 1) if b == 2 else divmod(a, b),
+                        raising=False)
+    assert message(liedim._solve_dim_sums, (1,), 3) == (
+        "weight-graded Witt formula gave 1 in degree 2 for weights (1,)")
+
+
 def test_witt_values():
     assert witt(1, 5) == 5
     assert witt(2, 2) == 1

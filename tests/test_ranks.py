@@ -1,11 +1,13 @@
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from linkrank import liedim, ranks
 from linkrank.errors import InvalidInputError, ResourceLimitError
+from linkrank.framed import framed_rank, handlebody_report
 from linkrank.ranks import (
     brunnian_is_infinite,
     brunnian_rank,
@@ -24,6 +26,42 @@ def test_link_problem_validation():
         link_rank(6, (0, 3))
     with pytest.raises(InvalidInputError):
         link_rank(6, ())
+
+
+@pytest.mark.parametrize("make, text, cached", [
+    (lambda: link_rank(6, (3, 3)),
+     "RankReport(m=6, p=(3, 3), total_rank=4, brunnian_rank=2, knot_ranks=(1, 1), "
+     "infinite=True)", ("contributions", "subset_decomposition")),
+    (lambda: brunnian_rank(6, (3, 3)),
+     "BrunnianRank(m=6, p=(3, 3), rank=2)", ("contributions", "infinite")),
+    (lambda: framed_rank(6, ((3, 3),)),
+     "FramedRankReport(m=6, p=(3,), l=(3,), total_rank=2, link_report=RankReport("
+     "m=6, p=(3,), total_rank=1, brunnian_rank=None, knot_ranks=(1,), infinite=True), "
+     "stiefel_ranks=(1,), infinite=True)", ()),
+    (lambda: handlebody_report(9, (6, 6)),
+     "HandlebodyReport(m_plus_1=9, handle_dims=(6, 6), weak_conditions_hold=True, "
+     "strict_conditions_hold=True, sets_finite=True, group_rank=0)", ()),
+], ids=["RankReport", "BrunnianRank", "FramedRankReport", "HandlebodyReport"])
+def test_report_contract(clear_caches, make, text, cached):
+    # a report is read-only: link_rank hands one cached report to every
+    # caller, and each attribute cached on first access is handed out as is
+    report = make()
+    assert repr(report) == text
+    clear_caches()
+    assert make() == report
+    for name in report._fields + ("note",):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    for name in cached:
+        value = getattr(report, name)
+        assert getattr(report, name) is value
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+        assert getattr(report, name) is value
+    if "subset_decomposition" in cached:
+        assert isinstance(report.subset_decomposition, MappingProxyType)
 
 
 def test_link_problem_rejects_non_integers():
