@@ -41,7 +41,7 @@ from itertools import product
 from math import comb, gcd
 from typing import NamedTuple
 
-from .arith import _multinomial, as_integer
+from .arith import _multinomial, as_integer, as_integers
 from .errors import InvalidInputError, ResourceLimitError
 from .liedim import _as_multidegree, _as_weights, _dim, _multiplicity, _parities
 
@@ -71,16 +71,27 @@ def _check_size(x, budget):
 
 
 def _check_letters(words, parities):
+    # the parities as a tuple of ints, once every word is a tuple of int
+    # letters in range(len(parities))
+    parities = as_integers(parities, "a parity", "parities")
     for word in words:
+        if not isinstance(word, tuple):
+            raise InvalidInputError(f"a word must be a tuple of letters, got {word!r}")
         for k in word:
             if not 0 <= as_integer(k, "a letter") < len(parities):
                 raise InvalidInputError(
                     f"letter {k!r} of the word {word!r} is not in range({len(parities)})")
+    return parities
 
 
 def super_bracket(u, v, parities):
     """Supercommutator of two polynomials (dicts word -> coefficient)."""
-    _check_letters([*u, *v], parities)
+    for poly in (u, v):
+        if not isinstance(poly, dict):
+            raise InvalidInputError(
+                f"a polynomial must be a dict word -> coefficient, got {poly!r}")
+        as_integers(poly.values(), "a coefficient", "coefficients")
+    parities = _check_letters([*u, *v], parities)
     odd = {w: sum(parities[k] for k in w) % 2 for w in [*u, *v]}
     out = {}
     for wu, cu in u.items():
@@ -109,11 +120,10 @@ def _bracket_step(u, letter, odd):
 
 def left_normed_bracket(word, parities):
     """[[...[[P_w0, P_w1], P_w2], ...], P_wn] as a polynomial."""
-    word = tuple(word)
+    word = as_integers(word, "a letter", "a word")
     if not word:
         raise InvalidInputError("the empty word has no bracket")
-    _check_letters((word,), parities)
-    parities = tuple(p % 2 for p in parities)
+    parities = tuple(p % 2 for p in _check_letters((word,), parities))
     poly, parity = {word[:1]: 1}, parities[word[0]]
     for k in word[1:]:
         poly = _bracket_step(poly, k, parity & parities[k])

@@ -34,12 +34,15 @@ it instead of raising); _link_report(m, dims), the one cached core, and
 brunnian_rank take the validated integers and call only the unvalidated
 cores of liedim and fcs.
 
-A report is a read-only tuple of its fields (typing.NamedTuple); a
-subclass adds the attributes computed on first access as cached_property
-values, which live in the instance __dict__.
+A report is a typing.NamedTuple of its fields and holds nothing else: it
+is immutable, compares and pickles as its fields, and _link_report can
+hand one to every caller.  Its listings (contributions,
+subset_decomposition) and the Brunnian verdict are properties computed on
+each read; none is kept, so a caller that reads a listing twice keeps its
+own copy.
 
-Every finiteness verdict is the `infinite` field of the report that holds
-the rank; the Brunnian one is decided and checked on first access.  The
+Every finiteness verdict is the `infinite` attribute of the report that
+holds the rank; the Brunnian one is decided and checked on each read.  The
 criteria never read the Witt sums.  A Brunnian sublink of three or more
 components is infinite exactly when sum a_k x_k = m - 3 has a solution
 x >= 1, and liedim._count_solutions counts those solutions in
@@ -55,7 +58,7 @@ of two or more components is infinite.
 Independent checks raise InternalConsistencyError on a mismatch:
 
 * the per-multidegree terms (`contributions`) are counted by a generating
-  function, refused over _MAX_TERMS, and enumerated on first access, each
+  function, refused over _MAX_TERMS, and enumerated on each read, each
   listed with its own x; the multiplicity is computed once per parity class
   (the x that differ by swapping entries at coordinates whose weights have
   one parity), with its two exact-quotient checks, and every member of the
@@ -69,7 +72,7 @@ Independent checks raise InternalConsistencyError on a mismatch:
 * equal_dim_rank must agree with its one-weight closed form.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 from operator import add
@@ -143,35 +146,22 @@ def _contributions(m, dims, lower, expected):
     return terms
 
 
-class _ReadOnly:
-    # cached_property writes into the instance __dict__ itself; every other
-    # assignment is refused, as _link_report hands one report to all callers
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    __delattr__ = __setattr__
-
-
-class _BrunnianFields(NamedTuple):
+class BrunnianRank(NamedTuple):
     m: int
     p: tuple
     rank: int
 
-
-class BrunnianRank(_ReadOnly, _BrunnianFields):
-    @cached_property
+    @property
     def contributions(self):
         """((multidegree, multiplicity), ...) over the positive solutions,
-        enumerated on first access and checked against rank; refused with
+        enumerated on each read and checked against rank; refused with
         ResourceLimitError when there are more than _MAX_TERMS."""
         return _contributions(self.m, self.p, 1, self.rank)
 
-    @cached_property
+    @property
     def infinite(self):
-        """Finiteness verdict from the solvability criterion, decided on first
-        access and checked against rank."""
+        """Finiteness verdict from the solvability criterion, decided on each
+        read and checked against rank."""
         verdict = _subsequence_infinite(
             tuple(sorted(self.m - v - 2 for v in self.p)), self.m - 3)
         if verdict != (self.rank > 0):
@@ -181,7 +171,7 @@ class BrunnianRank(_ReadOnly, _BrunnianFields):
         return verdict
 
 
-class _RankFields(NamedTuple):
+class RankReport(NamedTuple):
     m: int
     p: tuple
     total_rank: int
@@ -189,13 +179,11 @@ class _RankFields(NamedTuple):
     knot_ranks: tuple
     infinite: bool
 
-
-class RankReport(_ReadOnly, _RankFields):
-    @cached_property
+    @property
     def subset_decomposition(self):
         """Read-only map from every nonempty 1-based component subset, by
         size and then lexicographically, to its Brunnian rank (its knot
-        rank for a single component), built on first access.  Refused with
+        rank for a single component), built on each read.  Refused with
         ResourceLimitError when there are more than _MAX_TERMS subsets."""
         subsets = 2 ** len(self.p) - 1
         if subsets > _MAX_TERMS:
@@ -212,10 +200,10 @@ class RankReport(_ReadOnly, _RankFields):
                     else ranks.get(tuple(sorted(weights[k] for k in subset)), 0))
         return MappingProxyType(split)
 
-    @cached_property
+    @property
     def contributions(self):
-        """((multidegree, multiplicity), ...) over x >= 0, enumerated on first
-        access and checked against total_rank; refused with
+        """((multidegree, multiplicity), ...) over x >= 0, enumerated on each
+        read and checked against total_rank; refused with
         ResourceLimitError when there are more than _MAX_TERMS."""
         expected = (self.total_rank - sum(self.knot_ranks)
                     + sum(_delta(self.m, v) for v in self.p))

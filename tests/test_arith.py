@@ -4,12 +4,13 @@ import pytest
 
 from linkrank.arith import as_integer, divisors, moebius, multinomial
 from linkrank.errors import InvalidInputError
-from linkrank.fcs import fcs_contains
+from linkrank.fcs import fcs_contains, fcs_enumerate
 from linkrank.framed import (framed_knot_is_infinite, framed_rank, fully_framed_is_infinite,
                              handlebody_report, mcg_finite_index)
 from linkrank.liedim import (enumerate_diophantine, lie_component_dim, multiplicity, witt,
                              witt_super)
-from linkrank.oracle import component_dim_bruteforce, verify_range
+from linkrank.oracle import (component_dim_bruteforce, left_normed_bracket, super_bracket,
+                             verify_range)
 from linkrank.ranks import brunnian_rank, link_rank
 from linkrank.stiefel import so_rank, stiefel_rank
 
@@ -115,6 +116,34 @@ def test_as_integer_rejects_non_integers():
                  lambda: moebius(6.0),
                  lambda: moebius("6"),
                  lambda: multinomial([1.5, 2]),
-                 lambda: multinomial([True, 2])):
+                 lambda: multinomial([True, 2]),
+                 # oracle brackets that used to raise a bare TypeError or
+                 # AttributeError
+                 lambda: left_normed_bracket((0,), "3"),
+                 lambda: left_normed_bracket(None, (1,)),
+                 lambda: left_normed_bracket((0,), ((3, 3),)),
+                 lambda: super_bracket((), (), (1,)),
+                 lambda: super_bracket({(0,): 1}, {(1,): 1}, None),
+                 lambda: super_bracket({(0,): "a"}, {(1,): 1}, (1, 1)),
+                 lambda: super_bracket({frozenset({0}): 1}, {(1,): 1}, (1, 1))):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
+def test_entry_points_reject_out_of_range_values():
+    # integers of the right shape outside the domain of the entry point
+    for call in (lambda: divisors(0),
+                 lambda: fcs_enumerate("odd", "even", 0, 5),
+                 lambda: handlebody_report(9, ()),
+                 lambda: handlebody_report(9, (0, 6)),
+                 lambda: mcg_finite_index(8, ()),
+                 lambda: lie_component_dim((1, 2), (1,)),
+                 lambda: witt(0, 2),
+                 lambda: witt_super(2, 0, 2),
+                 lambda: enumerate_diophantine((1, 2), 3, (1,)),
+                 lambda: component_dim_bruteforce((1,), (1,), budget=0),
+                 lambda: component_dim_bruteforce((1,), (-1,)),
+                 lambda: left_normed_bracket((), (1,)),
+                 lambda: verify_range(0, 1, 1)):
         with pytest.raises(InvalidInputError):
             call()

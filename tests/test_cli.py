@@ -78,6 +78,15 @@ def test_witt_rejects_a_non_rational_index(capsys, t):
         f"error: expected an integer or a fraction a/b, got {t!r}\n")
 
 
+@pytest.mark.parametrize("component, message", [
+    ("5", "framed component must look like p:l, got '5'"),
+    ("a:3", "framed component must be two integers p:l, got 'a:3'"),
+])
+def test_framed_rejects_a_malformed_component(capsys, component, message):
+    assert cli.main(["framed", "8", component]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_oversized_oracle_range_exits_three():
     result = run_cli("oracle", "verify", "--max-r", "6", "--max-degree", "50",
                      "--max-letters", "1")

@@ -129,3 +129,5 @@ def test_mcg_verdicts():
     assert mcg_finite_index(8, (5, 5, 5)) is False
     assert mcg_finite_index(4, (2, 2)) is None
     assert mcg_finite_index(9, (3, 5)) is None
+    # every p >= m // 2, but 6 breaks the codimension rule p < m - 2
+    assert mcg_finite_index(8, (6, 5)) is None

@@ -1,4 +1,8 @@
+import copy
+import gc
 import itertools
+import pickle
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 from types import MappingProxyType
@@ -28,7 +32,10 @@ def test_link_problem_validation():
         link_rank(6, ())
 
 
-@pytest.mark.parametrize("make, text, cached", [
+_DUPLICATES = (lambda report: pickle.loads(pickle.dumps(report)), copy.deepcopy)
+
+
+@pytest.mark.parametrize("make, text, computed", [
     (lambda: link_rank(6, (3, 3)),
      "RankReport(m=6, p=(3, 3), total_rank=4, brunnian_rank=2, knot_ranks=(1, 1), "
      "infinite=True)", ("contributions", "subset_decomposition")),
@@ -42,9 +49,10 @@ def test_link_problem_validation():
      "HandlebodyReport(m_plus_1=9, handle_dims=(6, 6), weak_conditions_hold=True, "
      "strict_conditions_hold=True, sets_finite=True, group_rank=0)", ()),
 ], ids=["RankReport", "BrunnianRank", "FramedRankReport", "HandlebodyReport"])
-def test_report_contract(clear_caches, make, text, cached):
-    # a report is read-only: link_rank hands one cached report to every
-    # caller, and each attribute cached on first access is handed out as is
+def test_report_contract(clear_caches, make, text, computed):
+    # a report is read-only, as link_rank hands one cached report to every
+    # caller; each computed attribute is built again on every read, equal
+    # each time, and the report pickles and deep-copies as its fields
     report = make()
     assert repr(report) == text
     clear_caches()
@@ -52,16 +60,62 @@ def test_report_contract(clear_caches, make, text, cached):
     for name in report._fields + ("note",):
         with pytest.raises(AttributeError):
             setattr(report, name, None)
-    for name in cached:
+    for name in computed:
         value = getattr(report, name)
-        assert getattr(report, name) is value
+        assert getattr(report, name) == value
         with pytest.raises(AttributeError):
             setattr(report, name, None)
         with pytest.raises(AttributeError):
             delattr(report, name)
-        assert getattr(report, name) is value
-    if "subset_decomposition" in cached:
+        assert getattr(report, name) == value
+    for duplicate in _DUPLICATES:
+        assert duplicate(report) == report
+    if "subset_decomposition" in computed:
         assert isinstance(report.subset_decomposition, MappingProxyType)
+
+
+def _read_every_attribute(report):
+    # every public attribute, computed ones included, and those of a report
+    # that is a field of this one
+    for name in dir(report):
+        if not name.startswith("_"):
+            value = getattr(report, name)
+            if hasattr(value, "_fields"):
+                _read_every_attribute(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: link_rank(6, (3, 3)),
+    lambda: brunnian_rank(6, (3, 3)),
+    lambda: framed_rank(8, ((5, 3), (5, 3))),
+    lambda: handlebody_report(9, (6, 6)),
+], ids=["RankReport", "BrunnianRank", "FramedRankReport", "HandlebodyReport"])
+def test_a_read_report_still_pickles_and_copies(make):
+    # a read leaves nothing behind on the report: it holds its fields only
+    report = make()
+    _read_every_attribute(report)
+    assert not hasattr(report, "__dict__")
+    for duplicate in _DUPLICATES:
+        assert duplicate(report) == report
+
+
+def test_the_report_cache_keeps_no_listing(clear_caches):
+    # link_rank caches its reports, so a listing kept on a report would live
+    # as long as the cache: (30; 27^5) alone lists 31 465 terms
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for m in range(30, 35):
+            report = link_rank(m, (m - 3,) * 5)
+            report.contributions, report.subset_decomposition
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, f"{held} bytes stay traced"
 
 
 def test_link_problem_rejects_non_integers():
@@ -157,8 +211,7 @@ def test_subset_decomposition_sums_to_total():
 
 
 def test_subset_decomposition_is_read_only():
-    # the report is cached: a caller writing into it would change every
-    # later answer for the same problem
+    # a report is immutable, and so is the mapping it lists
     report = link_rank(6, (3, 3))
     with pytest.raises(TypeError):
         report.subset_decomposition[(1,)] = 99
@@ -195,12 +248,10 @@ def test_contributions_and_decomposition_over_the_cap_are_refused():
     (lambda: link_rank(6, (3, 3)).subset_decomposition, 3),
 ], ids=["contributions", "brunnian contributions", "decomposition"])
 def test_the_cap_admits_exactly_its_size(monkeypatch, read, size):
-    # a report keeps what it has listed, so each cap reads a fresh one
+    # each read lists afresh, so a cached report is held to the cap in force
     monkeypatch.setattr(ranks, "_MAX_TERMS", size)
-    ranks._link_report.cache_clear()
     assert len(read()) == size
     monkeypatch.setattr(ranks, "_MAX_TERMS", size - 1)
-    ranks._link_report.cache_clear()
     with pytest.raises(ResourceLimitError, match=f"over the cap of {size - 1}"):
         read()
 
