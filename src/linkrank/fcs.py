@@ -7,7 +7,12 @@ The families are given by explicit congruence bullets; the equivalence
 """
 
 from .arith import as_integer
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
+
+# the most points fcs_enumerate tests: a 500 x 500 box takes 0.11-0.13 s
+# in-process and 0.6 s (text) to 1.7 s (json) through `linkrank fcs` on
+# Python 3.11, 2-core x86-64 VM
+_MAX_BOX = 250_000
 
 
 def _parity(value):
@@ -72,12 +77,17 @@ def _member(pi, pj, x, y):
 def fcs_enumerate(i, j, x_max, y_max):
     """All member points in the box 1 <= x <= x_max, 1 <= y <= y_max,
     in lexicographic order, for the family indexed by the parities of
-    (i, j) as in fcs_contains."""
+    (i, j) as in fcs_contains.  Refused with ResourceLimitError when the
+    box holds more than _MAX_BOX points."""
     x_max = as_integer(x_max, "the box bound x_max")
     y_max = as_integer(y_max, "the box bound y_max")
     if x_max < 1 or y_max < 1:
         raise InvalidInputError(f"box bounds must be >= 1, got ({x_max}, {y_max})")
     pi, pj = _parity(i), _parity(j)
+    if x_max * y_max > _MAX_BOX:
+        raise ResourceLimitError(
+            f"the box {x_max} x {y_max} holds {x_max * y_max} points, "
+            f"over the cap of {_MAX_BOX}")
     return [
         (x, y)
         for x in range(1, x_max + 1)

@@ -169,12 +169,12 @@ def handlebody_report(m_plus_1, handle_dims):
     )
 
 
-def mcg_finite_index(m, p):
+def mcg_finite_index(m, dims):
     """Whether the image of the relevant mapping class group action has
     finite index: True/False inside the applicable regime (m >= 5 and every
     component dimension at least floor(m/2)), None when inconclusive."""
     m = as_integer(m, "the ambient dimension")
-    dims = as_integers(p, "a component dimension", "component dimensions")
+    dims = as_integers(dims, "a component dimension", "component dimensions")
     if not dims:
         raise InvalidInputError("need at least one component")
     if m < 5 or any(v < m // 2 for v in dims):

@@ -37,18 +37,25 @@ the multinomial of x.  So the kernel computes one multinomial M and
   |x| dim(x) = M + the i > 1 terms of x,
   (|x| - 1) sum_k dim(x - e_k) = M + the i > 1 terms of each x - e_k.
 
-The solutions of sum a_k x_k = n with x >= the lower bounds are walked by
-_solutions in lexicographic order, pruned by reachability: _reach keeps,
-for each suffix of coordinates, the set of sums it can make as a bitset
-(the coin-problem table; Ramirez Alfonsin, The Diophantine Frobenius
-Problem, 2005), so the walk extends only prefixes that end in a solution,
-and it solves the last two coordinates together from one modular inverse.
-So its cost follows the solutions it lists, times at most target / a_k
-value tests at each coordinate it steps through, and not the number of
-dead prefixes, which can be exponential in r.
-_count_solutions counts the same solutions by a generating function that
-shares nothing with the walk or with the Witt sums, so the rank layer
-holds the walk to the count and the sum of its terms to the Witt sums.
+The Diophantine cores _solutions, _reach and _count_solutions take
+(weights, target) and solve sum a_k x_k = target for x >= 0 only; a
+negative target has no solution.  A lower bound L is one change of
+variables at the caller: the solutions x >= L are x = y + L for the
+solutions y >= 0 at target - sum a_k L_k.  So enumerate_diophantine
+shifts by its per-coordinate bounds, and the rank layer by 1 for x >= 1.
+
+_solutions walks the solutions in lexicographic order, pruned by
+reachability: _reach keeps, for each suffix of coordinates, the set of
+sums it can make as a bitset (the coin-problem table; Ramirez Alfonsin,
+The Diophantine Frobenius Problem, 2005), so the walk extends only
+prefixes that end in a solution, and it solves the last two coordinates
+together from one modular inverse.  So its cost follows the solutions it
+lists, times at most target / a_k value tests at each coordinate it steps
+through, and not the number of dead prefixes, which can be exponential
+in r.  _count_solutions counts the same solutions by a generating
+function that shares nothing with the walk or with the Witt sums, so the
+rank layer holds the walk to the count and the sum of its terms to the
+Witt sums.
 
 All arithmetic is exact.  Each of these numerators is asserted to be a
 nonnegative multiple of its denominator; a failure of that assertion is an
@@ -57,6 +64,7 @@ internal bug, not bad input.
 
 from functools import lru_cache
 from math import gcd
+from operator import add, mul
 
 from .arith import _divisors, _moebius, _multinomial, as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError
@@ -235,15 +243,17 @@ def enumerate_diophantine(weights, target, lower_bounds):
             f"{len(lower_bounds)} lower bounds for {len(weights)} weights")
     if any(b not in (0, 1) for b in lower_bounds):
         raise InvalidInputError(f"lower bounds must each be 0 or 1, got {lower_bounds}")
-    return list(_solutions(weights, as_integer(target, "the target"), lower_bounds))
+    # x = y + lower_bounds, for the solutions y >= 0 of what the bounds leave
+    target = as_integer(target, "the target") - sum(map(mul, weights, lower_bounds))
+    return [tuple(map(add, y, lower_bounds)) for y in _solutions(weights, target)]
 
 
-def _reach(weights, target, lower_bounds):
+def _reach(weights, target):
     # reach[k], for 1 <= k <= r - 2, is a bitset as an int: bit v is set when
-    # the coordinates k.. can add up to v <= target under their lower bounds
-    # (the coin-problem table of the suffix); the other entries are None, so
-    # r <= 2 builds nothing.  Each coordinate ors in its multiples of a_k by
-    # doubling the shift, O(log(target / a_k)) big-int steps.
+    # the coordinates k.. can add up to v <= target (the coin-problem table
+    # of the suffix); the other entries are None, so r <= 2 builds nothing.
+    # Each coordinate ors in its multiples of a_k by doubling the shift,
+    # O(log(target / a_k)) big-int steps.
     r = len(weights)
     reach = [None] * r
     if r < 3:
@@ -251,56 +261,52 @@ def _reach(weights, target, lower_bounds):
     mask = (1 << max(target + 1, 0)) - 1
     bits = 1 & mask
     for k in range(r - 1, 0, -1):
-        a = weights[k]
-        shift = a
+        shift = weights[k]
         while shift <= target:
             bits = (bits | bits << shift) & mask
             shift <<= 1
-        bits = bits << a * lower_bounds[k] & mask
         if k < r - 1:
             reach[k] = bits
     return reach
 
 
-def _solutions(weights, target, lower_bounds):
-    # The solutions of enumerate_diophantine, in the same order, as a
-    # generator, so that the two-component criterion stops at its first
-    # witness.  Each coordinate k < r - 2 steps only to the values that
-    # leave a sum the coordinates after it can reach (_reach), and the last
-    # two are solved together, so every prefix the walk extends ends in a
-    # solution and its cost follows its output.
+def _solutions(weights, target):
+    # The solutions x >= 0 of sum(a_k x_k) = target in lexicographic order,
+    # as a generator, so that the two-component criterion stops at its first
+    # witness; a negative target has none.  Each coordinate k < r - 2 steps
+    # only to the values that leave a sum the coordinates after it can reach
+    # (_reach), and the last two are solved together, so every prefix the
+    # walk extends ends in a solution and its cost follows its output.
     # The walk keeps its own stack: x[:k] is the fixed prefix and left[k]
     # what it leaves of target.
     r = len(weights)
+    if target < 0:
+        return
     if r == 1:
         v, rest = divmod(target, weights[0])
-        if not rest and v >= lower_bounds[0]:
+        if not rest:
             yield (v,)
         return
-    # a u + b v = n for the last two: u is fixed mod b / g, and each step of
-    # u by stride = b / g lowers v by drop = a / g
+    # a u + b v = n for the last two: u is fixed mod b / g, its least value
+    # is found from one modular inverse, and each step of u by stride = b / g
+    # lowers v by drop = a / g
     last = r - 2
     a, b = weights[last], weights[last + 1]
-    low_u, low_v = lower_bounds[last], lower_bounds[last + 1]
     g = gcd(a, b)
     stride, drop = b // g, a // g
     inverse = pow(drop, -1, stride)
-    reach = _reach(weights, target, lower_bounds)
-    x = list(lower_bounds)
+    reach = _reach(weights, target)
+    x = [0] * r
     left = [target] * (last + 1)
     k = 0
     while True:
         if k == last:
             n = left[k]
-            # a u may use at most what the bound of v leaves
-            top = n - b * low_v
-            if not n % g and top >= a * low_u:
+            if not n % g:
                 u = n // g * inverse % stride
-                if u < low_u:
-                    u += (low_u - u + stride - 1) // stride * stride
                 v = (n - a * u) // b
                 prefix = tuple(x[:last])
-                while a * u <= top:
+                while v >= 0:
                     yield prefix + (u, v)
                     u += stride
                     v -= drop
@@ -313,7 +319,7 @@ def _solutions(weights, target, lower_bounds):
             if rest >= 0:
                 left[k + 1] = rest
                 k += 1
-                x[k] = lower_bounds[k]
+                x[k] = 0
                 continue
         # every value of coordinate k is spent: step the one before it
         k -= 1
@@ -322,18 +328,17 @@ def _solutions(weights, target, lower_bounds):
         x[k] += 1
 
 
-def _count_solutions(weights, target, lower_bounds):
+def _count_solutions(weights, target):
     # The number of solutions _solutions walks, without walking them: the
-    # coefficient of t^n in prod_k 1/(1 - t^(a_k)), where n is what the lower
-    # bounds leave of target, in O(r n) integer steps.
-    n = target - sum(a * b for a, b in zip(weights, lower_bounds))
-    if n < 0:
+    # coefficient of t^target in prod_k 1/(1 - t^(a_k)), in O(r target)
+    # integer steps.
+    if target < 0:
         return 0
-    ways = [1] + [0] * n
+    ways = [1] + [0] * target
     for a in weights:
-        for t in range(a, n + 1):
+        for t in range(a, target + 1):
             ways[t] += ways[t - a]
-    return ways[n]
+    return ways[target]
 
 
 def weighted_dim_sums(weights, n):

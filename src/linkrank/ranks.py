@@ -45,15 +45,16 @@ Every finiteness verdict is the `infinite` attribute of the report that
 holds the rank; the Brunnian one is decided and checked on each read.  The
 criteria never read the Witt sums.  A Brunnian sublink of three or more
 components is infinite exactly when sum a_k x_k = m - 3 has a solution
-x >= 1, and liedim._count_solutions counts those solutions in
-O(r (m - 3)) steps without listing them.  One of two components is
-infinite when such a solution lies in the membership family of fcs, and
-the walk of liedim._solutions stops at the first one that does.  For two
-weights the walk builds no table: it finds x_1 mod a_2 / gcd(a_1, a_2)
-from one modular inverse and then steps x_1 by that stride, so it visits
-only solutions, at most (m - 3) / lcm(a_1, a_2) + 1 of them.  A link is
-infinite when one of its knot ranks is 1 or one of its fitting sublinks
-of two or more components is infinite.
+x >= 1.  The cores of liedim solve y >= 0 only, so the criteria ask for
+y = x - 1 in degree n = m - 3 - sum a_k: liedim._count_solutions counts
+those solutions in O(r n) steps without listing them.  One of two
+components is infinite when some x = y + 1 lies in the membership family
+of fcs, and the walk of liedim._solutions stops at the first y that
+does.  For two weights the walk builds no table: it finds y_1 mod
+a_2 / gcd(a_1, a_2) from one modular inverse and then steps y_1 by that
+stride, so it visits only solutions, at most n / lcm(a_1, a_2) + 1 of
+them.  A link is infinite when one of its knot ranks is 1 or one of its
+fitting sublinks of two or more components is infinite.
 
 Independent checks raise InternalConsistencyError on a mismatch:
 
@@ -110,10 +111,11 @@ def _as_link(m, dims):
 def _contributions(m, dims, lower, expected):
     # (x, multiplicity) over the solutions x >= lower of sum(a_k x_k) = m - 3,
     # counted before they are enumerated, and checked against the count and
-    # the closed-form sum
+    # the closed-form sum; they are x = y + lower for the solutions y >= 0
+    # in degree n = m - 3 - lower * sum(a_k)
     weights = tuple(m - v - 2 for v in dims)
-    bounds = (lower,) * len(dims)
-    count = _count_solutions(weights, m - 3, bounds)
+    n = m - 3 - lower * sum(weights)
+    count = _count_solutions(weights, n)
     if count > _MAX_TERMS:
         raise ResourceLimitError(
             f"m={m}, p={dims} has {count} contributions, over the cap of {_MAX_TERMS}")
@@ -128,7 +130,8 @@ def _contributions(m, dims, lower, expected):
     terms = []
     # a count of 0 lists nothing, so it skips the walk and its reachability
     # table; a link with no solution is then decided by the count alone
-    for x in (_solutions(weights, m - 3, bounds) if count else ()):
+    for y in (_solutions(weights, n) if count else ()):
+        x = tuple(v + lower for v in y) if lower else y
         key = tuple(sorted(x if shift is None else map(add, x, shift)))
         value = values.get(key)
         if value is None:
@@ -281,12 +284,14 @@ def brunnian_rank(m, dims):
 def _subsequence_infinite(weights, target):
     # three or more components: any positive solution at all, counted;
     # two: a positive solution lying in the membership family, walked up to
-    # the first witness.  The family index m - p_k = a_k + 2 has the parity
-    # of a_k.
+    # the first witness.  A positive solution is x = y + 1 for a solution
+    # y >= 0 in degree target - sum(a_k).  The family index m - p_k = a_k + 2
+    # has the parity of a_k.
+    target -= sum(weights)
     if len(weights) > 2:
-        return _count_solutions(weights, target, (1,) * len(weights)) > 0
+        return _count_solutions(weights, target) > 0
     pi, pj = weights[0] % 2, weights[1] % 2
-    return any(_member(pi, pj, x, y) for x, y in _solutions(weights, target, (1, 1)))
+    return any(_member(pi, pj, x + 1, y + 1) for x, y in _solutions(weights, target))
 
 
 def brunnian_is_infinite(m, dims):

@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkrank import cli
+from linkrank import cli, fcs
 from linkrank.oracle import VerificationRecord, VerificationReport
 from linkrank.ranks import link_rank
 
@@ -92,6 +92,17 @@ def test_oversized_oracle_range_exits_three():
                      "--max-letters", "1")
     assert result.returncode == 3
     assert b"more than 380050 (system, multidegree) pairs" in result.stderr
+
+
+def test_fcs_over_the_box_cap_exits_three(capsys, monkeypatch):
+    def member(*args):
+        raise AssertionError("a point of an over-cap box was tested")
+
+    monkeypatch.setattr(fcs, "_member", member)
+    argv = ["fcs", "odd", "even", "--xmax", "100000", "--ymax", "100000"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", "resource limit: the box 100000 x 100000 holds "
+                                   "10000000000 points, over the cap of 250000\n")
 
 
 def test_help_exits_zero():

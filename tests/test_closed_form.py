@@ -9,7 +9,7 @@ import pytest
 from linkrank import ranks
 from linkrank.errors import InternalConsistencyError
 from linkrank.framed import framed_rank, fully_framed_is_infinite
-from linkrank.liedim import _multiplicity, _solutions
+from linkrank.liedim import _multiplicity, enumerate_diophantine
 from linkrank.oracle import verify_range
 from linkrank.ranks import (brunnian_is_infinite, brunnian_rank, equal_dim_rank,
                             link_is_infinite, link_rank)
@@ -72,7 +72,7 @@ def test_contributions_equal_the_unshared_multiplicities(problem):
     parities = tuple(a % 2 for a in weights)
     for lower, report in ((0, link_rank(m, dims)), (1, brunnian_rank(m, dims))):
         unshared = [(x, _multiplicity(parities, x))
-                    for x in _solutions(weights, m - 3, (lower,) * len(dims))]
+                    for x in enumerate_diophantine(weights, m - 3, (lower,) * len(dims))]
         assert list(report.contributions) == unshared
 
 

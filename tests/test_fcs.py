@@ -1,6 +1,7 @@
 import pytest
 
-from linkrank.errors import InvalidInputError
+from linkrank import fcs
+from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.fcs import fcs_contains, fcs_enumerate
 from linkrank.liedim import multiplicity
 
@@ -62,3 +63,22 @@ def test_invalid_inputs():
         fcs_contains("sideways", "even", 1, 1)
     with pytest.raises(InvalidInputError):
         fcs_contains(("even",), 1, 1, 1)
+
+
+def test_a_box_over_the_cap_is_refused_before_any_point(monkeypatch):
+    # 100 000 x 100 000 is 10^10 points, which no list holds: the box is
+    # refused by its size before a single point is tested
+    def member(*args):
+        raise AssertionError("a point of an over-cap box was tested")
+
+    monkeypatch.setattr(fcs, "_member", member)
+    with pytest.raises(ResourceLimitError, match=r"the box 100000 x 100000 holds "
+                       r"10000000000 points, over the cap of 250000"):
+        fcs_enumerate("odd", "even", 100_000, 100_000)
+    with pytest.raises(ResourceLimitError):
+        fcs_enumerate("odd", "even", 1, fcs._MAX_BOX + 1)
+
+
+def test_the_box_cap_admits_exactly_its_size():
+    # the even-even family meets the row y = 1 only at x = 1
+    assert fcs_enumerate("even", "even", fcs._MAX_BOX, 1) == [(1, 1)]

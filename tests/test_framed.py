@@ -126,6 +126,8 @@ def test_framed_non_integer_inputs_are_rejected():
 
 def test_mcg_verdicts():
     assert mcg_finite_index(8, (5, 5)) is True
+    # the parameters are named as in link_rank(m, dims)
+    assert mcg_finite_index(m=8, dims=(5, 5)) is True
     assert mcg_finite_index(8, (5, 5, 5)) is False
     assert mcg_finite_index(4, (2, 2)) is None
     assert mcg_finite_index(9, (3, 5)) is None

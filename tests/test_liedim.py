@@ -296,6 +296,10 @@ def test_enumerate_diophantine_examples():
     assert enumerate_diophantine((2,), 3, (1,)) == []
     assert enumerate_diophantine((2, 3), 0, (0, 0)) == [(0, 0)]
     assert enumerate_diophantine((2,), -1, (0,)) == []
+    # the bounds shift the target: below zero nothing is left, one
+    # coordinate included
+    assert enumerate_diophantine((3,), 0, (1,)) == []
+    assert enumerate_diophantine((3,), -3, (0,)) == []
 
 
 def test_enumerate_diophantine_order_and_bounds():
@@ -362,14 +366,15 @@ def test_weighted_dim_sums_answer_degrees_in_any_order(clear_caches, weights, de
        st.integers(-3, 40))
 def test_solution_count_matches_the_walk(pairs, target):
     # each lower bound 0 or 1, drawn per coordinate, so both uniform cases
-    # and mixed ones occur
+    # and mixed ones occur; the count takes what the bounds leave of target
     weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
-    assert _count_solutions(weights, target, bounds) == len(
-        list(_solutions(weights, target, bounds)))
+    assert _count_solutions(weights, target - sum(a * b for a, b in pairs)) == len(
+        enumerate_diophantine(weights, target, bounds))
 
 
 def unpruned_solutions(weights, target, lower_bounds):
-    # The reference for _solutions: a depth-first walk without a
+    # The reference for enumerate_diophantine, whose walk _solutions takes
+    # no bounds: a depth-first walk with its bounds and without a
     # reachability table, which extends every prefix that leaves room for
     # the bounds after it and finds a prefix dead only when it solves the
     # last coordinate.
@@ -405,29 +410,28 @@ def unpruned_solutions(weights, target, lower_bounds):
 def test_pruned_walk_matches_the_unpruned_walk(pairs, target):
     # the same tuples in the same order; cases whose unpruned walk would
     # visit more than 20 000 prefixes of r - 1 coordinates are skipped (a
-    # slack coordinate of weight 1 counts the prefixes that fit in target)
+    # slack coordinate of weight 1 counts the prefixes that fit in what the
+    # bounds leave of target)
     weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
-    prefixes = _count_solutions(weights[:-1] + (1,), target - weights[-1] * bounds[-1],
-                                bounds[:-1] + (0,))
+    prefixes = _count_solutions(weights[:-1] + (1,), target - sum(a * b for a, b in pairs))
     assume(prefixes <= 20_000)
-    assert list(_solutions(weights, target, bounds)) == list(
+    assert enumerate_diophantine(weights, target, bounds) == list(
         unpruned_solutions(weights, target, bounds))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 1)), min_size=1, max_size=7),
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=7).map(tuple),
        st.integers(-3, 60))
-def test_reach_bits_are_the_reachable_sums(pairs, target):
-    # bit v of reach[k] is set exactly when the coordinates k.. add up to v
-    # under their bounds, for 1 <= k <= r - 2; the other entries are None
-    weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+def test_reach_bits_are_the_reachable_sums(weights, target):
+    # bit v of reach[k] is set exactly when the coordinates k.. add up to v,
+    # for 1 <= k <= r - 2; the other entries are None
     r = len(weights)
-    reach = _reach(weights, target, bounds)
+    reach = _reach(weights, target)
     assert len(reach) == r
     sums = {0}
     for k in range(r - 1, 0, -1):
         sums = {s + weights[k] * v for s in sums
-                for v in range(bounds[k], target // weights[k] + 1)
+                for v in range(target // weights[k] + 1)
                 if s + weights[k] * v <= target}
         if k < r - 1:
             assert reach[k] == sum(1 << v for v in sums), k
@@ -457,7 +461,7 @@ def test_walk_extends_only_live_prefixes():
     previous = sys.gettrace()
     sys.settrace(enter)
     try:
-        found = list(_solutions((2,) * 6 + (295,), 297, (0,) * 7))
+        found = list(_solutions((2,) * 6 + (295,), 297))
     finally:
         sys.settrace(previous)
     assert found == [tuple(int(j == i) for j in range(6)) + (1,) for i in range(5, -1, -1)]
@@ -489,11 +493,11 @@ def test_weighted_dim_sums_checks_each_quotient(clear_caches, monkeypatch, fake)
 
 
 def test_solutions_are_lazy():
-    # 12 letters of weight 1 in degree 60: far too many solutions to list;
+    # 12 letters of weight 1 in degree 48: far too many solutions to list;
     # the generator hands out the first without the rest, as the
     # two-component criterion needs to stop at its first witness
-    solutions = _solutions((1,) * 12, 60, (1,) * 12)
-    assert next(solutions) == (1,) * 11 + (49,)
+    solutions = _solutions((1,) * 12, 48)
+    assert next(solutions) == (0,) * 11 + (48,)
 
 
 def test_non_integer_inputs_are_rejected():

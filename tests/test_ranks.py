@@ -315,10 +315,10 @@ def no_walk_of_three(clear_caches, monkeypatch):
     # to, so a verdict or an empty listing must not rest on the walk
     real = ranks._solutions
 
-    def walk(weights, target, lower_bounds):
+    def walk(weights, target):
         if len(weights) >= 3:
             raise AssertionError(f"walked the solutions for weights {weights}")
-        return real(weights, target, lower_bounds)
+        return real(weights, target)
 
     clear_caches()
     monkeypatch.setattr(ranks, "_solutions", walk)
