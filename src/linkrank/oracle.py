@@ -20,13 +20,22 @@ multinomial(x) * x_k / |x| members, and when x_k = 1 they are independent,
 so no row is eliminated to zero.
 
 A left-normed bracket is built by steps [u, P_k], one sign per step,
-since all words of a homogeneous bracket have one parity.  The words are
-walked in lexicographic order, each prefix bracketed once, and each
-bracket streams into the elimination as a sparse integer row.  It
-is reduced by the kept rows in the order they were kept (no back
-substitution), divided by its content, and kept with a +-1 pivot if it has
-one, exactly when it is independent of the rows before it.  No fraction,
-float or closed-form dimension is used.
+since all words of a homogeneous bracket have one parity.  Inside the
+brute force a word on the letters range(r) is packed into one int, a
+field of max(1, (r - 1).bit_length()) bits per letter, the first letter
+highest: appending k to w is w << shift | k, and prepending k to a word
+of length L is w | k << shift * L.  All words of one bracket, and all rows
+of one elimination, have the same length, so the packing is one-to-one
+where it is used, a leading letter 0 included.  The words are walked in
+lexicographic order, each prefix bracketed once, and each bracket streams
+into the elimination as a sparse integer row keyed by its packed words,
+with no table of columns.  It is reduced by the kept rows in the order
+they were kept (no back substitution), divided by its content, and kept
+with a +-1 pivot if it has one (the first in row order), exactly when it
+is independent of the rows before it.  No fraction, float or closed-form
+dimension is used.  The public super_bracket and left_normed_bracket take
+and return polynomials keyed by tuple words; left_normed_bracket runs the
+packed steps and unpacks its result once, at the end.
 
 Both brute-force functions take a generator system as a tuple of
 positive weights.  A single computation may touch at most a budget of
@@ -103,13 +112,18 @@ def super_bracket(u, v, parities):
     return {w: c for w, c in out.items() if c}
 
 
-def _bracket_step(u, letter, odd):
-    """[u, P_letter] for a homogeneous polynomial u (no zero coefficients);
-    odd says whether u and the letter are both odd."""
-    tail = (letter,)
-    out = {w + tail: c for w, c in u.items()}
+def _field(r):
+    # bits per letter of a packed word on the letters range(r)
+    return max(1, (r - 1).bit_length())
+
+
+def _bracket_step(u, letter, odd, shift, high):
+    """[u, P_letter] for a homogeneous polynomial u (no zero coefficients)
+    of packed words; odd says whether u and the letter are both odd, and
+    high is the letter moved past the words of u, letter << shift * len."""
+    out = {w << shift | letter: c for w, c in u.items()}
     for w, c in u.items():
-        w = tail + w
+        w |= high
         c = out.get(w, 0) + (c if odd else -c)
         if c:
             out[w] = c
@@ -124,29 +138,34 @@ def left_normed_bracket(word, parities):
     if not word:
         raise InvalidInputError("the empty word has no bracket")
     parities = tuple(p % 2 for p in _check_letters((word,), parities))
-    poly, parity = {word[:1]: 1}, parities[word[0]]
-    for k in word[1:]:
-        poly = _bracket_step(poly, k, parity & parities[k])
+    shift = _field(len(parities))
+    poly, parity = {word[0]: 1}, parities[word[0]]
+    for n, k in enumerate(word[1:], 1):
+        poly = _bracket_step(poly, k, parity & parities[k], shift, k << shift * n)
         parity ^= parities[k]
-    return poly
+    mask, n = (1 << shift) - 1, len(word)
+    return {tuple(w >> shift * i & mask for i in reversed(range(n))): c
+            for w, c in poly.items()}
 
 
 def _prefix_brackets(x, parities):
     """The left-normed brackets of the words of multidegree x (parities
     0/1) that begin with its rarest letter, in lexicographic word order,
-    each prefix bracketed once.  They span the component (see the module
+    each prefix bracketed once, keyed by packed words of the field
+    _field(len(x)).  They span the component (see the module
     docstring).  The walk keeps its own stack, so a word may be of any
     length."""
     counts, r = list(x), len(x)
+    shift = _field(r)
     first = min((v, k) for k, v in enumerate(x) if v)[1]  # least positive x_k, lowest k
     counts[first] -= 1
     tail = sum(counts)  # letters after the first
     if not tail:
-        yield {(first,): 1}
+        yield {first: 1}
         return
     # one frame per prefix: [its bracket, its parity, its last letter,
     # the next letter to try appending]; frame i holds i + 1 letters
-    stack = [[{(first,): 1}, parities[first], first, 0]]
+    stack = [[{first: 1}, parities[first], first, 0]]
     while stack:
         frame = stack[-1]
         prefix, parity, last, k = frame
@@ -157,7 +176,7 @@ def _prefix_brackets(x, parities):
             counts[last] += 1
             continue
         frame[3] = k + 1
-        poly = _bracket_step(prefix, k, parity & parities[k])
+        poly = _bracket_step(prefix, k, parity & parities[k], shift, k << shift * len(stack))
         if len(stack) == tail:
             yield poly
         else:
@@ -173,13 +192,12 @@ def _primitive(row):
 def _eliminator():
     """add(poly) reduces the row of poly by the rows kept before it, in the
     order they were kept, keeps what is left and says whether it kept it."""
-    kept = []  # (pivot column, positive pivot value, row)
-    columns = {}  # word -> column, numbered when first seen
+    kept = []  # (pivot word, positive pivot value, row)
 
     def add(poly):
-        row = {columns.setdefault(w, len(columns)): c for w, c in poly.items()}
-        for col, pv, base in kept:
-            c = row.get(col)
+        row = dict(poly)  # a copy: the caller may bracket poly further
+        for word, pv, base in kept:
+            c = row.get(word)
             if c is None:
                 continue
             if pv != 1:
@@ -240,15 +258,17 @@ def whitehead_map_analysis(weights, x, budget=None):
             f"the bracket-map analysis needs every coordinate positive, got {x}")
     _check_size(x, budget)
     parities = _parities(weights)
+    shift = _field(len(x))
     add = _eliminator()
     rank = domain_dim = 0
     for k in range(len(x)):
         lowered = x[:k] + (x[k] - 1,) + x[k + 1:]
-        if sum(lowered) == 0:
-            images = [{(k,): 1}]
+        n = sum(lowered)
+        if n == 0:
+            images = [{k: 1}]
         else:
             odd = parities[k] & sum(p * v for p, v in zip(parities, lowered)) % 2
-            images = (_bracket_step(u, k, odd) for u in
+            images = (_bracket_step(u, k, odd, shift, k << shift * n) for u in
                       filter(_eliminator(), _prefix_brackets(lowered, parities)))
         for image in images:
             domain_dim += 1

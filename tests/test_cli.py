@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkrank import cli, fcs
+from linkrank import cli, fcs, liedim
 from linkrank.oracle import VerificationRecord, VerificationReport
 from linkrank.ranks import link_rank
 
@@ -103,6 +103,17 @@ def test_fcs_over_the_box_cap_exits_three(capsys, monkeypatch):
     assert cli.main(argv) == 3
     assert capsys.readouterr() == ("", "resource limit: the box 100000 x 100000 holds "
                                    "10000000000 points, over the cap of 250000\n")
+
+
+def test_witt_over_the_cap_exits_three(capsys, monkeypatch):
+    def divisors(n):
+        raise AssertionError("the divisors of an over-cap witt were walked")
+
+    monkeypatch.setattr(liedim, "_divisors", divisors)
+    assert cli.main(["witt", "100000000", "1", "3"]) == 3
+    assert capsys.readouterr() == ("", "resource limit: witt(100000000, 3) would cost about "
+                                   "200010000 bits of r^t and trial divisions, over the "
+                                   "cap of 1048576\n")
 
 
 def test_help_exits_zero():

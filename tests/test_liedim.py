@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from linkrank import liedim
 from linkrank.arith import multinomial
-from linkrank.errors import InternalConsistencyError, InvalidInputError
+from linkrank.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from linkrank.liedim import (
     _count_solutions,
     _dim,
@@ -262,6 +262,29 @@ def test_witt_values():
     assert witt(2, 2) == 1
     assert witt(3, 2) == 2
     assert witt(6, 2) == 9
+
+
+def test_witt_over_the_cap_is_refused_before_any_divisor(monkeypatch):
+    real = liedim._divisors
+
+    def divisors(n):
+        raise AssertionError("the divisors of an over-cap witt were walked")
+
+    monkeypatch.setattr(liedim, "_divisors", divisors)
+    with pytest.raises(ResourceLimitError, match=r"witt\(100000000, 3\) would cost about "
+                       r"200010000 bits of r\^t and trial divisions, over the cap of 1048576"):
+        witt(100_000_000, 3)
+    # r = 1 costs no bits, only the isqrt(t) = 2^20 + 1 trial divisions
+    with pytest.raises(ResourceLimitError):
+        witt((1 << 20 | 1) ** 2, 1)
+    with pytest.raises(ResourceLimitError):
+        witt_super(100_000_002, 1, 3)
+    # t + isqrt(t) = 1047553 + 1023 is exactly the cap, one more is over it
+    with pytest.raises(ResourceLimitError):
+        witt(1_047_554, 2)
+    monkeypatch.setattr(liedim, "_divisors", real)
+    assert liedim._MAX_WITT_COST == 1_047_553 + 1023
+    assert witt(1_047_553, 2).bit_length() == 1_047_534
 
 
 def test_witt_super_values():

@@ -260,18 +260,47 @@ def full_word_dim(parities, x):
     return sum(map(_eliminator(), (left_normed_bracket(w, parities) for w in words_of(x))))
 
 
-@settings(max_examples=150, deadline=None)
-@given(systems_and_multidegrees())
-def test_prefix_brackets_equal_left_normed_brackets(case):
-    parities, x = case
+def unpacked_prefix_brackets(x, parities):
+    """_prefix_brackets(x, parities) with each packed word read back as a
+    tuple: sum(x) fields of max(1, (r - 1).bit_length()) bits, the first
+    letter in the highest field."""
+    shift, n = max(1, (len(x) - 1).bit_length()), sum(x)
+    return [{tuple(w >> shift * (n - 1 - i) & (1 << shift) - 1 for i in range(n)): c
+             for w, c in poly.items()}
+            for poly in _prefix_brackets(x, parities)]
+
+
+def check_prefix_brackets(parities, x):
     rarest = min(k for k in range(len(x)) if x[k] == min(filter(None, x)))
     words = [w for w in words_of(x) if w[0] == rarest]
-    shared = list(_prefix_brackets(x, parities))
+    shared = unpacked_prefix_brackets(x, parities)
     assert shared == [left_normed_bracket(w, parities) for w in words]
     # the same brackets folded from the general supercommutator
     assert shared == [functools.reduce(
         lambda poly, k: super_bracket(poly, {(k,): 1}, parities), w[1:], {w[:1]: 1})
         for w in words]
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_and_multidegrees())
+def test_prefix_brackets_equal_left_normed_brackets(case):
+    check_prefix_brackets(*case)
+
+
+def test_five_generators_pack_letters_into_three_bits():
+    # r = 5 is the first system whose letters need a 3-bit field; every
+    # case holds the top letter 4
+    cases = [((1, 2, 1, 2, 1), (1, 1, 1, 1, 1)), ((2, 2, 1, 1, 1), (1, 1, 1, 1, 2)),
+             ((1, 1, 1, 1, 1), (2, 1, 1, 1, 1)), ((2, 1, 2, 1, 2), (1, 1, 1, 1, 3)),
+             ((1, 2, 2, 2, 1), (0, 1, 0, 2, 2)), ((1, 1, 2, 1, 2), (0, 0, 0, 1, 4))]
+    for weights, x in cases:
+        dim = lie_component_dim(weights, x)
+        assert component_dim_bruteforce(weights, x) == dim
+        if all(x):
+            assert whitehead_map_analysis(weights, x) == (dim, multiplicity(weights, x))
+        check_prefix_brackets(liedim._parities(weights), x)
+    # [[P4, P0], P4] = [40 - 04, P4] = 404 - 044 + 440 - 404, 4 odd and 0 even
+    assert left_normed_bracket((4, 0, 4), (0, 0, 0, 0, 1)) == {(0, 4, 4): -1, (4, 4, 0): 1}
 
 
 @settings(max_examples=100, deadline=None)
