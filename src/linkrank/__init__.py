@@ -15,9 +15,24 @@ from .stiefel import so_rank, stiefel_rank
 from .framed import (FramedRankReport, HandlebodyReport, framed_knot_is_infinite,
                      framed_rank, fully_framed_is_infinite, handlebody_report,
                      mcg_finite_index)
-from .oracle import (VerificationRecord, VerificationReport, WhiteheadAnalysis,
-                     component_dim_bruteforce, left_normed_bracket,
-                     super_bracket, verify_range, whitehead_map_analysis)
+
+# the brute-force oracle serves only its own calls and `oracle verify`, so
+# it is imported on the first use of one of its names, not with the package
+_ORACLE_NAMES = frozenset((
+    "VerificationRecord", "VerificationReport", "WhiteheadAnalysis",
+    "component_dim_bruteforce", "left_normed_bracket", "super_bracket",
+    "verify_range", "whitehead_map_analysis"))
+
+
+def __getattr__(name):
+    # called only for a name the package does not hold yet; the first use
+    # of an oracle name binds it here, so later uses find it directly
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -15,8 +15,9 @@ Subcommands:
 Every subcommand takes --format text|json|csv.  CSV is a header line and
 then rows; rank, framed, witt and stiefel give one row, with lists joined
 by spaces and an empty brunnian_rank for a one-component link.  json and
-csv are imported by the first call that writes that format, and fractions
-by the witt index parser, so a text-format call loads none of them.  Exit
+csv are imported by the first call that writes that format, fractions by
+the witt index parser and the brute-force oracle by oracle verify, so a
+text-format rank call loads none of them.  Exit
 codes: 0 success, 2 invalid input, 3 resource limit exceeded, 1 internal
 consistency failure, 141 stdout closed early (a closed pipe).
 """
@@ -31,7 +32,6 @@ from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitEr
 from .fcs import _parity, fcs_enumerate
 from .framed import framed_rank
 from .liedim import multiplicity, witt_super
-from .oracle import verify_range
 from .ranks import brunnian_rank, link_rank
 from .stiefel import stiefel_rank
 
@@ -217,6 +217,7 @@ def _cmd_stiefel(args):
 
 
 def _cmd_oracle_verify(args):
+    from .oracle import verify_range
     report = verify_range(args.max_r, args.max_degree, args.max_letters)
     failures = report.failures
     payload = {

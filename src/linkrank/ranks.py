@@ -26,13 +26,28 @@ check weighs each multiset t by its number of component subsets,
 prod_a C(count of a in the link, count of a in t).  The fully framed
 criterion (framed) adds the framed-knot bullets and walks no sublinks.
 
+So a link's rank less its knot ranks, its Brunnian rank and its sublink
+verdict depend only on N and its weights as a multiset (delta too is a
+function of N and a_k).  A link report is computed in two parts:
+
+* _multiset_report(weights, N), cached by the sorted weights, computes
+  those three values once per multiset: M(all) - sum delta, the family
+  inversion, the split check and the sublink criterion.  It returns the
+  three values and keeps no family;
+* _link_report(m, dims), cached by the dims in their order, adds the knot
+  ranks, one per component in that order, and checks the verdict against
+  the rank.
+
+brunnian_rank builds its own family, and none at all when the weights add
+up to more than N: the rank is then 0.
+
 Each public function validates its arguments once, through _as_link,
 which writes the rule 1 <= p_k < m - 2 (framed_rank and
 fully_framed_is_infinite call it too; framed.handlebody_report and
 framed.mcg_finite_index write the rule again, as they answer None outside
-it instead of raising); _link_report(m, dims), the one cached core, and
-brunnian_rank take the validated integers and call only the unvalidated
-cores of liedim and fcs.
+it instead of raising); _link_report, _multiset_report and brunnian_rank
+take the validated integers and call only the unvalidated cores of liedim
+and fcs.
 
 A report is a typing.NamedTuple of its fields and holds nothing else: it
 is immutable, compares and pickles as its fields, and _link_report can
@@ -67,7 +82,8 @@ Independent checks raise InternalConsistencyError on a mismatch:
   up to the closed-form value;
 * the link rank must equal its split into knot ranks plus one Brunnian
   rank per component subset, which tests the delta terms and the subsets
-  left out as having no positive solution;
+  left out as having no positive solution; the knot ranks are on both
+  sides, so the core checks the rest once per multiset;
 * each finiteness verdict, decided by the solvability criteria, must
   agree with rank > 0;
 * equal_dim_rank must agree with its one-weight closed form.
@@ -75,7 +91,7 @@ Independent checks raise InternalConsistencyError on a mismatch:
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb
 from operator import add
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -278,6 +294,9 @@ def brunnian_rank(m, dims):
         raise InvalidInputError(
             "Brunnian rank needs at least two components; use knot_rank for one")
     weights = tuple(sorted(m - v - 2 for v in dims))
+    if sum(weights) > m - 3:
+        # no positive solution: rank 0, and no sublink family to build
+        return BrunnianRank(m, dims, 0)
     return BrunnianRank(m, dims, _brunnian_ranks(weights, m - 3).get(weights, 0))
 
 
@@ -299,37 +318,53 @@ def brunnian_is_infinite(m, dims):
     return brunnian_rank(m, dims).infinite
 
 
-@lru_cache(maxsize=2 ** 14)
-def _link_report(m, dims):
-    if m - 3 < 1:
-        raise InternalConsistencyError(f"degree target m - 3 = {m - 3} is not positive")
-    knot_ranks = tuple(_knot_rank(m, v) for v in dims)
-    weights = tuple(sorted(m - v - 2 for v in dims))
-    total = (_multiplicity_sum(weights, m - 3)
-             + sum(knot_ranks) - sum(_delta(m, v) for v in dims))
+@lru_cache(maxsize=1 << 12)
+def _multiset_report(weights, target):
+    # what a link's report takes from its sorted weights and target = m - 3
+    # alone: its rank less the knot ranks, M(all) - sum delta; the Brunnian
+    # rank of all its components; and whether a sublink of two or more
+    # components is infinite.  The subset split is checked here, once per
+    # multiset, with the knot ranks left out of both sides.
+    if target < 1:
+        raise InternalConsistencyError(f"degree target m - 3 = {target} is not positive")
+    # a component of weight a has p = m - 2 - a = target + 1 - a
+    rest = (_multiplicity_sum(weights, target)
+            - sum(_delta(target + 3, target + 1 - a) for a in weights))
 
-    # the same total split into the knot ranks plus one Brunnian summand per
-    # subset of two or more components; the sublinks that do not fit add 0
-    ranks = _brunnian_ranks(weights, m - 3)
-    split_total = sum(knot_ranks) + sum(
-        value * prod(comb(weights.count(a), t.count(a)) for a in set(t))
-        for t, value in ranks.items() if len(t) >= 2)
-    if split_total != total:
+    # the same rank split into one Brunnian summand per subset of two or
+    # more components; the sublinks that do not fit add 0.  Only a weight
+    # the link repeats gives a factor C(count in the link, count in t) > 1.
+    ranks = _brunnian_ranks(weights, target)
+    repeated = [(a, weights.count(a)) for a in set(weights) if weights.count(a) > 1]
+    split = 0
+    for t, value in ranks.items():
+        if len(t) >= 2:
+            for a, count in repeated:
+                value *= comb(count, t.count(a))
+            split += value
+    if split != rest:
         raise InternalConsistencyError(
-            f"closed formula gives rank {total} but the subset splitting gives "
-            f"{split_total} for m={m}, p={dims}")
+            f"closed formula gives {rest} beyond the knot ranks but the subset "
+            f"splitting gives {split} for m={target + 3}, weights {weights}")
 
     # is some sublink of two or more components infinite?  one per multiset
-    infinite = any(knot_ranks) or any(
-        _subsequence_infinite(t, m - 3) for t in ranks if len(t) >= 2)
+    sublink = any(_subsequence_infinite(t, target) for t in ranks if len(t) >= 2)
+    return rest, ranks.get(weights, 0), sublink
+
+
+@lru_cache(maxsize=2 ** 14)
+def _link_report(m, dims):
+    knot_ranks = tuple(_knot_rank(m, v) for v in dims)
+    rest, brunnian, sublink = _multiset_report(tuple(sorted(m - v - 2 for v in dims)), m - 3)
+    total = rest + sum(knot_ranks)
+    infinite = any(knot_ranks) or sublink
     if infinite != (total > 0):
         raise InternalConsistencyError(
             f"finiteness criterion says {infinite} but the rank is {total} "
             f"for m={m}, p={dims}")
-
     return RankReport(
         m=m, p=dims, total_rank=total,
-        brunnian_rank=ranks.get(weights, 0) if len(dims) >= 2 else None,
+        brunnian_rank=brunnian if len(dims) >= 2 else None,
         knot_ranks=knot_ranks, infinite=infinite)
 
 

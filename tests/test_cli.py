@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkrank import cli, fcs, liedim
+from linkrank import cli, fcs, liedim, oracle
 from linkrank.oracle import VerificationRecord, VerificationReport
 from linkrank.ranks import link_rank
 
@@ -244,7 +244,7 @@ def test_oracle_failure_prints_then_exits_one(capsys, monkeypatch, fmt, expected
         VerificationRecord((1, 2), (1, 1), "dimension", 1, 2),
         VerificationRecord((1,), (1,), "dimension", 1, 1),
     ))
-    monkeypatch.setattr(cli, "verify_range", lambda *args, **kwargs: report)
+    monkeypatch.setattr(oracle, "verify_range", lambda *args, **kwargs: report)
     assert cli.main(["oracle", "verify", "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert expected in captured.out

@@ -368,6 +368,49 @@ def test_weighted_dim_sums_input_checks():
         weighted_dim_sums((1.5, 1), 3)
 
 
+def sieve_dim_sums(weights, n):
+    # The reference for liedim._solve_dim_sums: the same logarithm and
+    # divisor sieve, stepped through every degree 1..n, reachable by a sum
+    # of weights or not.
+    counts = {}
+    for a in weights:
+        if a <= n:
+            counts[a] = counts.get(a, 0) + 1
+    terms = sorted(counts.items())
+    b = [0] * (n + 1)
+    for j in range(1, n + 1):
+        acc = j * counts.get(j, 0)
+        for a, c in terms:
+            if a >= j:
+                break
+            acc += c * b[j - a]
+        b[j] = acc
+    out = [1]
+    for d in range(1, n + 1):
+        value, remainder = divmod(b[d], d)
+        assert not remainder and value >= 0, (weights, d)
+        out.append(value)
+        if d % 2:
+            for j in range(2 * d, n + 1, 2 * d):
+                b[j] += b[d]
+            for j in range(3 * d, n + 1, 2 * d):
+                b[j] -= b[d]
+        else:
+            for j in range(2 * d, n + 1, d):
+                b[j] -= b[d]
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(1, 15), min_size=1, max_size=6),
+                 # large weights only, so that most degrees are unreachable
+                 st.lists(st.integers(9, 15), min_size=1, max_size=6))
+       .map(sorted).map(tuple),
+       st.integers(0, 80))
+def test_solve_over_reachable_degrees_matches_the_full_sieve(weights, n):
+    assert liedim._solve_dim_sums(weights, n) == sieve_dim_sums(weights, n)
+
+
 _DEGREES = st.lists(st.integers(0, 40), min_size=1, max_size=8)
 
 
@@ -496,8 +539,10 @@ def test_walk_extends_only_live_prefixes():
 ], ids=["remainder", "negative"])
 def test_weighted_dim_sums_checks_each_quotient(clear_caches, monkeypatch, fake):
     # divmod appears in the Witt-sum solve only in the check of
-    # D(d) = b[d] / d, which the fake fails at d = 1; the caches are cleared
-    # on both sides so that no faulty value outlives the test
+    # D(d) = b[d] / d, which the fake fails at d = 1: a degree the weights
+    # (1, 2) reach, and one the weights (2, 3) do not, where b[1] = 0 is
+    # still checked.  The caches are cleared on both sides so that no
+    # faulty value outlives the test.
     clear_caches()
     assert weighted_dim_sums((1, 2), 2) == (1, 1, 2)
     monkeypatch.setattr(liedim, "divmod", fake, raising=False)
@@ -509,6 +554,9 @@ def test_weighted_dim_sums_checks_each_quotient(clear_caches, monkeypatch, fake)
         # without a solve, which the fake would fail
         assert weighted_dim_sums((1, 2), 2) == (1, 1, 2)
         assert weighted_dim_sums((2, 1), 1) == (1, 1)
+        with pytest.raises(InternalConsistencyError, match=r"weight-graded Witt formula "
+                           r"gave 0 in degree 1 for weights \(2, 3\)"):
+            weighted_dim_sums((2, 3), 4)
     finally:
         monkeypatch.undo()
         clear_caches()

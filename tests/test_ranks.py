@@ -8,9 +8,10 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkrank import liedim, ranks
-from linkrank.errors import InvalidInputError, ResourceLimitError
+from linkrank.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from linkrank.framed import framed_rank, handlebody_report
 from linkrank.ranks import (
     brunnian_is_infinite,
@@ -285,9 +286,11 @@ def test_sweep_solves_each_sublink_once_per_longer_target(clear_caches, monkeypa
 
     monkeypatch.setattr(ranks, "_weighted_dim_sums", sums)
     monkeypatch.setattr(liedim, "_solve_dim_sums", solve)
+    monkeypatch.setattr(ranks, "_multiset_report", ranks._multiset_report.__wrapped__)
 
     def sweep(links):
-        # past the report cache, so that every link reads its Witt sums again
+        # past the report cache and the multiset core's, so that every link
+        # reads its Witt sums again
         for link in links:
             report = ranks._link_report.__wrapped__(*link)
             assert (report, dict(report.subset_decomposition)) == cold[link], link
@@ -306,6 +309,71 @@ def test_sweep_solves_each_sublink_once_per_longer_target(clear_caches, monkeypa
     # more often than there are distinct targets
     assert solves == {weights: len(targets) for weights, targets in requested.items()}
     assert 1 < max(solves.values()) <= len({m - 3 for m, _ in _SWEEP})
+
+
+def _fields_but_order(report):
+    # every field of a link report that does not list the components in order
+    return {name: value for name, value in report._asdict().items()
+            if name not in ("p", "knot_ranks")}
+
+
+def test_a_reordered_link_reads_the_core_of_its_multiset(clear_caches, monkeypatch):
+    # rank, Brunnian rank and verdict depend on the weights as a multiset:
+    # the reordered link builds no second sublink family
+    clear_caches()
+    calls = []
+    real = ranks._brunnian_ranks
+
+    def counting(weights, target):
+        calls.append(weights)
+        return real(weights, target)
+
+    monkeypatch.setattr(ranks, "_brunnian_ranks", counting)
+    dims = (7, 9, 10, 11)
+    forward, backward = link_rank(14, dims), link_rank(14, dims[::-1])
+    assert calls == [(1, 2, 3, 5)]
+    assert (forward.p, backward.p) == (dims, dims[::-1])
+    assert (forward.knot_ranks, backward.knot_ranks) == ((0, 0, 0, 1), (1, 0, 0, 0))
+    assert _fields_but_order(forward) == _fields_but_order(backward)
+    assert (forward.total_rank, forward.brunnian_rank, forward.infinite) == (22, 2, True)
+
+
+@st.composite
+def permuted_links(draw):
+    m = draw(st.integers(6, 24))
+    dims = draw(st.lists(st.integers(1, m - 3), min_size=2, max_size=5))
+    return m, tuple(dims), tuple(draw(st.permutations(dims)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_links())
+def test_a_permuted_link_from_the_core_equals_its_cold_report(clear_caches, case):
+    # the permuted link's report, read over the core its multiset left in
+    # the cache, is the one a cold computation of that order gives
+    m, dims, permuted = case
+    clear_caches()
+    link_rank(m, dims)
+    warm = link_rank(m, permuted)
+    clear_caches()
+    assert warm == link_rank(m, permuted)
+
+
+def test_a_brunnian_link_whose_weights_overflow_builds_no_family(clear_caches, monkeypatch):
+    # weights 9, 8, 7 add up to more than m - 3 = 17: no positive solution,
+    # rank 0 without the sublink family, and the verdict is still checked
+    clear_caches()
+
+    def refuse(weights, target):
+        raise AssertionError(f"built the sublink family of {weights}")
+
+    monkeypatch.setattr(ranks, "_brunnian_ranks", refuse)
+    report = brunnian_rank(20, (9, 10, 11))
+    assert report.rank == 0
+    assert report.infinite is False
+    assert brunnian_is_infinite(20, (11, 10, 9)) is False
+    monkeypatch.setattr(ranks, "_subsequence_infinite", lambda weights, target: True)
+    with pytest.raises(InternalConsistencyError, match="Brunnian criterion says True"):
+        report.infinite
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
-"""What importing the package loads.  The standard-library modules that only
-some calls need stay out of sys.modules until such a call runs: fractions
-for a rational argument or a failed exact-quotient check, json and csv for
-their output formats, and dataclasses never.
+"""What importing the package loads.  The modules that only some calls need
+stay out of sys.modules until such a call runs: fractions for a rational
+argument or a failed exact-quotient check, json and csv for their output
+formats, the brute-force oracle (linkrank.oracle) for its own names and
+oracle verify, and dataclasses never.
 """
 
 import ast
@@ -10,9 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-DEFERRED = ("dataclasses", "fractions", "json", "csv")
+DEFERRED = ("dataclasses", "fractions", "json", "csv", "linkrank.oracle")
 
 # run in a fresh interpreter without site (-S), so that no .pth file of the
 # environment loads a module first; prints {step: loaded deferred modules}
@@ -25,7 +28,8 @@ def loaded():
 
 steps = {{"import": loaded()}}
 for argv in (["rank", "6", "3", "3"], ["rank", "6", "3", "3", "--format", "json"],
-             ["witt", "1/2", "3", "2"], ["tables", "table2", "--format", "csv"]):
+             ["witt", "1/2", "3", "2"], ["tables", "table2", "--format", "csv"],
+             ["oracle", "verify", "--max-r", "1", "--max-degree", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert linkrank.cli.main(argv) == 0
     steps[" ".join(argv)] = loaded()
@@ -43,4 +47,21 @@ def test_modules_load_on_demand():
         "rank 6 3 3 --format json": ["json"],
         "witt 1/2 3 2": ["fractions", "json"],
         "tables table2 --format csv": ["fractions", "json", "csv"],
+        "oracle verify --max-r 1 --max-degree 1": ["fractions", "json", "csv",
+                                                   "linkrank.oracle"],
     }
+
+
+def test_every_exported_name_resolves():
+    # the oracle's names are bound on first use; each is the oracle's own
+    import linkrank
+    from linkrank import oracle
+    lazy = set()
+    for name in linkrank.__all__:
+        value = getattr(linkrank, name)
+        if getattr(value, "__module__", None) == oracle.__name__:
+            assert value is getattr(oracle, name)
+            lazy.add(name)
+    assert lazy == linkrank._ORACLE_NAMES
+    with pytest.raises(AttributeError, match="no_such_name"):
+        linkrank.no_such_name
