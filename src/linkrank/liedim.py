@@ -52,12 +52,10 @@ prefixes that end in a solution, and it solves the last two coordinates
 together from one modular inverse.  So its cost follows the solutions it
 lists, times at most target / a_k value tests at each coordinate it steps
 through, and not the number of dead prefixes, which can be exponential
-in r.  The Witt-sum solve builds the same table over all the weights,
-through the same doubling step (_add_multiples), to skip the degrees no
-sum of weights reaches.  _count_solutions counts the same solutions by a
-generating function that shares nothing with the walk or with the Witt
-sums, so the rank layer holds the walk to the count and the sum of its
-terms to the Witt sums.
+in r.  _count_solutions counts the same solutions by a generating
+function that shares nothing with the walk or with the Witt sums, so the
+rank layer holds the walk to the count and the sum of its terms to the
+Witt sums.
 
 All arithmetic is exact.  Each of these numerators is asserted to be a
 nonnegative multiple of its denominator; a failure of that assertion is an
@@ -265,21 +263,12 @@ def enumerate_diophantine(weights, target, lower_bounds):
     return [tuple(map(add, y, lower_bounds)) for y in _solutions(weights, target)]
 
 
-def _add_multiples(bits, a, target, mask):
-    # the bitset, as an int, of the sums v <= target that are a sum in bits
-    # plus a multiple of a, for mask = 2^(target + 1) - 1: each pass doubles
-    # the shift, so it takes O(log(target / a)) big-int steps
-    shift = a
-    while shift <= target:
-        bits = (bits | bits << shift) & mask
-        shift <<= 1
-    return bits
-
-
 def _reach(weights, target):
     # reach[k], for 1 <= k <= r - 2, is a bitset as an int: bit v is set when
     # the coordinates k.. can add up to v <= target (the coin-problem table
     # of the suffix); the other entries are None, so r <= 2 builds nothing.
+    # Each coordinate adds its multiples by doubling the shift, in
+    # O(log(target / a_k)) big-int steps.
     r = len(weights)
     reach = [None] * r
     if r < 3:
@@ -287,7 +276,10 @@ def _reach(weights, target):
     mask = (1 << max(target + 1, 0)) - 1
     bits = 1 & mask
     for k in range(r - 1, 0, -1):
-        bits = _add_multiples(bits, weights[k], target, mask)
+        shift = weights[k]
+        while shift <= target:
+            bits = (bits | bits << shift) & mask
+            shift <<= 1
         if k < r - 1:
             reach[k] = bits
     return reach
@@ -376,10 +368,9 @@ def weighted_dim_sums(weights, n):
       1/(1 - f(t)) = prod_{d even} (1 - t^d)^(-D(d)) prod_{d odd} (1 + t^d)^D(d),
     and its logarithm, with b_j = j [t^j] -log(1 - f(t)), is
       b_j = sum_{d|j} eps d D(d),  eps = -1 if d is odd and j/d even, else 1,
-    which is solved for D(1), D(2), ... in turn.  b_j is 0 at every degree
-    j that no sum of weights reaches, so only the reachable degrees are
-    summed, and only a nonzero D(d) is taken from the b of its multiples;
-    every D(d) is still checked to be a nonnegative integer.
+    which is solved for D(1), D(2), ... in turn.  Only a nonzero D(d) is
+    taken from the b of its multiples; every D(d) is still checked to be a
+    nonnegative integer.
     The sums are cached by the sorted weights alone: the longest D(0..n')
     solved so far answers every n <= n', and a longer n is solved afresh.
 
@@ -419,22 +410,15 @@ def _solve_dim_sums(weights, n):
         if a <= n:
             counts[a] = counts.get(a, 0) + 1
     terms = sorted(counts.items())
-    # -log(1 - f) is a power series in f, so b[j] below is 0 unless some
-    # sum of weights reaches j; reach has bit j set for those degrees
-    reach = 1
-    mask = (1 << n + 1) - 1
-    for a in counts:
-        reach = _add_multiples(reach, a, n, mask)
     # b[j] = j [t^j] -log(1 - f(t)) from t f' = (1 - f) t (-log(1 - f))'
     b = [0] * (n + 1)
     for j in range(1, n + 1):
-        if reach >> j & 1:
-            acc = j * counts.get(j, 0)
-            for a, c in terms:
-                if a >= j:
-                    break
-                acc += c * b[j - a]
-            b[j] = acc
+        acc = j * counts.get(j, 0)
+        for a, c in terms:
+            if a >= j:
+                break
+            acc += c * b[j - a]
+        b[j] = acc
     # b[j] = sum_{d|j} eps d D(d): once D(d) is solved, eps d D(d) leaves
     # the b of each multiple j = k d, so b[d] = d D(d) once the loop comes
     # to d; for odd d, eps = -1 at even k.  Every D(d) is checked, but only

@@ -76,7 +76,6 @@ def _check_size(x, budget):
     if n_words > _MAX_WORDS:
         raise ResourceLimitError(
             f"multidegree {x} spans {n_words} words, over the hard cap of {_MAX_WORDS}")
-    return n_words
 
 
 def _check_letters(words, parities):

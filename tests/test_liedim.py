@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from linkrank import liedim
 from linkrank.arith import multinomial
@@ -407,7 +407,13 @@ def sieve_dim_sums(weights, n):
                  st.lists(st.integers(9, 15), min_size=1, max_size=6))
        .map(sorted).map(tuple),
        st.integers(0, 80))
-def test_solve_over_reachable_degrees_matches_the_full_sieve(weights, n):
+# beyond the degrees drawn: sparse weights, and weights sharing a factor,
+# so that most b[d] are 0 and the sieve skips most passes
+@example((2, 4, 6), 400)
+@example((30, 45, 70), 600)
+@example((100, 150), 900)
+@example((2,) * 6 + (295,), 700)
+def test_solve_matches_the_full_sieve(weights, n):
     assert liedim._solve_dim_sums(weights, n) == sieve_dim_sums(weights, n)
 
 
