@@ -229,9 +229,10 @@ def _cmd_oracle_verify(args):
             for rec in failures
         ],
     }
-    table = [["weights", "multidegree", "check", "expected", "actual", "ok"]]
-    table += [[" ".join(map(str, rec.weights)), " ".join(map(str, rec.multidegree)),
-               rec.check, rec.expected, rec.actual, rec.ok] for rec in report.records]
+    # the rows are a generator, formatted only when the csv format prints them
+    table = chain([["weights", "multidegree", "check", "expected", "actual", "ok"]],
+                  ([" ".join(map(str, rec.weights)), " ".join(map(str, rec.multidegree)),
+                    rec.check, rec.expected, rec.actual, rec.ok] for rec in report.records))
     text = [f"FAIL weights={rec.weights} x={rec.multidegree} "
             f"{rec.check}: expected {rec.expected}, got {rec.actual}" for rec in failures]
     text.append(f"{len(failures)} of {report.instances} checks fail" if failures

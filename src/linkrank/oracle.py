@@ -43,9 +43,16 @@ letters (default 8, overridable per call with budget=) and a component of
 1500 words, counted as multinomial(x) and not as the smaller family walked.
 `verify_range` sets the budget to its max_letters and refuses more than
 20 000 (system, multidegree) pairs before it starts.  Each of these limits
-raises ResourceLimitError.
+raises ResourceLimitError.  The answers depend on the weights only through
+their parities, so each (parity pattern, multidegree) is computed once per
+process and kept, up to 32 768 entries for each of the two functions.  The
+budget and word-cap checks run before the kept answers are consulted, so
+whether a call is refused never depends on what was asked before, and a
+refused call keeps nothing.  The kept answers are an int and a
+WhiteheadAnalysis, both immutable.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import comb, gcd
 from typing import NamedTuple
@@ -57,6 +64,7 @@ from .liedim import _as_multidegree, _as_weights, _dim, _multiplicity, _parities
 _DEFAULT_BUDGET = 8
 _MAX_WORDS = 1500
 _MAX_PAIRS = 20_000
+_MEMO_SIZE = 1 << 15  # above _MAX_PAIRS: verify_range computes each key once
 
 
 def _check_size(x, budget):
@@ -233,7 +241,12 @@ def component_dim_bruteforce(weights, x, budget=None):
     if any(v < 0 for v in x):
         raise InvalidInputError(f"multidegree entries must be >= 0, got {x}")
     _check_size(x, budget)
-    return sum(map(_eliminator(), _prefix_brackets(x, _parities(weights))))
+    return _span_rank(_parities(weights), x)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _span_rank(parities, x):
+    return sum(map(_eliminator(), _prefix_brackets(x, parities)))
 
 
 class WhiteheadAnalysis(NamedTuple):
@@ -256,7 +269,11 @@ def whitehead_map_analysis(weights, x, budget=None):
         raise InvalidInputError(
             f"the bracket-map analysis needs every coordinate positive, got {x}")
     _check_size(x, budget)
-    parities = _parities(weights)
+    return _map_analysis(_parities(weights), x)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _map_analysis(parities, x):
     shift = _field(len(x))
     add = _eliminator()
     rank = domain_dim = 0
@@ -320,7 +337,11 @@ def verify_range(max_r, max_degree, max_letters):
     budget of max_letters; on all-positive multidegrees also check the
     bracket-map rank and kernel against the closed forms.  Returns a report
     with one record per comparison.  More than 20 000 (system, multidegree)
-    pairs raise ResourceLimitError before any is checked."""
+    pairs raise ResourceLimitError before any is checked.  Each pair goes
+    through the two public entry points, so their budget and word-cap
+    checks run on every pair, before the per-process memo; the memo holds
+    up to 32 768 immutable answers per entry point, more than the pair cap,
+    so one call computes each (parity pattern, multidegree) once."""
     max_r = as_integer(max_r, "max_r")
     max_degree = as_integer(max_degree, "max_degree")
     max_letters = as_integer(max_letters, "max_letters")
@@ -338,23 +359,19 @@ def verify_range(max_r, max_degree, max_letters):
                 f"pairs, over the cap of {_MAX_PAIRS}")
     records = []
     # the brute force sees the weights only through their parities, so
-    # weight vectors of one parity pattern share its results
-    brute = {}
+    # weight vectors of one parity pattern share its results: each entry
+    # point checks the budget and word cap, then reads its memo of up to
+    # 32 768 immutable answers, each computed once per process; one call
+    # asks at most _MAX_PAIRS keys, so none is evicted before it is reused
     for r in range(1, max_r + 1):
         for weights in product(range(1, max_degree + 1), repeat=r):
             parities = _parities(weights)
             for x in filter(any, _multidegrees(r, max_letters)):
-                key = parities, x
-                if key not in brute:
-                    brute[key] = (
-                        component_dim_bruteforce(weights, x, budget=max_letters),
-                        whitehead_map_analysis(weights, x, budget=max_letters)
-                        if all(x) else None)
-                found, analysis = brute[key]
                 dim = _dim(parities, x)
-                checks = [("dimension", dim, found)]
-                if analysis is not None:
-                    rank, kernel = analysis
+                checks = [("dimension", dim,
+                           component_dim_bruteforce(weights, x, budget=max_letters))]
+                if all(x):
+                    rank, kernel = whitehead_map_analysis(weights, x, budget=max_letters)
                     checks += [("map rank", dim, rank),
                                ("map kernel", _multiplicity(parities, x), kernel)]
                 records += [VerificationRecord(weights, x, *check) for check in checks]

@@ -11,6 +11,7 @@ from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.liedim import lie_component_dim, multiplicity
 from linkrank.oracle import (
     VerificationRecord,
+    WhiteheadAnalysis,
     _eliminator,
     _prefix_brackets,
     component_dim_bruteforce,
@@ -158,8 +159,9 @@ def test_verify_range_pair_count_is_exact(monkeypatch):
         verify_range(2, 3, 4)
 
 
-def _unshared_records(max_r, max_degree, max_letters):
-    # verify_range's records with the brute force run once per weight vector
+def _unshared_records(max_r, max_degree, max_letters, clear_caches):
+    # verify_range's records with the brute force run once per weight
+    # vector, from an empty memo each time
     records = []
     for r in range(1, max_r + 1):
         for weights in itertools.product(range(1, max_degree + 1), repeat=r):
@@ -167,6 +169,7 @@ def _unshared_records(max_r, max_degree, max_letters):
                 if not 1 <= sum(x) <= max_letters:
                     continue
                 dim = lie_component_dim(weights, x)
+                clear_caches()
                 records.append(VerificationRecord(
                     weights, x, "dimension", dim,
                     component_dim_bruteforce(weights, x, budget=max_letters)))
@@ -178,19 +181,17 @@ def _unshared_records(max_r, max_degree, max_letters):
     return tuple(records)
 
 
-def test_verify_range_shares_the_brute_force_across_a_parity_pattern(monkeypatch):
+def test_verify_range_shares_the_brute_force_across_a_parity_pattern(clear_caches):
     # weights 1-3 form 2^r parity patterns: 2*5 + 4*20 + 8*55 = 530
     # (parities, multidegree) pairs, 130 of them all-positive, against
     # 3*5 + 9*20 + 27*55 = 1680 (weights, multidegree) pairs
-    expected = {args: _unshared_records(*args) for args in ((3, 3, 5), (2, 3, 6))}
-    calls = {}
-    for name in ("component_dim_bruteforce", "whitehead_map_analysis"):
-        def counted(*args, _call=getattr(oracle, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _call(*args, **kwargs)
-        monkeypatch.setattr(oracle, name, counted)
+    expected = {args: _unshared_records(*args, clear_caches)
+                for args in ((3, 3, 5), (2, 3, 6))}
+    clear_caches()
     assert verify_range(3, 3, 5).records == expected[3, 3, 5]
-    assert calls == {"component_dim_bruteforce": 530, "whitehead_map_analysis": 130}
+    assert oracle._span_rank.cache_info().misses == 530
+    assert oracle._map_analysis.cache_info().misses == 130
+    clear_caches()
     assert verify_range(2, 3, 6).records == expected[2, 3, 6]
 
 
@@ -320,7 +321,7 @@ def test_rarest_letter_family_spans_like_every_word(case):
         assert analysis.rank + analysis.kernel_dim == domain
 
 
-def test_rarest_letter_family_wastes_no_rows_on_a_single_letter(monkeypatch):
+def test_rarest_letter_family_wastes_no_rows_on_a_single_letter(monkeypatch, clear_caches):
     rows = []
 
     def counted():
@@ -332,6 +333,8 @@ def test_rarest_letter_family_wastes_no_rows_on_a_single_letter(monkeypatch):
         return noted
 
     monkeypatch.setattr(oracle, "_eliminator", counted)
+    # a memoized answer would count no row
+    clear_caches()
     # the rarest letter twice in seven: 210 * 2 / 7 rows, 30 of them kept
     assert component_dim_bruteforce((1, 2, 3), (2, 2, 3)) == 30
     assert (len(rows), sum(rows)) == (60, 30)
@@ -345,10 +348,12 @@ def test_rarest_letter_family_wastes_no_rows_on_a_single_letter(monkeypatch):
         assert dim == len(rows)
 
 
-def test_oracle_consults_no_closed_form(monkeypatch):
+def test_oracle_consults_no_closed_form(monkeypatch, clear_caches):
     cases = [((1, 2, 1), (2, 2, 1)), ((1, 1), (3, 2)), ((2,), (2,)), ((3, 2), (1, 1))]
     before = [(component_dim_bruteforce(w, x), whitehead_map_analysis(w, x))
               for w, x in cases]
+    # the second pass runs the brute force again, not the memo of the first
+    clear_caches()
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle consulted a closed form")
@@ -381,3 +386,57 @@ def test_long_words_need_no_deep_stack():
         assert component_dim_bruteforce(weights, x, budget=1100) == dim
         analysis = whitehead_map_analysis(weights, x, budget=1100)
         assert analysis == (dim, multiplicity(weights, x))
+
+
+def test_a_memoized_answer_is_still_refused_over_a_smaller_budget(clear_caches):
+    # six letters: inside the default budget of 8, over a budget of 5
+    clear_caches()
+    for call in (component_dim_bruteforce, whitehead_map_analysis):
+        call((1, 1), (3, 3))
+        with pytest.raises(ResourceLimitError, match="over the budget of 5"):
+            call((1, 1), (3, 3), budget=5)
+
+
+def test_a_refused_call_leaves_no_memo_entry(clear_caches):
+    clear_caches()
+    for call in (component_dim_bruteforce, whitehead_map_analysis):
+        with pytest.raises(ResourceLimitError):
+            call((1, 1), (3, 3), budget=5)
+        with pytest.raises(ResourceLimitError, match="hard cap"):
+            call((1,) * 7, (1,) * 7)  # 5040 words, yet cheap to compute
+        with pytest.raises(InvalidInputError):
+            call((1, 1), (0, 0))
+    assert oracle._span_rank.cache_info().currsize == 0
+    assert oracle._map_analysis.cache_info().currsize == 0
+
+
+def test_weights_of_one_parity_pattern_share_one_memo_entry(clear_caches):
+    clear_caches()
+    for core, call in ((oracle._span_rank, component_dim_bruteforce),
+                       (oracle._map_analysis, whitehead_map_analysis)):
+        first = call((1, 2), (2, 1))
+        assert call((3, 4), (2, 1)) == first
+        assert core.cache_info()[:2] == (1, 1)  # hits, misses
+        call((2, 1), (2, 1))
+        assert core.cache_info().currsize == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_and_multidegrees())
+def test_a_memoized_answer_equals_a_fresh_one(clear_caches, case):
+    parities, x = case
+    calls = [component_dim_bruteforce] + ([whitehead_map_analysis] if all(x) else [])
+    # two weight vectors of one parity pattern: the second reads the memo
+    for call in calls:
+        call(tuple(2 - p for p in parities), x)
+    other = tuple(4 - p for p in parities)
+    memoized = [call(other, x) for call in calls]
+    clear_caches()
+    assert memoized == [call(other, x) for call in calls]
+
+
+def test_the_memo_returns_an_int_and_a_whitehead_analysis(clear_caches):
+    clear_caches()
+    for _ in range(2):  # computed, then read from the memo
+        assert type(component_dim_bruteforce((1, 2), (2, 2))) is int
+        assert type(whitehead_map_analysis((1, 2), (2, 2))) is WhiteheadAnalysis
