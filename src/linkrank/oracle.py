@@ -41,15 +41,18 @@ Both brute-force functions take a generator system as a tuple of
 positive weights.  A single computation may touch at most a budget of
 letters (default 8, overridable per call with budget=) and a component of
 1500 words, counted as multinomial(x) and not as the smaller family walked.
-`verify_range` sets the budget to its max_letters and refuses more than
-20 000 (system, multidegree) pairs before it starts.  Each of these limits
-raises ResourceLimitError.  The answers depend on the weights only through
-their parities, so each (parity pattern, multidegree) is computed once per
-process and kept, up to 32 768 entries for each of the two functions.  The
-budget and word-cap checks run before the kept answers are consulted, so
-whether a call is refused never depends on what was asked before, and a
-refused call keeps nothing.  The kept answers are an int and a
-WhiteheadAnalysis, both immutable.
+One helper, _admit, runs every check of a call and returns the key of the
+kept answers.  `verify_range` sets the budget to its max_letters and
+admits its whole range once, before any check: it refuses more than
+20 000 (system, multidegree) pairs, then a largest multidegree over the
+word cap, and asks the kept answers directly, since no call of an
+admitted range can be refused.  Each of these limits raises
+ResourceLimitError.  The answers depend on the weights only through their
+parities, so each (parity pattern, multidegree) is computed once per
+process and kept, up to 32 768 entries for each of the two functions.  The checks run before the kept
+answers are consulted, so whether a call is refused never depends on what
+was asked before, and a refused call keeps nothing.  The kept answers are
+an int and a WhiteheadAnalysis, both immutable.
 """
 
 from functools import lru_cache
@@ -67,8 +70,16 @@ _MAX_PAIRS = 20_000
 _MEMO_SIZE = 1 << 15  # above _MAX_PAIRS: verify_range computes each key once
 
 
-def _check_size(x, budget):
-    # x already checked by the caller: nonnegative ints
+def _admit(weights, x, budget, positive=False):
+    # the (parities, x) key of a memoized core, once every check of one call
+    # has passed; positive asks every coordinate >= 1, for the map analysis
+    weights = _as_weights(weights)
+    x = _as_multidegree(weights, x)
+    if positive and min(x) < 1:
+        raise InvalidInputError(
+            f"the bracket-map analysis needs every coordinate positive, got {x}")
+    if min(x) < 0:
+        raise InvalidInputError(f"multidegree entries must be >= 0, got {x}")
     total = sum(x)
     if total < 1:
         raise InvalidInputError(
@@ -84,6 +95,7 @@ def _check_size(x, budget):
     if n_words > _MAX_WORDS:
         raise ResourceLimitError(
             f"multidegree {x} spans {n_words} words, over the hard cap of {_MAX_WORDS}")
+    return _parities(weights), x
 
 
 def _check_letters(words, parities):
@@ -236,12 +248,7 @@ def _eliminator():
 def component_dim_bruteforce(weights, x, budget=None):
     """Dimension of the multidegree-x component, computed from scratch as
     the rank of the spanning family of left-normed brackets."""
-    weights = _as_weights(weights)
-    x = _as_multidegree(weights, x)
-    if any(v < 0 for v in x):
-        raise InvalidInputError(f"multidegree entries must be >= 0, got {x}")
-    _check_size(x, budget)
-    return _span_rank(_parities(weights), x)
+    return _span_rank(*_admit(weights, x, budget))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -263,13 +270,7 @@ def whitehead_map_analysis(weights, x, budget=None):
     basis element u maps to [u, P_k].  When x - e_k is all zeros the block
     is the formal one-dimensional piece mapping onto P_k.
     """
-    weights = _as_weights(weights)
-    x = _as_multidegree(weights, x)
-    if any(v < 1 for v in x):
-        raise InvalidInputError(
-            f"the bracket-map analysis needs every coordinate positive, got {x}")
-    _check_size(x, budget)
-    return _map_analysis(_parities(weights), x)
+    return _map_analysis(*_admit(weights, x, budget, positive=True))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -336,12 +337,13 @@ def verify_range(max_r, max_degree, max_letters):
     and every multidegree with 1 <= total <= max_letters, with a letter
     budget of max_letters; on all-positive multidegrees also check the
     bracket-map rank and kernel against the closed forms.  Returns a report
-    with one record per comparison.  More than 20 000 (system, multidegree)
-    pairs raise ResourceLimitError before any is checked.  Each pair goes
-    through the two public entry points, so their budget and word-cap
-    checks run on every pair, before the per-process memo; the memo holds
-    up to 32 768 immutable answers per entry point, more than the pair cap,
-    so one call computes each (parity pattern, multidegree) once."""
+    with one record per comparison.  The whole range is admitted once,
+    before any check: more than 20 000 (system, multidegree) pairs, or a
+    largest multidegree that spans more than 1500 words, raise
+    ResourceLimitError.  The loop then calls the memoized cores directly;
+    the memo holds up to 32 768 immutable answers per core, more than the
+    pair cap, so one call computes each (parity pattern, multidegree)
+    once."""
     max_r = as_integer(max_r, "max_r")
     max_degree = as_integer(max_degree, "max_degree")
     max_letters = as_integer(max_letters, "max_letters")
@@ -357,21 +359,26 @@ def verify_range(max_r, max_degree, max_letters):
                 f"verify_range({max_r}, {max_degree}, {max_letters}) would check "
                 f"{'' if r == max_r else 'more than '}{pairs} (system, multidegree) "
                 f"pairs, over the cap of {_MAX_PAIRS}")
+    # the range's largest call: max_letters split as evenly as possible over
+    # max_r entries, since fewer letters, a zero entry or an uneven split span
+    # fewer words; under the budget of max_letters only the word cap can
+    # refuse it, and every call of the range spans at most its words
+    q, s = divmod(max_letters, max_r)
+    _admit((1,) * max_r, (q + 1,) * s + (q,) * (max_r - s), max_letters)
     records = []
     # the brute force sees the weights only through their parities, so
-    # weight vectors of one parity pattern share its results: each entry
-    # point checks the budget and word cap, then reads its memo of up to
-    # 32 768 immutable answers, each computed once per process; one call
-    # asks at most _MAX_PAIRS keys, so none is evicted before it is reused
+    # weight vectors of one parity pattern share its results: each core
+    # reads its memo of up to 32 768 immutable answers, each computed once
+    # per process; one call asks at most _MAX_PAIRS keys, so none is evicted
+    # before it is reused
     for r in range(1, max_r + 1):
         for weights in product(range(1, max_degree + 1), repeat=r):
             parities = _parities(weights)
             for x in filter(any, _multidegrees(r, max_letters)):
                 dim = _dim(parities, x)
-                checks = [("dimension", dim,
-                           component_dim_bruteforce(weights, x, budget=max_letters))]
+                checks = [("dimension", dim, _span_rank(parities, x))]
                 if all(x):
-                    rank, kernel = whitehead_map_analysis(weights, x, budget=max_letters)
+                    rank, kernel = _map_analysis(parities, x)
                     checks += [("map rank", dim, rank),
                                ("map kernel", _multiplicity(parities, x), kernel)]
                 records += [VerificationRecord(weights, x, *check) for check in checks]

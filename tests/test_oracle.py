@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -99,20 +100,31 @@ def test_whitehead_rank_hits_target_dimension():
 
 
 def test_budget_enforcement():
-    with pytest.raises(ResourceLimitError):
-        component_dim_bruteforce((1, 1), (5, 5))
-    with pytest.raises(ResourceLimitError):
-        component_dim_bruteforce((1, 1), (3, 3), budget=4)
-    with pytest.raises(ResourceLimitError):
+    for call in (component_dim_bruteforce, whitehead_map_analysis):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^multidegree \(5, 5\) has 10 letters, over the budget of 8;"):
+            call((1, 1), (5, 5))
+        with pytest.raises(ResourceLimitError, match="has 6 letters, over the budget of 4;"):
+            call((1, 1), (3, 3), budget=4)
+        with pytest.raises(InvalidInputError, match="letter budget must be >= 1, got 0$"):
+            call((1, 1), (3, 3), budget=0)
         # letter budget fine, word count past the cap
-        component_dim_bruteforce((1, 1, 1), (4, 4, 4), budget=12)
+        with pytest.raises(ResourceLimitError,
+                           match=r"\(4, 4, 4\) spans 34650 words, over the hard cap of 1500$"):
+            call((1, 1, 1), (4, 4, 4), budget=12)
 
 
 def test_empty_multidegree_rejected():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match=r"oracle needs at least one letter, got multidegree \(0, 0\)$"):
         component_dim_bruteforce((1, 1), (0, 0))
-    with pytest.raises(InvalidInputError):
-        whitehead_map_analysis((1, 1), (0, 2))
+    with pytest.raises(InvalidInputError,
+                       match=r"multidegree entries must be >= 0, got \(-1, 2\)$"):
+        component_dim_bruteforce((1, 1), (-1, 2))
+    for x in ((0, 2), (-1, 2), (0, 0)):
+        with pytest.raises(InvalidInputError,
+                           match="bracket-map analysis needs every coordinate positive"):
+            whitehead_map_analysis((1, 1), x)
 
 
 def test_verify_range_smoke():
@@ -157,6 +169,56 @@ def test_verify_range_pair_count_is_exact(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_PAIRS", 137)
     with pytest.raises(ResourceLimitError, match="check 138 "):
         verify_range(2, 3, 4)
+
+
+def _most_words(max_r, max_letters):
+    # the most words any multidegree of the range spans, by brute force over
+    # its multidegrees up to order (a multinomial ignores the order)
+    return max(math.factorial(sum(x)) // math.prod(map(math.factorial, x))
+               for r in range(1, max_r + 1)
+               for x in itertools.combinations_with_replacement(range(max_letters + 1), r)
+               if 1 <= sum(x) <= max_letters)
+
+
+def _small_ranges():
+    # every range with max_r <= 5, max_degree <= 2, max_letters <= 10 that
+    # the pair cap admits
+    for max_r, max_degree, max_letters in itertools.product(
+            range(1, 6), range(1, 3), range(1, 11)):
+        pairs = sum(max_degree ** r * (math.comb(max_letters + r, r) - 1)
+                    for r in range(1, max_r + 1))
+        if pairs <= oracle._MAX_PAIRS:
+            yield max_r, max_degree, max_letters
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_verify_range_admission_is_exact(monkeypatch, clear_caches):
+    # refused exactly when a multidegree of the range spans more words than
+    # the cap, and then before any brute force; an admitted range stops at
+    # its first closed-form dimension, where its loop begins
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(oracle, "_dim", admitted)
+    ranges = {args: _most_words(args[0], args[2]) for args in _small_ranges()}
+    for args, most in ranges.items():
+        for cap in (6, 30, 90, 1500, most - 1, most):
+            monkeypatch.setattr(oracle, "_MAX_WORDS", cap)
+            clear_caches()
+            with pytest.raises(ResourceLimitError if most > cap else _Admitted,
+                               match=f"over the hard cap of {cap}$" if most > cap else None):
+                verify_range(*args)
+            assert oracle._span_rank.cache_info().misses == 0
+            assert oracle._map_analysis.cache_info().misses == 0
+
+
+def test_one_verify_range_computes_each_key_once():
+    # the pair cap is below the memo bound, so no key of one call is
+    # evicted before it is reused
+    assert oracle._MAX_PAIRS < oracle._MEMO_SIZE
 
 
 def _unshared_records(max_r, max_degree, max_letters, clear_caches):
