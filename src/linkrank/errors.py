@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and _shown,
+which formats a number for their messages."""
 
 
 class LinkRankError(Exception):
@@ -19,3 +20,16 @@ class InternalConsistencyError(LinkRankError):
 
 class ResourceLimitError(LinkRankError):
     """A brute-force computation would exceed its configured size budget."""
+
+
+def _shown(numerator, denominator=1):
+    """numerator / denominator as str(Fraction) writes it, while both have
+    at most 2 000 bits, else its size, as in "<number of 14263 bits>".  Such
+    a str has at most 603 digits, under the least limit that
+    sys.set_int_max_str_digits accepts (640), so a message that formats a
+    rank, a count or a quotient through it never raises ValueError."""
+    bits = max(numerator.bit_length(), denominator.bit_length())
+    if bits > 2000:
+        return f"<number of {bits} bits>"
+    from fractions import Fraction
+    return str(Fraction(numerator, denominator))

@@ -6,6 +6,13 @@ question for fully framed links.
 The framed rank is the plain link rank plus one Stiefel-manifold summand
 per component.  A "full framing" means l_k = m - p_k for every k.
 
+Every framed verdict is decided once, in _framed_rank, by the framed
+criterion: the link is infinite, or a component with l_k >= 1 meets a
+framed-knot bullet.  _framed_rank checks it against framed rank > 0, so
+framed_rank, framed_knot_is_infinite, fully_framed_is_infinite,
+handlebody_report, mcg_finite_index and the CLI's framed command all
+report a checked verdict.
+
 The entry points check the frame counts 0 <= l_k <= m - p_k and leave the
 link itself, m and the p_k, to ranks._as_link.  handlebody_report and
 mcg_finite_index check their own regime and answer None outside it.
@@ -14,7 +21,7 @@ mcg_finite_index check their own regime and answer None outside it.
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, _shown
 from .ranks import RankReport, _as_link, _link_report
 from .stiefel import _stiefel_rank
 
@@ -58,6 +65,14 @@ def _framed_rank(m, dims, frames):
     link_report = _link_report(m, dims)
     stiefel_ranks = tuple(_stiefel_rank(p, m - p, l) for p, l in zip(dims, frames))
     total = link_report.total_rank + sum(stiefel_ranks)
+    # a framed-knot bullet holds exactly when knot_rank + stiefel_rank > 0
+    # for l >= 1, and a knot rank of 1 already makes the link infinite
+    infinite = link_report.infinite or any(
+        _framed_knot_infinite(m, p, l) for p, l in zip(dims, frames) if l)
+    if infinite != (total > 0):
+        raise InternalConsistencyError(
+            f"framed criterion says {infinite} but the framed rank is {_shown(total)} "
+            f"for m={m}, p={dims}, l={frames}")
     return FramedRankReport(
         m=m,
         p=dims,
@@ -65,7 +80,7 @@ def _framed_rank(m, dims, frames):
         total_rank=total,
         link_report=link_report,
         stiefel_ranks=stiefel_ranks,
-        infinite=total > 0,
+        infinite=infinite,
     )
 
 
@@ -75,13 +90,7 @@ def framed_knot_is_infinite(m, p, l):
     m, (p,), (l,) = _as_framed(m, ((p, l),))
     if l < 1:
         raise InvalidInputError(f"the criterion needs l >= 1, got l={l}")
-    verdict = _framed_knot_infinite(m, p, l)
-    rank = _framed_rank(m, (p,), (l,)).total_rank
-    if verdict != (rank > 0):
-        raise InternalConsistencyError(
-            f"framed-knot criterion says {verdict} but the framed rank is {rank} "
-            f"for m={m}, p={p}, l={l}")
-    return verdict
+    return _framed_rank(m, (p,), (l,)).infinite
 
 
 def _framed_knot_infinite(m, p, l):
@@ -91,18 +100,7 @@ def _framed_knot_infinite(m, p, l):
 
 
 def _fully_framed(m, dims):
-    # the full-framing report, its verdict asserted against the criterion:
-    # the framed-knot bullets added to the link verdict.  At l = m - p the
-    # first bullet holds whenever p = 3 mod 4, which covers every knot with
-    # rank 1, and the third never does, as it would need p = 0.
-    report = _framed_rank(m, dims, tuple(m - v for v in dims))
-    verdict = (any(_framed_knot_infinite(m, p, m - p) for p in dims)
-               or report.link_report.infinite)
-    if verdict != report.infinite:
-        raise InternalConsistencyError(
-            f"full-framing criterion says {verdict} but the framed rank is "
-            f"{report.total_rank} for m={m}, p={dims}")
-    return report
+    return _framed_rank(m, dims, tuple(m - v for v in dims))
 
 
 def fully_framed_is_infinite(m, dims):
@@ -145,11 +143,12 @@ def handlebody_report(m_plus_1, handle_dims):
     m = m_plus_1 - 1
     dims = tuple(v - 1 for v in handle_dims)
 
-    weak = all(
-        2 * a - b + 2 <= m and 2 * a - b >= 1 for a in dims for b in dims)
-    strict = all(
-        2 * a - b + 2 < m and 2 * a - b > 1 for a in dims for b in dims)
-    codim_ok = all(1 <= v < m - 2 for v in dims)
+    # the conditions bound 2a - b over all pairs (a, b) of dims, and it
+    # spans [2 lo - hi, 2 hi - lo]
+    lo, hi = min(dims), max(dims)
+    weak = 2 * hi - lo + 2 <= m and 2 * lo - hi >= 1
+    strict = 2 * hi - lo + 2 < m and 2 * lo - hi > 1
+    codim_ok = 1 <= lo and hi < m - 2
 
     sets_finite = None
     group_rank = None

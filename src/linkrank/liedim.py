@@ -67,7 +67,7 @@ from math import gcd, isqrt
 from operator import add, mul
 
 from .arith import _divisors, _moebius, _multinomial, as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _shown
 
 # witt(t, r) costs about t * (r - 1).bit_length() bits for r^t plus isqrt(t)
 # trial divisions for the divisors of t.  The cap also bounds the CLI's
@@ -121,9 +121,8 @@ def _exact_quotient(numerator, n, what, parities, x):
     # numerator / n, which must come out a nonnegative integer
     value, remainder = divmod(numerator, n)
     if remainder or value < 0:
-        from fractions import Fraction
         raise InternalConsistencyError(
-            f"{what} gave {Fraction(numerator, n)} for parities {parities} "
+            f"{what} gave {_shown(numerator, n)} for parities {parities} "
             f"and multidegree {x}")
     return value
 
@@ -215,8 +214,7 @@ def witt(t, r):
             acc += mu * r ** (t // i)
     value, remainder = divmod(acc, t)
     if remainder or value < 0:
-        from fractions import Fraction
-        raise InternalConsistencyError(f"necklace count gave {Fraction(acc, t)} for t={t}, r={r}")
+        raise InternalConsistencyError(f"necklace count gave {_shown(acc, t)} for t={t}, r={r}")
     return value
 
 
@@ -428,9 +426,8 @@ def _solve_dim_sums(weights, n):
         bd = b[d]
         value, remainder = divmod(bd, d)
         if remainder or value < 0:
-            from fractions import Fraction
             raise InternalConsistencyError(
-                f"weight-graded Witt formula gave {Fraction(bd, d)} in degree {d} "
+                f"weight-graded Witt formula gave {_shown(bd, d)} in degree {d} "
                 f"for weights {weights}")
         out.append(value)
         if bd:

@@ -45,7 +45,8 @@ One helper, _admit, runs every check of a call and returns the key of the
 kept answers.  `verify_range` sets the budget to its max_letters and
 admits its whole range once, before any check: it refuses more than
 20 000 (system, multidegree) pairs, then a largest multidegree over the
-word cap, and asks the kept answers directly, since no call of an
+word cap, named by its arguments as verify_range(max_r, max_degree,
+max_letters), and asks the kept answers directly, since no call of an
 admitted range can be refused.  Each of these limits raises
 ResourceLimitError.  The answers depend on the weights only through their
 parities, so each (parity pattern, multidegree) is computed once per
@@ -61,7 +62,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, _shown
 from .liedim import _as_multidegree, _as_weights, _dim, _multiplicity, _parities
 
 _DEFAULT_BUDGET = 8
@@ -93,8 +94,8 @@ def _admit(weights, x, budget, positive=False):
             f"pass a larger budget")
     n_words = _multinomial(x)
     if n_words > _MAX_WORDS:
-        raise ResourceLimitError(
-            f"multidegree {x} spans {n_words} words, over the hard cap of {_MAX_WORDS}")
+        raise ResourceLimitError(f"multidegree {x} spans {_shown(n_words)} words, "
+                                 f"over the hard cap of {_MAX_WORDS}")
     return _parities(weights), x
 
 
@@ -340,8 +341,9 @@ def verify_range(max_r, max_degree, max_letters):
     with one record per comparison.  The whole range is admitted once,
     before any check: more than 20 000 (system, multidegree) pairs, or a
     largest multidegree that spans more than 1500 words, raise
-    ResourceLimitError.  The loop then calls the memoized cores directly;
-    the memo holds up to 32 768 immutable answers per core, more than the
+    ResourceLimitError, each message led by verify_range(max_r,
+    max_degree, max_letters).  The loop then calls the memoized cores
+    directly; the memo holds up to 32 768 immutable answers per core, more than the
     pair cap, so one call computes each (parity pattern, multidegree)
     once."""
     max_r = as_integer(max_r, "max_r")
@@ -364,7 +366,11 @@ def verify_range(max_r, max_degree, max_letters):
     # fewer words; under the budget of max_letters only the word cap can
     # refuse it, and every call of the range spans at most its words
     q, s = divmod(max_letters, max_r)
-    _admit((1,) * max_r, (q + 1,) * s + (q,) * (max_r - s), max_letters)
+    try:
+        _admit((1,) * max_r, (q + 1,) * s + (q,) * (max_r - s), max_letters)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(
+            f"verify_range({max_r}, {max_degree}, {max_letters}): {exc}") from None
     records = []
     # the brute force sees the weights only through their parities, so
     # weight vectors of one parity pattern share its results: each core

@@ -23,8 +23,9 @@ N, each after its sub-multisets; the rest have rank 0.  The inversion
 removes one copy of a weight per pass, as the transform over subsets removes
 one component.  The link criterion walks the same family, and the split
 check weighs each multiset t by its number of component subsets,
-prod_a C(count of a in the link, count of a in t).  The fully framed
-criterion (framed) adds the framed-knot bullets and walks no sublinks.
+prod_a C(count of a in the link, count of a in t).  The framed
+criterion (framed._framed_rank) adds the framed-knot bullets to the link
+verdict and walks no sublinks.
 
 So a link's rank less its knot ranks, its Brunnian rank and its sublink
 verdict depend only on N and its weights as a multiset (delta too is a
@@ -42,10 +43,10 @@ brunnian_rank builds its own family, and none at all when the weights add
 up to more than N: the rank is then 0.
 
 Each public function validates its arguments once, through _as_link,
-which writes the rule 1 <= p_k < m - 2 (framed_rank and
-fully_framed_is_infinite call it too; framed.handlebody_report and
-framed.mcg_finite_index write the rule again, as they answer None outside
-it instead of raising); _link_report, _multiset_report and brunnian_rank
+which writes the rule 1 <= p_k < m - 2 (framed_rank,
+framed_knot_is_infinite and fully_framed_is_infinite call it too;
+framed.handlebody_report and framed.mcg_finite_index write the rule
+again, as they answer None outside it instead of raising); _link_report, _multiset_report and brunnian_rank
 take the validated integers and call only the unvalidated cores of liedim
 and fcs.
 
@@ -57,7 +58,8 @@ each read; none is kept, so a caller that reads a listing twice keeps its
 own copy.
 
 Every finiteness verdict is the `infinite` attribute of the report that
-holds the rank; the Brunnian one is decided and checked on each read.  The
+holds the rank; the Brunnian one is decided and checked on each read, and
+every framed one once per report, in framed._framed_rank.  The
 criteria never read the Witt sums.  A Brunnian sublink of three or more
 components is infinite exactly when sum a_k x_k = m - 3 has a solution
 x >= 1.  The cores of liedim solve y >= 0 only, so the criteria ask for
@@ -97,7 +99,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _shown
 from .fcs import _member
 from .liedim import (_count_solutions, _multiplicity, _parities, _solutions,
                      _weighted_dim_sums, witt_super)
@@ -134,7 +136,7 @@ def _contributions(m, dims, lower, expected):
     count = _count_solutions(weights, n)
     if count > _MAX_TERMS:
         raise ResourceLimitError(
-            f"m={m}, p={dims} has {count} contributions, over the cap of {_MAX_TERMS}")
+            f"m={m}, p={dims} has {_shown(count)} contributions, over the cap of {_MAX_TERMS}")
     parities = _parities(weights)
     # a multiplicity is unchanged by swapping entries of x at coordinates of
     # one parity, so the kernel runs once per class of x: its sorted entries
@@ -160,8 +162,8 @@ def _contributions(m, dims, lower, expected):
     total = sum(value for _, value in terms)
     if total != expected:
         raise InternalConsistencyError(
-            f"the {len(terms)} enumerated contributions add up to {total} but the "
-            f"Witt formula gives {expected} for m={m}, p={dims}")
+            f"the {len(terms)} enumerated contributions add up to {_shown(total)} but the "
+            f"Witt formula gives {_shown(expected)} for m={m}, p={dims}")
     return terms
 
 
@@ -185,7 +187,7 @@ class BrunnianRank(NamedTuple):
             tuple(sorted(self.m - v - 2 for v in self.p)), self.m - 3)
         if verdict != (self.rank > 0):
             raise InternalConsistencyError(
-                f"Brunnian criterion says {verdict} but the rank is {self.rank} "
+                f"Brunnian criterion says {verdict} but the rank is {_shown(self.rank)} "
                 f"for m={self.m}, p={self.p}")
         return verdict
 
@@ -207,8 +209,8 @@ class RankReport(NamedTuple):
         subsets = 2 ** len(self.p) - 1
         if subsets > _MAX_TERMS:
             raise ResourceLimitError(
-                f"the decomposition of m={self.m}, p={self.p} lists {subsets} component "
-                f"subsets, over the cap of {_MAX_TERMS}")
+                f"the decomposition of m={self.m}, p={self.p} lists {_shown(subsets)} "
+                f"component subsets, over the cap of {_MAX_TERMS}")
         weights = [self.m - v - 2 for v in self.p]
         ranks = _brunnian_ranks(tuple(sorted(weights)), self.m - 3)
         split = {}
@@ -344,8 +346,8 @@ def _multiset_report(weights, target):
             split += value
     if split != rest:
         raise InternalConsistencyError(
-            f"closed formula gives {rest} beyond the knot ranks but the subset "
-            f"splitting gives {split} for m={target + 3}, weights {weights}")
+            f"closed formula gives {_shown(rest)} beyond the knot ranks but the subset "
+            f"splitting gives {_shown(split)} for m={target + 3}, weights {weights}")
 
     # is some sublink of two or more components infinite?  one per multiset
     sublink = any(_subsequence_infinite(t, target) for t in ranks if len(t) >= 2)
@@ -360,7 +362,7 @@ def _link_report(m, dims):
     infinite = any(knot_ranks) or sublink
     if infinite != (total > 0):
         raise InternalConsistencyError(
-            f"finiteness criterion says {infinite} but the rank is {total} "
+            f"finiteness criterion says {infinite} but the rank is {_shown(total)} "
             f"for m={m}, p={dims}")
     return RankReport(
         m=m, p=dims, total_rank=total,
@@ -398,6 +400,6 @@ def equal_dim_rank(m, p, r):
     check = _link_report(m, dims).total_rank
     if value != check:
         raise InternalConsistencyError(
-            f"equal-dimension form gives {value} but the general formula gives "
-            f"{check} for m={m}, p={p}, r={r}")
+            f"equal-dimension form gives {_shown(value)} but the general formula gives "
+            f"{_shown(check)} for m={m}, p={p}, r={r}")
     return value

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linkrank import framed
+from linkrank import cli, framed
 from linkrank.errors import InternalConsistencyError, InvalidInputError
 from linkrank.framed import (
     framed_knot_is_infinite,
@@ -72,10 +73,12 @@ def test_full_framing_check_fires(monkeypatch):
     assert fully_framed_is_infinite(9, (3,)) is True
     assert handlebody_report(10, (4,)).sets_finite is None
     monkeypatch.setattr(framed, "_framed_knot_infinite", lambda m, p, l: False)
-    with pytest.raises(InternalConsistencyError, match="full-framing criterion"):
+    with pytest.raises(InternalConsistencyError, match=r"^framed criterion says False "
+                       r"but the framed rank is 1 for m=9, p=\(3,\), l=\(6,\)$"):
         fully_framed_is_infinite(9, (3,))
     # the handlebody of one 4-handle in dimension 10 induces the same (9; 3)
-    with pytest.raises(InternalConsistencyError, match="full-framing criterion"):
+    with pytest.raises(InternalConsistencyError, match=r"^framed criterion says False "
+                       r"but the framed rank is 1 for m=9, p=\(3,\), l=\(6,\)$"):
         handlebody_report(10, (4,))
 
 
@@ -83,8 +86,45 @@ def test_framed_knot_check_fires(monkeypatch):
     # (7; 3, 1): framed rank 1, so the criterion must say infinite
     assert framed_rank(7, ((3, 1),)).total_rank == 1
     monkeypatch.setattr(framed, "_framed_knot_infinite", lambda m, p, l: False)
-    with pytest.raises(InternalConsistencyError, match="framed-knot criterion"):
+    with pytest.raises(InternalConsistencyError, match=r"^framed criterion says False "
+                       r"but the framed rank is 1 for m=7, p=\(3,\), l=\(1,\)$"):
         framed_knot_is_infinite(7, 3, 1)
+
+
+def test_every_framed_report_checks_its_verdict(monkeypatch, capsys):
+    # framed_rank and the CLI's framed command read the verdict of the one
+    # framed criterion, checked against the framed rank 1 of (7; 3, 1)
+    monkeypatch.setattr(framed, "_framed_knot_infinite", lambda m, p, l: False)
+    with pytest.raises(InternalConsistencyError, match="^framed criterion says False"):
+        framed_rank(7, ((3, 1),))
+    assert cli.main(["framed", "7", "3:1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal consistency failure: framed criterion says False")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2, 40), st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_handlebody_regime_matches_the_pairwise_conditions(m_plus_1, handle_dims):
+    # the reference: both conditions on 2a - b over every pair of dims
+    m = m_plus_1 - 1
+    dims = [v - 1 for v in handle_dims]
+    weak = all(2 * a - b + 2 <= m and 2 * a - b >= 1 for a in dims for b in dims)
+    strict = all(2 * a - b + 2 < m and 2 * a - b > 1 for a in dims for b in dims)
+    report = handlebody_report(m_plus_1, handle_dims)
+    assert report.weak_conditions_hold is weak
+    assert report.strict_conditions_hold is strict
+    if not strict:
+        assert report.group_rank is None
+
+
+def test_a_handlebody_of_many_handles_answers():
+    # the regime is read from the smallest and largest handle; (8; 5^20000)
+    # is infinite, with its framed rank as the group rank
+    report = handlebody_report(9, (6,) * 20000)
+    assert report.strict_conditions_hold is True
+    assert report.sets_finite is None
+    assert report.group_rank == 159999998000000004000
 
 
 def test_handlebody_reports():

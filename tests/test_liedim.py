@@ -444,6 +444,19 @@ def test_solution_count_matches_the_walk(pairs, target):
         enumerate_diophantine(weights, target, bounds))
 
 
+def test_solution_count_past_ten_thousand():
+    # closed forms at targets past 10 000: r weights 1 have C(N + r - 1, r - 1)
+    # solutions, and coprime weights a, b have N/ab - {b'N/a} - {a'N/b} + 1
+    # (Popoviciu), with b' b = 1 mod a, a' a = 1 mod b and {} the fractional part
+    for target in (10_001, 12_345, 20_001):
+        for r in range(1, 5):
+            assert _count_solutions((1,) * r, target) == math.comb(target + r - 1, r - 1)
+        for a, b in ((2, 3), (7, 11), (13, 1000), (97, 101)):
+            count = (Fraction(target, a * b) - Fraction(pow(b, -1, a) * target % a, a)
+                     - Fraction(pow(a, -1, b) * target % b, b) + 1)
+            assert _count_solutions((a, b), target) == count
+
+
 def unpruned_solutions(weights, target, lower_bounds):
     # The reference for enumerate_diophantine, whose walk _solutions takes
     # no bounds: a depth-first walk with its bounds and without a

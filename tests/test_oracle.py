@@ -2,12 +2,13 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from linkrank import liedim, oracle
+from linkrank import cli, liedim, oracle
 from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.liedim import lie_component_dim, multiplicity
 from linkrank.oracle import (
@@ -157,6 +158,20 @@ def test_verify_range_refuses_too_many_pairs_before_it_starts():
     # 5 * 8 + 25 * (C(10, 2) - 1) + 125 * (C(11, 3) - 1) pairs, all counted
     with pytest.raises(ResourceLimitError, match=r"check 21640 \("):
         verify_range(3, 5, 8)
+
+
+def test_a_range_refused_by_the_word_cap_names_itself(capsys):
+    # the cap refuses the range's largest multidegree, max_letters split
+    # over max_r entries, and the message leads with the range
+    message = (r"verify_range\(2, 1, 60\): multidegree \(30, 30\) spans "
+               r"118264581564861424 words, over the hard cap of 1500")
+    with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+        verify_range(2, 1, 60)
+    argv = ["oracle", "verify", "--max-r", "2", "--max-degree", "1", "--max-letters", "60"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"resource limit: {message}\n", err)
 
 
 def test_verify_range_pair_count_is_exact(monkeypatch):

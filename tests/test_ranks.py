@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkrank import liedim, ranks
-from linkrank.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from linkrank.errors import (InternalConsistencyError, InvalidInputError, ResourceLimitError,
+                             _shown)
 from linkrank.framed import framed_rank, handlebody_report
 from linkrank.ranks import (
     brunnian_is_infinite,
@@ -418,6 +419,32 @@ def test_finiteness_examples(no_walk_of_three):
     assert link_is_infinite(8, (5, 5, 5)) is True
     assert link_is_infinite(10, (7,)) is True
     assert link_is_infinite(8, (5, 5)) is False
+
+
+def test_brunnian_verdicts_past_ten_thousand(no_walk_of_three):
+    # verdicts of three components that only the solution count decides,
+    # at a degree past 10 000: weights 1 with y = x - 1 in degree 10 004,
+    # and weights 2 with the odd m - 3 = 20 007, which none reaches
+    assert brunnian_rank(10010, (10007,) * 3).infinite is True
+    finite = brunnian_rank(20010, (20006,) * 3)
+    assert (finite.rank, finite.infinite) == (0, False)
+
+
+def test_a_failed_check_on_a_huge_rank_names_its_size(monkeypatch):
+    # the Brunnian rank of (10010; 10007^3) has 15 835 bits, more digits
+    # than the interpreter turns into a string by default, and 20 000
+    # components have 2^20000 - 1 subsets: each message names the number
+    # by its size instead of raising ValueError
+    with pytest.raises(ResourceLimitError, match="lists <number of 20000 bits> component subsets"):
+        link_rank(8, (5,) * 20000).subset_decomposition
+    report = brunnian_rank(10010, (10007,) * 3)
+    monkeypatch.setattr(ranks, "_subsequence_infinite", lambda weights, target: False)
+    with pytest.raises(InternalConsistencyError, match="^Brunnian criterion says False "
+                       "but the rank is <number of 15835 bits> for m=10010,"):
+        report.infinite
+    assert _shown(2 ** 2000 - 1) == str(2 ** 2000 - 1)
+    assert _shown(-2 ** 2000) == _shown(1, 2 ** 2000) == "<number of 2001 bits>"
+    assert _shown(6, 4) == "3/2"
 
 
 def test_brunnian_report_ignores_component_order():
