@@ -6,8 +6,7 @@ formula.
 from .errors import (InternalConsistencyError, InvalidInputError,
                      LinkRankError, ResourceLimitError)
 from .arith import divisors, moebius, multinomial
-from .liedim import (enumerate_diophantine, lie_component_dim, multiplicity,
-                     weighted_dim_sums, witt, witt_super)
+from .liedim import lie_component_dim, multiplicity, weighted_dim_sums, witt, witt_super
 from .fcs import fcs_contains, fcs_enumerate
 from .ranks import (BrunnianRank, RankReport, brunnian_is_infinite, brunnian_rank,
                     equal_dim_rank, knot_rank, link_is_infinite, link_rank)
@@ -40,7 +39,7 @@ __all__ = [
     "LinkRankError", "InvalidInputError", "InternalConsistencyError",
     "ResourceLimitError",
     "moebius", "divisors", "multinomial", "lie_component_dim", "multiplicity",
-    "witt", "witt_super", "enumerate_diophantine", "weighted_dim_sums",
+    "witt", "witt_super", "weighted_dim_sums",
     "fcs_contains", "fcs_enumerate",
     "RankReport", "BrunnianRank", "knot_rank", "brunnian_rank",
     "link_rank", "equal_dim_rank", "brunnian_is_infinite", "link_is_infinite",

@@ -12,7 +12,7 @@ Everything here is plain integer arithmetic; no floats anywhere.
 from math import factorial, prod
 from operator import index
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _shown
 
 
 def as_integer(value, what):
@@ -40,7 +40,7 @@ def moebius(n):
     """Moebius mu(n): (-1)^k for a product of k distinct primes, else 0."""
     n = as_integer(n, "the argument of moebius")
     if n < 1:
-        raise InvalidInputError(f"moebius(n) needs n >= 1, got {n}")
+        raise InvalidInputError(f"moebius(n) needs n >= 1, got {_shown(n)}")
     return _moebius(n)
 
 
@@ -64,7 +64,7 @@ def divisors(n):
     """All positive divisors of n in increasing order."""
     n = as_integer(n, "the argument of divisors")
     if n < 1:
-        raise InvalidInputError(f"divisors(n) needs n >= 1, got {n}")
+        raise InvalidInputError(f"divisors(n) needs n >= 1, got {_shown(n)}")
     return _divisors(n)
 
 
@@ -87,7 +87,8 @@ def multinomial(parts):
     """(sum parts)! / prod(part!) for nonnegative integer parts."""
     parts = as_integers(parts, "a multinomial part", "the multinomial parts")
     if any(p < 0 for p in parts):
-        raise InvalidInputError(f"multinomial takes nonnegative integers, got {parts}")
+        raise InvalidInputError(
+            f"multinomial takes nonnegative integers, got {_shown(parts)}")
     return _multinomial(parts)
 
 

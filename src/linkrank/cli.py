@@ -20,18 +20,25 @@ the witt index parser and the brute-force oracle by oracle verify, so a
 text-format rank call loads none of them.  Exit
 codes: 0 success, 2 invalid input, 3 resource limit exceeded, 1 internal
 consistency failure, 141 stdout closed early (a closed pipe).
+
+One rendering rule: a command first computes its data and runs every check
+and refusal on it (the report, a table, the --details listings, the fcs
+box, the verify range and its failures), whatever the format, so its exit
+code never depends on --format.  It then hands _emit three zero-argument
+builders, one per format, and _emit calls only the one --format names; the
+other renderings are never built.  The tables ask liedim's unvalidated
+_multiplicity with each block's parities, as verify_range does.
 """
 
 import argparse
 import io
 import os
 import sys
-from itertools import chain
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .fcs import _parity, fcs_enumerate
 from .framed import framed_rank
-from .liedim import multiplicity, witt_super
+from .liedim import _multiplicity, witt_super
 from .ranks import brunnian_rank, link_rank
 from .stiefel import stiefel_rank
 
@@ -64,27 +71,29 @@ def _json(payload):
 
 
 def _emit(fmt, payload, table, text):
-    """Print payload as JSON, table as CSV or text (an iterable of lines) as
-    lines; the only stdout writer."""
+    """Print one rendering, built by the zero-argument builder that fmt
+    names: payload() the JSON payload, table() the CSV rows, text() the
+    lines; the other two builders are never called.  The only stdout writer."""
     if fmt == "json":
-        out = _json(payload) + "\n"
+        out = _json(payload()) + "\n"
     elif fmt == "csv":
         import csv
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(table)
+        csv.writer(buffer, lineterminator="\n").writerows(table())
         out = buffer.getvalue()
     else:
-        out = "".join(f"{line}\n" for line in text)
+        out = "".join(f"{line}\n" for line in text())
     sys.stdout.write(out)
     sys.stdout.flush()
 
 
 def _record(fields):
-    """The JSON object (None fields dropped) and one-row CSV table of a field dict."""
-    payload = {key: value for key, value in fields.items() if value is not None}
-    row = ["" if value is None else " ".join(map(str, value)) if isinstance(value, list)
-           else value for value in fields.values()]
-    return payload, [list(fields), row]
+    """Builders of the JSON object (None fields dropped) and of the one-row
+    CSV table of a field dict."""
+    return (lambda: {key: value for key, value in fields.items() if value is not None},
+            lambda: [list(fields), ["" if value is None else " ".join(map(str, value))
+                                    if isinstance(value, list) else value
+                                    for value in fields.values()]])
 
 
 def _cmd_rank(args):
@@ -95,26 +104,36 @@ def _cmd_rank(args):
         report = link_rank(args.m, args.p)
         rank, brunnian = report.total_rank, report.brunnian_rank
     infinite = report.infinite
-    payload, table = _record({"m": report.m, "p": list(report.p), "rank": rank,
-                              "brunnian_rank": brunnian, "infinite": infinite})
-    text = [f"m = {report.m}, p = ({', '.join(map(str, report.p))})"]
-    if not args.brunnian:
-        text.append(f"rank: {rank}")
-    if brunnian is not None:
-        text.append(f"brunnian rank: {brunnian}")
-    text.append(f"infinite: {'yes' if infinite else 'no'}")
-    if args.details:
-        # the term and subset lines are generators, formatted only when the
-        # text format prints them
-        terms = report.contributions
-        payload["contributions"] = terms
-        text = chain(text, ["contributions:"], (f"  {x}: {value}" for x, value in terms))
+    # the listings are read, so checked or refused, whatever the format
+    terms = report.contributions if args.details else None
+    split = report.subset_decomposition if args.details and not args.brunnian else None
+    record, table = _record({"m": report.m, "p": list(report.p), "rank": rank,
+                             "brunnian_rank": brunnian, "infinite": infinite})
+
+    def payload():
+        out = record()
+        if terms is not None:
+            out["contributions"] = terms
+        if split is not None:
+            out["decomposition"] = {",".join(map(str, subset)): value
+                                    for subset, value in split.items()}
+        return out
+
+    def text():
+        yield f"m = {report.m}, p = ({', '.join(map(str, report.p))})"
         if not args.brunnian:
-            split = {",".join(map(str, subset)): value
-                     for subset, value in report.subset_decomposition.items()}
-            payload["decomposition"] = split
-            text = chain(text, ["decomposition:"],
-                         (f"  components {{{key}}}: {value}" for key, value in split.items()))
+            yield f"rank: {rank}"
+        if brunnian is not None:
+            yield f"brunnian rank: {brunnian}"
+        yield f"infinite: {'yes' if infinite else 'no'}"
+        if terms is not None:
+            yield "contributions:"
+            yield from (f"  {x}: {value}" for x, value in terms)
+        if split is not None:
+            yield "decomposition:"
+            yield from (f"  components {{{','.join(map(str, subset))}}}: {value}"
+                        for subset, value in split.items())
+
     _emit(args.format, payload, table, text)
 
 
@@ -135,13 +154,16 @@ def _cmd_framed(args):
         "m": report.m, "p": list(report.p), "l": list(report.l),
         "rank": report.total_rank, "link_rank": link,
         "stiefel_ranks": list(report.stiefel_ranks), "infinite": report.infinite})
-    pairs = ", ".join(f"{p}:{l}" for p, l in zip(report.p, report.l))
-    _emit(args.format, payload, table, [
-        f"m = {report.m}, components p:l = {pairs}",
-        f"framed rank: {report.total_rank}",
-        f"link rank: {link}",
-        f"stiefel ranks: ({', '.join(map(str, report.stiefel_ranks))})",
-        f"infinite: {'yes' if report.infinite else 'no'}"])
+
+    def text():
+        pairs = ", ".join(f"{p}:{l}" for p, l in zip(report.p, report.l))
+        return [f"m = {report.m}, components p:l = {pairs}",
+                f"framed rank: {report.total_rank}",
+                f"link rank: {link}",
+                f"stiefel ranks: ({', '.join(map(str, report.stiefel_ranks))})",
+                f"infinite: {'yes' if report.infinite else 'no'}"]
+
+    _emit(args.format, payload, table, text)
 
 
 def _table2():
@@ -159,24 +181,30 @@ def _table2():
 def _table3():
     rows = [["i_parity", "j_parity", "x", "y", "multiplicity"]]
     blocks = (
-        ("even", "even", (2, 2)),
-        ("odd", "even", (1, 2)),
+        ("even", "even", (0, 0)),
+        ("odd", "even", (1, 0)),
         ("odd", "odd", (1, 1)),
     )
-    for pi, pj, weights in blocks:
+    for pi, pj, parities in blocks:
         for y in range(1, 6):
             for x in range(1, 6):
-                rows.append([pi, pj, x, y, multiplicity(weights, (x, y))])
+                rows.append([pi, pj, x, y, _multiplicity(parities, (x, y))])
     return rows
 
 
 def _cmd_tables(args):
     table = _table2() if args.which == "table2" else _table3()
-    header, *rows = table
-    widths = [max(len(str(value)) for value in column) for column in zip(*table)]
-    _emit(args.format, {"rows": [dict(zip(header, row)) for row in rows]}, table,
-          ["  ".join(str(value).ljust(width) for value, width in zip(row, widths))
-           for row in table])
+
+    def payload():
+        header, *rows = table
+        return {"rows": [dict(zip(header, row)) for row in rows]}
+
+    def text():
+        widths = [max(len(str(value)) for value in column) for column in zip(*table)]
+        return ["  ".join(str(value).ljust(width) for value, width in zip(row, widths))
+                for row in table]
+
+    _emit(args.format, payload, lambda: table, text)
 
 
 def _parity_arg(text):
@@ -188,11 +216,15 @@ def _parity_arg(text):
 
 
 def _cmd_fcs(args):
-    points = [list(point) for point in fcs_enumerate(args.i, args.j, args.xmax, args.ymax)]
-    names = ("even", "odd")
-    payload = {"i_parity": names[_parity(args.i)], "j_parity": names[_parity(args.j)],
-               "x_max": args.xmax, "y_max": args.ymax, "points": points}
-    _emit(args.format, payload, [["x", "y"], *points], [f"{x} {y}" for x, y in points])
+    points = fcs_enumerate(args.i, args.j, args.xmax, args.ymax)
+
+    def payload():
+        names = ("even", "odd")
+        return {"i_parity": names[_parity(args.i)], "j_parity": names[_parity(args.j)],
+                "x_max": args.xmax, "y_max": args.ymax, "points": points}
+
+    _emit(args.format, payload, lambda: [("x", "y"), *points],
+          lambda: [f"{x} {y}" for x, y in points])
 
 
 def _parse_rational(text):
@@ -207,36 +239,39 @@ def _cmd_witt(args):
     t = _parse_rational(args.t)
     value = witt_super(t, args.s, args.r)
     _emit(args.format, *_record({"t": str(t), "s": args.s, "r": args.r, "value": value}),
-          [value])
+          lambda: [value])
 
 
 def _cmd_stiefel(args):
     value = stiefel_rank(args.p, args.q, args.l)
     _emit(args.format, *_record({"p": args.p, "q": args.q, "l": args.l, "rank": value}),
-          [value])
+          lambda: [value])
 
 
 def _cmd_oracle_verify(args):
     from .oracle import verify_range
     report = verify_range(args.max_r, args.max_degree, args.max_letters)
     failures = report.failures
-    payload = {
-        "instances": report.instances,
-        "ok": report.ok,
-        "failures": [
+
+    def payload():
+        return {"instances": report.instances, "ok": report.ok, "failures": [
             {"weights": list(rec.weights), "multidegree": list(rec.multidegree),
              "check": rec.check, "expected": rec.expected, "actual": rec.actual}
-            for rec in failures
-        ],
-    }
-    # the rows are a generator, formatted only when the csv format prints them
-    table = chain([["weights", "multidegree", "check", "expected", "actual", "ok"]],
-                  ([" ".join(map(str, rec.weights)), " ".join(map(str, rec.multidegree)),
-                    rec.check, rec.expected, rec.actual, rec.ok] for rec in report.records))
-    text = [f"FAIL weights={rec.weights} x={rec.multidegree} "
-            f"{rec.check}: expected {rec.expected}, got {rec.actual}" for rec in failures]
-    text.append(f"{len(failures)} of {report.instances} checks fail" if failures
-                else f"all {report.instances} checks pass")
+            for rec in failures]}
+
+    def table():
+        yield ["weights", "multidegree", "check", "expected", "actual", "ok"]
+        for rec in report.records:
+            yield [" ".join(map(str, rec.weights)), " ".join(map(str, rec.multidegree)),
+                   rec.check, rec.expected, rec.actual, rec.ok]
+
+    def text():
+        for rec in failures:
+            yield (f"FAIL weights={rec.weights} x={rec.multidegree} "
+                   f"{rec.check}: expected {rec.expected}, got {rec.actual}")
+        yield (f"{len(failures)} of {report.instances} checks fail" if failures
+               else f"all {report.instances} checks pass")
+
     _emit(args.format, payload, table, text)
     if failures:
         raise InternalConsistencyError(

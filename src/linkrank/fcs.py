@@ -7,7 +7,7 @@ The families are given by explicit congruence bullets; the equivalence
 """
 
 from .arith import as_integer
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, _shown
 
 # the most points fcs_enumerate tests: a 500 x 500 box takes 0.11-0.13 s
 # in-process and 0.6 s (text) to 1.7 s (json) through `linkrank fcs` on
@@ -36,7 +36,8 @@ def fcs_contains(i, j, x, y):
     x = as_integer(x, "the x coordinate")
     y = as_integer(y, "the y coordinate")
     if x < 1 or y < 1:
-        raise InvalidInputError(f"membership is defined for x, y >= 1, got ({x}, {y})")
+        raise InvalidInputError(
+            f"membership is defined for x, y >= 1, got ({_shown(x)}, {_shown(y)})")
     return _member(_parity(i), _parity(j), x, y)
 
 
@@ -82,12 +83,13 @@ def fcs_enumerate(i, j, x_max, y_max):
     x_max = as_integer(x_max, "the box bound x_max")
     y_max = as_integer(y_max, "the box bound y_max")
     if x_max < 1 or y_max < 1:
-        raise InvalidInputError(f"box bounds must be >= 1, got ({x_max}, {y_max})")
+        raise InvalidInputError(
+            f"box bounds must be >= 1, got ({_shown(x_max)}, {_shown(y_max)})")
     pi, pj = _parity(i), _parity(j)
     if x_max * y_max > _MAX_BOX:
         raise ResourceLimitError(
-            f"the box {x_max} x {y_max} holds {x_max * y_max} points, "
-            f"over the cap of {_MAX_BOX}")
+            f"the box {_shown(x_max)} x {_shown(y_max)} holds "
+            f"{_shown(x_max * y_max)} points, over the cap of {_MAX_BOX}")
     return [
         (x, y)
         for x in range(1, x_max + 1)

@@ -39,8 +39,8 @@ def _as_framed(m, components):
     for p, l in zip(dims, frames):
         if l < 0 or l > m - p:
             raise InvalidInputError(
-                f"frame count must satisfy 0 <= l <= m - p, got l={l} "
-                f"for p={p}, m={m}")
+                f"frame count must satisfy 0 <= l <= m - p, got l={_shown(l)} "
+                f"for p={_shown(p)}, m={_shown(m)}")
     return m, dims, frames
 
 
@@ -72,7 +72,7 @@ def _framed_rank(m, dims, frames):
     if infinite != (total > 0):
         raise InternalConsistencyError(
             f"framed criterion says {infinite} but the framed rank is {_shown(total)} "
-            f"for m={m}, p={dims}, l={frames}")
+            f"for m={_shown(m)}, p={_shown(dims)}, l={_shown(frames)}")
     return FramedRankReport(
         m=m,
         p=dims,
@@ -89,7 +89,7 @@ def framed_knot_is_infinite(m, p, l):
     asserted against the computed framed rank."""
     m, (p,), (l,) = _as_framed(m, ((p, l),))
     if l < 1:
-        raise InvalidInputError(f"the criterion needs l >= 1, got l={l}")
+        raise InvalidInputError(f"the criterion needs l >= 1, got l={_shown(l)}")
     return _framed_rank(m, (p,), (l,)).infinite
 
 
@@ -139,7 +139,8 @@ def handlebody_report(m_plus_1, handle_dims):
     if not handle_dims:
         raise InvalidInputError("need at least one handle")
     if any(v < 1 for v in handle_dims):
-        raise InvalidInputError(f"handle dimensions must be >= 1, got {handle_dims}")
+        raise InvalidInputError(
+            f"handle dimensions must be >= 1, got {_shown(handle_dims)}")
     m = m_plus_1 - 1
     dims = tuple(v - 1 for v in handle_dims)
 

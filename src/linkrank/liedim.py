@@ -19,8 +19,10 @@ Conventions used throughout the package:
   and any negative coordinate gives dimension 0.
 
 Each public function validates its arguments once (the weights through
-_as_weights) and then calls an unvalidated core named with a leading
-underscore; the rank layer calls the cores only.
+_as_weights, a multidegree with its weights through _as_system) and then
+calls an unvalidated core named with a leading underscore; the rank
+layer, the CLI's tables and the oracle's verify_range call the cores
+only.
 
 The dimension of a component is a sum over the divisors of the gcd of its
 multidegree (the divisor-sum form of the super Witt formula): |x| dim(x)
@@ -39,10 +41,11 @@ the multinomial of x.  So the kernel computes one multinomial M and
 
 The Diophantine cores _solutions, _reach and _count_solutions take
 (weights, target) and solve sum a_k x_k = target for x >= 0 only; a
-negative target has no solution.  A lower bound L is one change of
-variables at the caller: the solutions x >= L are x = y + L for the
-solutions y >= 0 at target - sum a_k L_k.  So enumerate_diophantine
-shifts by its per-coordinate bounds, and the rank layer by 1 for x >= 1.
+negative target has no solution.  They have no public wrapper: the
+listing a user reads is a rank report's contributions.  A lower bound L
+is one change of variables at the caller: the solutions x >= L are
+x = y + L for the solutions y >= 0 at target - sum a_k L_k, so the rank
+layer shifts by 1 for x >= 1.
 
 _solutions walks the solutions in lexicographic order, pruned by
 reachability: _reach keeps, for each suffix of coordinates, the set of
@@ -64,7 +67,6 @@ internal bug, not bad input.
 
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import add, mul
 
 from .arith import _divisors, _moebius, _multinomial, as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _shown
@@ -82,7 +84,7 @@ def _as_weights(weights):
     if not weights:
         raise InvalidInputError("a generator system needs at least one generator")
     if any(a < 1 for a in weights):
-        raise InvalidInputError(f"generator weights must be positive, got {weights}")
+        raise InvalidInputError(f"generator weights must be positive, got {_shown(weights)}")
     return weights
 
 
@@ -90,13 +92,16 @@ def _parities(weights):
     return tuple(a % 2 for a in weights)
 
 
-def _as_multidegree(weights, x):
+def _as_system(weights, x):
+    # the parities of checked weights and x checked against them: the one
+    # check of a (weights, multidegree) pair
+    weights = _as_weights(weights)
     x = as_integers(x, "a multidegree entry", "a multidegree")
     if len(x) != len(weights):
         raise InvalidInputError(
-            f"multidegree {x} has {len(x)} entries but the system has "
+            f"multidegree {_shown(x)} has {len(x)} entries but the system has "
             f"{len(weights)} generators")
-    return x
+    return _parities(weights), x
 
 
 def _divisor_terms(parities, y, g):
@@ -123,7 +128,7 @@ def _exact_quotient(numerator, n, what, parities, x):
     if remainder or value < 0:
         raise InternalConsistencyError(
             f"{what} gave {_shown(numerator, n)} for parities {parities} "
-            f"and multidegree {x}")
+            f"and multidegree {_shown(x)}")
     return value
 
 
@@ -160,15 +165,13 @@ def lie_component_dim(weights, x):
 
     Example: one generator of odd weight, x = (2,) -> 1, the self-bracket.
     """
-    weights = _as_weights(weights)
-    return _dim(_parities(weights), _as_multidegree(weights, x))
+    return _dim(*_as_system(weights, x))
 
 
 def multiplicity(weights, x):
     """sum_k dim(x - e_k) minus dim(x): the corank of the bracket-with-a-
     generator map landing in the multidegree-x component."""
-    weights = _as_weights(weights)
-    return _multiplicity(_parities(weights), _as_multidegree(weights, x))
+    return _multiplicity(*_as_system(weights, x))
 
 
 def _multiplicity(parities, x):
@@ -187,9 +190,8 @@ def _multiplicity(parities, x):
             h = gcd(*y)
             if h > 1:
                 below += _divisor_terms(parities, y, h)
-    return (_exact_quotient(below, n - 1, "the summed dimensions of the x - e_k",
-                            parities, x)
-            - _dim_formula(parities, x, n, multinomial, gcd(*x)))
+    below = _exact_quotient(below, n - 1, "the summed dimensions of the x - e_k", parities, x)
+    return below - _dim_formula(parities, x, n, multinomial, gcd(*x))
 
 
 def witt(t, r):
@@ -201,12 +203,13 @@ def witt(t, r):
     t = as_integer(t, "the necklace length t")
     r = as_integer(r, "the letter count r")
     if t < 1 or r < 1:
-        raise InvalidInputError(f"witt(t, r) needs t >= 1 and r >= 1, got t={t}, r={r}")
+        raise InvalidInputError(
+            f"witt(t, r) needs t >= 1 and r >= 1, got t={_shown(t)}, r={_shown(r)}")
     cost = t * (r - 1).bit_length() + isqrt(t)
     if cost > _MAX_WITT_COST:
         raise ResourceLimitError(
-            f"witt({t}, {r}) would cost about {cost} bits of r^t and trial divisions, "
-            f"over the cap of {_MAX_WITT_COST}")
+            f"witt({_shown(t)}, {_shown(r)}) would cost about {_shown(cost)} bits of r^t "
+            f"and trial divisions, over the cap of {_MAX_WITT_COST}")
     acc = 0
     for i in _divisors(t):
         mu = _moebius(i)
@@ -214,7 +217,8 @@ def witt(t, r):
             acc += mu * r ** (t // i)
     value, remainder = divmod(acc, t)
     if remainder or value < 0:
-        raise InternalConsistencyError(f"necklace count gave {_shown(acc, t)} for t={t}, r={r}")
+        raise InternalConsistencyError(
+            f"necklace count gave {_shown(acc, t)} for t={_shown(t)}, r={_shown(r)}")
     return value
 
 
@@ -232,33 +236,14 @@ def witt_super(t, s, r):
     s = as_integer(s, "the parity carrier s")
     r = as_integer(r, "the letter count r")
     if s < 1 or r < 1:
-        raise InvalidInputError(f"witt_super needs s >= 1 and r >= 1, got s={s}, r={r}")
+        raise InvalidInputError(
+            f"witt_super needs s >= 1 and r >= 1, got s={_shown(s)}, r={_shown(r)}")
     if t.denominator != 1 or t < 1:
         return 0
     t = int(t)
     if s % 2 == 1 and t % 4 == 2:
         return witt(t, r) + witt(t // 2, r)
     return witt(t, r)
-
-
-def enumerate_diophantine(weights, target, lower_bounds):
-    """All solutions x of sum(weights[k] * x[k]) == target with
-    x[k] >= lower_bounds[k], in lexicographic order.
-
-    weights must be positive; each lower bound is 0 or 1.
-
-    Example: weights (3, 1), target 7, bounds (1, 1) -> [(1, 4), (2, 1)].
-    """
-    weights = _as_weights(weights)
-    lower_bounds = as_integers(lower_bounds, "a lower bound", "lower bounds")
-    if len(lower_bounds) != len(weights):
-        raise InvalidInputError(
-            f"{len(lower_bounds)} lower bounds for {len(weights)} weights")
-    if any(b not in (0, 1) for b in lower_bounds):
-        raise InvalidInputError(f"lower bounds must each be 0 or 1, got {lower_bounds}")
-    # x = y + lower_bounds, for the solutions y >= 0 of what the bounds leave
-    target = as_integer(target, "the target") - sum(map(mul, weights, lower_bounds))
-    return [tuple(map(add, y, lower_bounds)) for y in _solutions(weights, target)]
 
 
 def _reach(weights, target):
@@ -378,7 +363,7 @@ def weighted_dim_sums(weights, n):
     weights = tuple(sorted(_as_weights(weights)))
     n = as_integer(n, "the degree bound")
     if n < 0:
-        raise InvalidInputError(f"the degree bound must be >= 0, got {n}")
+        raise InvalidInputError(f"the degree bound must be >= 0, got {_shown(n)}")
     return _weighted_dim_sums(weights, n)[:n + 1]
 
 
@@ -428,7 +413,7 @@ def _solve_dim_sums(weights, n):
         if remainder or value < 0:
             raise InternalConsistencyError(
                 f"weight-graded Witt formula gave {_shown(bd, d)} in degree {d} "
-                f"for weights {weights}")
+                f"for weights {_shown(weights)}")
         out.append(value)
         if bd:
             if d % 2:

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
 from .errors import InvalidInputError, ResourceLimitError, _shown
-from .liedim import _as_multidegree, _as_weights, _dim, _multiplicity, _parities
+from .liedim import _as_system, _dim, _multiplicity, _parities
 
 _DEFAULT_BUDGET = 8
 _MAX_WORDS = 1500
@@ -74,29 +74,29 @@ _MEMO_SIZE = 1 << 15  # above _MAX_PAIRS: verify_range computes each key once
 def _admit(weights, x, budget, positive=False):
     # the (parities, x) key of a memoized core, once every check of one call
     # has passed; positive asks every coordinate >= 1, for the map analysis
-    weights = _as_weights(weights)
-    x = _as_multidegree(weights, x)
+    parities, x = _as_system(weights, x)
     if positive and min(x) < 1:
         raise InvalidInputError(
-            f"the bracket-map analysis needs every coordinate positive, got {x}")
+            f"the bracket-map analysis needs every coordinate positive, got {_shown(x)}")
     if min(x) < 0:
-        raise InvalidInputError(f"multidegree entries must be >= 0, got {x}")
+        raise InvalidInputError(f"multidegree entries must be >= 0, got {_shown(x)}")
     total = sum(x)
     if total < 1:
         raise InvalidInputError(
-            f"the oracle needs at least one letter, got multidegree {x}")
+            f"the oracle needs at least one letter, got multidegree {_shown(x)}")
     limit = _DEFAULT_BUDGET if budget is None else as_integer(budget, "the letter budget")
     if limit < 1:
-        raise InvalidInputError(f"the letter budget must be >= 1, got {limit}")
+        raise InvalidInputError(f"the letter budget must be >= 1, got {_shown(limit)}")
     if total > limit:
         raise ResourceLimitError(
-            f"multidegree {x} has {total} letters, over the budget of {limit}; "
-            f"pass a larger budget")
+            f"multidegree {_shown(x)} has {_shown(total)} letters, over the budget "
+            f"of {_shown(limit)}; pass a larger budget")
     n_words = _multinomial(x)
     if n_words > _MAX_WORDS:
-        raise ResourceLimitError(f"multidegree {x} spans {_shown(n_words)} words, "
-                                 f"over the hard cap of {_MAX_WORDS}")
-    return _parities(weights), x
+        raise ResourceLimitError(
+            f"multidegree {_shown(x)} spans {_shown(n_words)} words, "
+            f"over the hard cap of {_MAX_WORDS}")
+    return parities, x
 
 
 def _check_letters(words, parities):
@@ -349,17 +349,17 @@ def verify_range(max_r, max_degree, max_letters):
     max_r = as_integer(max_r, "max_r")
     max_degree = as_integer(max_degree, "max_degree")
     max_letters = as_integer(max_letters, "max_letters")
+    arguments = (max_r, max_degree, max_letters)
     if max_r < 1 or max_degree < 1 or max_letters < 1:
         raise InvalidInputError(
-            f"need max_r, max_degree, max_letters >= 1, got "
-            f"({max_r}, {max_degree}, {max_letters})")
+            f"need max_r, max_degree, max_letters >= 1, got {_shown(arguments)}")
     pairs = 0  # max_degree^r systems times C(max_letters + r, r) - 1 multidegrees
     for r in range(1, max_r + 1):
         pairs += max_degree ** r * (comb(max_letters + r, r) - 1)
         if pairs > _MAX_PAIRS:
             raise ResourceLimitError(
-                f"verify_range({max_r}, {max_degree}, {max_letters}) would check "
-                f"{'' if r == max_r else 'more than '}{pairs} (system, multidegree) "
+                f"verify_range{_shown(arguments)} would check "
+                f"{'' if r == max_r else 'more than '}{_shown(pairs)} (system, multidegree) "
                 f"pairs, over the cap of {_MAX_PAIRS}")
     # the range's largest call: max_letters split as evenly as possible over
     # max_r entries, since fewer letters, a zero entry or an uneven split span
@@ -369,8 +369,7 @@ def verify_range(max_r, max_degree, max_letters):
     try:
         _admit((1,) * max_r, (q + 1,) * s + (q,) * (max_r - s), max_letters)
     except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            f"verify_range({max_r}, {max_degree}, {max_letters}): {exc}") from None
+        raise ResourceLimitError(f"verify_range{_shown(arguments)}: {exc}") from None
     records = []
     # the brute force sees the weights only through their parities, so
     # weight vectors of one parity pattern share its results: each core

@@ -118,11 +118,11 @@ def _as_link(m, dims):
         raise InvalidInputError("a link needs at least one component")
     for v in dims:
         if v < 1:
-            raise InvalidInputError(f"component dimensions must be >= 1, got {v}")
+            raise InvalidInputError(f"component dimensions must be >= 1, got {_shown(v)}")
         if v >= m - 2:
             raise InvalidInputError(
-                f"codimension must exceed 2: component dimension {v} "
-                f"inside ambient dimension {m}")
+                f"codimension must exceed 2: component dimension {_shown(v)} "
+                f"inside ambient dimension {_shown(m)}")
     return m, dims
 
 
@@ -136,7 +136,8 @@ def _contributions(m, dims, lower, expected):
     count = _count_solutions(weights, n)
     if count > _MAX_TERMS:
         raise ResourceLimitError(
-            f"m={m}, p={dims} has {_shown(count)} contributions, over the cap of {_MAX_TERMS}")
+            f"m={_shown(m)}, p={_shown(dims)} has {_shown(count)} contributions, "
+            f"over the cap of {_MAX_TERMS}")
     parities = _parities(weights)
     # a multiplicity is unchanged by swapping entries of x at coordinates of
     # one parity, so the kernel runs once per class of x: its sorted entries
@@ -158,12 +159,13 @@ def _contributions(m, dims, lower, expected):
     terms = tuple(terms)
     if len(terms) != count:
         raise InternalConsistencyError(
-            f"enumerated {len(terms)} solutions but counted {count} for m={m}, p={dims}")
+            f"enumerated {len(terms)} solutions but counted {count} "
+            f"for m={_shown(m)}, p={_shown(dims)}")
     total = sum(value for _, value in terms)
     if total != expected:
         raise InternalConsistencyError(
             f"the {len(terms)} enumerated contributions add up to {_shown(total)} but the "
-            f"Witt formula gives {_shown(expected)} for m={m}, p={dims}")
+            f"Witt formula gives {_shown(expected)} for m={_shown(m)}, p={_shown(dims)}")
     return terms
 
 
@@ -188,7 +190,7 @@ class BrunnianRank(NamedTuple):
         if verdict != (self.rank > 0):
             raise InternalConsistencyError(
                 f"Brunnian criterion says {verdict} but the rank is {_shown(self.rank)} "
-                f"for m={self.m}, p={self.p}")
+                f"for m={_shown(self.m)}, p={_shown(self.p)}")
         return verdict
 
 
@@ -209,8 +211,8 @@ class RankReport(NamedTuple):
         subsets = 2 ** len(self.p) - 1
         if subsets > _MAX_TERMS:
             raise ResourceLimitError(
-                f"the decomposition of m={self.m}, p={self.p} lists {_shown(subsets)} "
-                f"component subsets, over the cap of {_MAX_TERMS}")
+                f"the decomposition of m={_shown(self.m)}, p={_shown(self.p)} lists "
+                f"{_shown(subsets)} component subsets, over the cap of {_MAX_TERMS}")
         weights = [self.m - v - 2 for v in self.p]
         ranks = _brunnian_ranks(tuple(sorted(weights)), self.m - 3)
         split = {}
@@ -328,7 +330,7 @@ def _multiset_report(weights, target):
     # components is infinite.  The subset split is checked here, once per
     # multiset, with the knot ranks left out of both sides.
     if target < 1:
-        raise InternalConsistencyError(f"degree target m - 3 = {target} is not positive")
+        raise InternalConsistencyError(f"degree target m - 3 = {_shown(target)} is not positive")
     # a component of weight a has p = m - 2 - a = target + 1 - a
     rest = (_multiplicity_sum(weights, target)
             - sum(_delta(target + 3, target + 1 - a) for a in weights))
@@ -347,7 +349,8 @@ def _multiset_report(weights, target):
     if split != rest:
         raise InternalConsistencyError(
             f"closed formula gives {_shown(rest)} beyond the knot ranks but the subset "
-            f"splitting gives {_shown(split)} for m={target + 3}, weights {weights}")
+            f"splitting gives {_shown(split)} for m={_shown(target + 3)}, "
+            f"weights {_shown(weights)}")
 
     # is some sublink of two or more components infinite?  one per multiset
     sublink = any(_subsequence_infinite(t, target) for t in ranks if len(t) >= 2)
@@ -363,7 +366,7 @@ def _link_report(m, dims):
     if infinite != (total > 0):
         raise InternalConsistencyError(
             f"finiteness criterion says {infinite} but the rank is {_shown(total)} "
-            f"for m={m}, p={dims}")
+            f"for m={_shown(m)}, p={_shown(dims)}")
     return RankReport(
         m=m, p=dims, total_rank=total,
         brunnian_rank=brunnian if len(dims) >= 2 else None,
@@ -387,11 +390,11 @@ def equal_dim_rank(m, p, r):
     p > 1, cross-checked against the general formula."""
     r = as_integer(r, "the number of components")
     if r < 1:
-        raise InvalidInputError(f"need at least one component, got r={r}")
+        raise InvalidInputError(f"need at least one component, got r={_shown(r)}")
     m, dims = _as_link(m, (p,) * r)
     p = dims[0]
     if p <= 1:
-        raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={p}")
+        raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={_shown(p)}")
     from fractions import Fraction
     s = m - p
     t = Fraction(m - 3, m - p - 2)
@@ -401,5 +404,5 @@ def equal_dim_rank(m, p, r):
     if value != check:
         raise InternalConsistencyError(
             f"equal-dimension form gives {_shown(value)} but the general formula gives "
-            f"{_shown(check)} for m={m}, p={p}, r={r}")
+            f"{_shown(check)} for m={_shown(m)}, p={_shown(p)}, r={_shown(r)}")
     return value

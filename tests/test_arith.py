@@ -7,8 +7,7 @@ from linkrank.errors import InvalidInputError
 from linkrank.fcs import fcs_contains, fcs_enumerate
 from linkrank.framed import (framed_knot_is_infinite, framed_rank, fully_framed_is_infinite,
                              handlebody_report, mcg_finite_index)
-from linkrank.liedim import (enumerate_diophantine, lie_component_dim, multiplicity, witt,
-                             witt_super)
+from linkrank.liedim import lie_component_dim, multiplicity, witt, witt_super
 from linkrank.oracle import (component_dim_bruteforce, left_normed_bracket, super_bracket,
                              verify_range)
 from linkrank.ranks import brunnian_rank, link_rank
@@ -103,7 +102,6 @@ def test_as_integer_rejects_non_integers():
                  lambda: framed_rank(8, 5),
                  lambda: framed_rank(8, (5, 3)),
                  lambda: framed_rank(8, ((5,),)),
-                 lambda: enumerate_diophantine(5, 3, (0,)),
                  lambda: lie_component_dim(5, (1,)),
                  lambda: multiplicity((1,), 3),
                  lambda: handlebody_report(9, 5),
@@ -140,7 +138,6 @@ def test_entry_points_reject_out_of_range_values():
                  lambda: lie_component_dim((1, 2), (1,)),
                  lambda: witt(0, 2),
                  lambda: witt_super(2, 0, 2),
-                 lambda: enumerate_diophantine((1, 2), 3, (1,)),
                  lambda: component_dim_bruteforce((1,), (1,), budget=0),
                  lambda: component_dim_bruteforce((1,), (-1,)),
                  lambda: left_normed_bracket((), (1,)),

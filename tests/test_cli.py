@@ -176,8 +176,14 @@ PINNED = [
      "stiefel ranks: (0, 0)\ninfinite: no\n"),
     (["framed", "8", "5:3", "5:3", "--format", "csv"],
      "m,p,l,rank,link_rank,stiefel_ranks,infinite\n8,5 5,3 3,0,0,0 0,False\n"),
+    (["tables", "table2"],
+     Sha256("c2fc656855897c56397f816805ed27220b93d6d1990fed6c4ac04ed73ad98831")),
+    (["tables", "table2", "--format", "json"],
+     Sha256("e5e24e6dc16374ef4ed1bd5e3b016d045a8e1bfb937fae503e2bf04de2ce416a")),
     (["tables", "table3"],
      Sha256("edfe81be6d126609eb7fa93e1c8c677a625a08632ec509181beb0c762c0b4783")),
+    (["tables", "table3", "--format", "json"],
+     Sha256("3c0d5d30d8600a5317b25dbd8245d76a843390e1526352b8a687ca59676ec831")),
     (["fcs", "even", "odd", "--xmax", "3", "--ymax", "3"],
      "1 1\n1 2\n2 3\n3 2\n3 3\n"),
     (["fcs", "even", "odd", "--xmax", "3", "--ymax", "3", "--format", "json"],
@@ -327,6 +333,6 @@ def test_json_matches_the_standard_encoder(payload):
     kept = dict(payload)
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        cli._emit("json", payload, None, None)
+        cli._emit("json", lambda: payload, None, None)
     assert buffer.getvalue() == expected
     assert payload == kept

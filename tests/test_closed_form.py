@@ -9,7 +9,7 @@ import pytest
 from linkrank import ranks
 from linkrank.errors import InternalConsistencyError
 from linkrank.framed import framed_rank, fully_framed_is_infinite
-from linkrank.liedim import _multiplicity, enumerate_diophantine
+from linkrank.liedim import _multiplicity, _solutions
 from linkrank.oracle import verify_range
 from linkrank.ranks import (brunnian_is_infinite, brunnian_rank, equal_dim_rank,
                             link_is_infinite, link_rank)
@@ -71,8 +71,10 @@ def test_contributions_equal_the_unshared_multiplicities(problem):
     weights = tuple(m - p - 2 for p in dims)
     parities = tuple(a % 2 for a in weights)
     for lower, report in ((0, link_rank(m, dims)), (1, brunnian_rank(m, dims))):
+        # x = y + lower for the solutions y >= 0 of what the bound leaves
         unshared = [(x, _multiplicity(parities, x))
-                    for x in enumerate_diophantine(weights, m - 3, (lower,) * len(dims))]
+                    for x in (tuple(v + lower for v in y)
+                              for y in _solutions(weights, m - 3 - lower * sum(weights)))]
         assert list(report.contributions) == unshared
 
 
@@ -214,7 +216,7 @@ def test_subsets_too_heavy_for_a_positive_solution_have_rank_zero():
 
 # the public entry points that validate their arguments; the library's own
 # code reaches their unvalidated cores instead
-VALIDATING = ("weighted_dim_sums", "enumerate_diophantine", "multiplicity",
+VALIDATING = ("weighted_dim_sums", "multiplicity",
               "fcs_contains", "knot_rank", "lie_component_dim", "stiefel_rank",
               "divisors", "moebius", "multinomial")
 

@@ -15,7 +15,6 @@ from linkrank.liedim import (
     _multiplicity,
     _reach,
     _solutions,
-    enumerate_diophantine,
     lie_component_dim,
     multiplicity,
     weighted_dim_sums,
@@ -313,27 +312,28 @@ def test_witt_super_matches_dimension_sum():
                 assert total == witt_super(t, s, r)
 
 
-def test_enumerate_diophantine_examples():
-    assert enumerate_diophantine((1, 1), 2, (1, 1)) == [(1, 1)]
-    assert enumerate_diophantine((3, 1), 7, (1, 1)) == [(1, 4), (2, 1)]
-    assert enumerate_diophantine((2,), 3, (1,)) == []
-    assert enumerate_diophantine((2, 3), 0, (0, 0)) == [(0, 0)]
-    assert enumerate_diophantine((2,), -1, (0,)) == []
+def bounded_solutions(weights, target, bounds):
+    # the solutions x >= bounds of sum(a_k x_k) = target, in lexicographic
+    # order: x = y + bounds for the walk's solutions y >= 0 of what the
+    # bounds leave of target
+    rest = target - sum(a * b for a, b in zip(weights, bounds))
+    return [tuple(v + b for v, b in zip(y, bounds)) for y in _solutions(weights, rest)]
+
+
+def test_solution_examples():
+    assert bounded_solutions((1, 1), 2, (1, 1)) == [(1, 1)]
+    assert bounded_solutions((3, 1), 7, (1, 1)) == [(1, 4), (2, 1)]
+    assert bounded_solutions((2,), 3, (1,)) == []
+    assert list(_solutions((2, 3), 0)) == [(0, 0)]
+    assert list(_solutions((2,), -1)) == []
     # the bounds shift the target: below zero nothing is left, one
     # coordinate included
-    assert enumerate_diophantine((3,), 0, (1,)) == []
-    assert enumerate_diophantine((3,), -3, (0,)) == []
-
-
-def test_enumerate_diophantine_order_and_bounds():
-    sols = enumerate_diophantine((1, 1, 1), 4, (1, 1, 1))
+    assert bounded_solutions((3,), 0, (1,)) == []
+    assert list(_solutions((3,), -3)) == []
+    sols = bounded_solutions((1, 1, 1), 4, (1, 1, 1))
     assert sols == sorted(sols)
     assert all(sum(x) == 4 and min(x) >= 1 for x in sols)
     assert len(sols) == 3
-    with pytest.raises(InvalidInputError):
-        enumerate_diophantine((1, 1), 4, (1, 2))
-    with pytest.raises(InvalidInputError):
-        enumerate_diophantine((0, 1), 4, (1, 1))
 
 
 def test_weighted_dim_sums_match_component_sums():
@@ -344,8 +344,7 @@ def test_weighted_dim_sums_match_component_sums():
         sums = weighted_dim_sums(weights, 24)
         assert sums[0] == 1
         for d in range(1, 25):
-            expected = sum(lie_component_dim(weights, x)
-                           for x in enumerate_diophantine(weights, d, (0,) * len(weights)))
+            expected = sum(lie_component_dim(weights, x) for x in _solutions(weights, d))
             assert sums[d] == expected, (weights, d)
 
 
@@ -441,7 +440,7 @@ def test_solution_count_matches_the_walk(pairs, target):
     # and mixed ones occur; the count takes what the bounds leave of target
     weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
     assert _count_solutions(weights, target - sum(a * b for a, b in pairs)) == len(
-        enumerate_diophantine(weights, target, bounds))
+        bounded_solutions(weights, target, bounds))
 
 
 def test_solution_count_past_ten_thousand():
@@ -458,7 +457,7 @@ def test_solution_count_past_ten_thousand():
 
 
 def unpruned_solutions(weights, target, lower_bounds):
-    # The reference for enumerate_diophantine, whose walk _solutions takes
+    # The reference for bounded_solutions, whose walk _solutions takes
     # no bounds: a depth-first walk with its bounds and without a
     # reachability table, which extends every prefix that leaves room for
     # the bounds after it and finds a prefix dead only when it solves the
@@ -500,7 +499,7 @@ def test_pruned_walk_matches_the_unpruned_walk(pairs, target):
     weights, bounds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
     prefixes = _count_solutions(weights[:-1] + (1,), target - sum(a * b for a, b in pairs))
     assume(prefixes <= 20_000)
-    assert enumerate_diophantine(weights, target, bounds) == list(
+    assert bounded_solutions(weights, target, bounds) == list(
         unpruned_solutions(weights, target, bounds))
 
 
@@ -596,9 +595,3 @@ def test_non_integer_inputs_are_rejected():
             lie_component_dim((bad, 1), (1, 1))
         with pytest.raises(InvalidInputError):
             multiplicity((bad, 1), (1, 1))
-        with pytest.raises(InvalidInputError):
-            enumerate_diophantine((bad, 1), 4, (0, 0))
-        with pytest.raises(InvalidInputError):
-            enumerate_diophantine((1, 1), bad, (0, 0))
-        with pytest.raises(InvalidInputError):
-            enumerate_diophantine((1, 1), 4, (0, bad))

@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import pickle
+import sys
 import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -445,6 +446,42 @@ def test_a_failed_check_on_a_huge_rank_names_its_size(monkeypatch):
     assert _shown(2 ** 2000 - 1) == str(2 ** 2000 - 1)
     assert _shown(-2 ** 2000) == _shown(1, 2 ** 2000) == "<number of 2001 bits>"
     assert _shown(6, 4) == "3/2"
+
+
+def test_refusals_of_huge_inputs_are_typed():
+    # each message formats an input of 5 001 digits, past the interpreter's
+    # default cap of 4 300 on converting an int to a string, which stays in
+    # force in library use: it names the number by its size instead
+    import linkrank as lr
+    huge = 10 ** 5000
+    calls = [
+        lambda: lr.witt(huge, 2), lambda: lr.witt(0, huge), lambda: lr.witt_super(3, -huge, 2),
+        lambda: lr.link_rank(huge, (huge,)), lambda: lr.link_rank(10, (-huge,)),
+        lambda: lr.equal_dim_rank(10, 3, -huge),
+        lambda: lr.framed_rank(10, ((3, huge),)), lambda: lr.framed_knot_is_infinite(10, 3, -huge),
+        lambda: lr.handlebody_report(10, (-huge,)),
+        lambda: lr.fcs_enumerate(1, 1, huge, huge), lambda: lr.fcs_contains(1, 1, -huge, 1),
+        lambda: lr.stiefel_rank(-huge, 3, 2),
+        lambda: lr.weighted_dim_sums((1,), -huge), lambda: lr.lie_component_dim((-huge,), (1,)),
+        lambda: lr.lie_component_dim((1,), (huge, 2)),
+        lambda: lr.moebius(-huge), lambda: lr.multinomial((-huge,)),
+        lambda: lr.component_dim_bruteforce((1,), (huge,)),
+        lambda: lr.component_dim_bruteforce((1,), (-huge,)),
+        lambda: lr.verify_range(huge, 1, 1),
+    ]
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        for call in calls:
+            with pytest.raises((InvalidInputError, ResourceLimitError),
+                               match="<number of 16610 bits>"):
+                call()
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+    assert _shown((huge, -3)) == "(<number of 16610 bits>, -3)"
+    assert _shown((5,)) == str((5,)) and _shown(()) == str(())
 
 
 def test_brunnian_report_ignores_component_order():
