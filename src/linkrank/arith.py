@@ -19,11 +19,11 @@ def as_integer(value, what):
     """value as an exact int.  Floats, strings and bools are rejected rather
     than truncated or read as 0/1; anything with __index__ is accepted."""
     if isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+        raise InvalidInputError(f"{what} must be an integer, got {_shown(value)}")
     try:
         return index(value)
     except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+        raise InvalidInputError(f"{what} must be an integer, got {_shown(value)}") from None
 
 
 def as_integers(values, what, whole):
@@ -33,7 +33,7 @@ def as_integers(values, what, whole):
         return tuple(as_integer(v, what) for v in values)
     except TypeError:
         raise InvalidInputError(
-            f"{whole} must be a sequence of integers, got {values!r}") from None
+            f"{whole} must be a sequence of integers, got {_shown(values)}") from None
 
 
 def moebius(n):

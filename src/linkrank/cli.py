@@ -278,11 +278,6 @@ def _cmd_oracle_verify(args):
             f"{len(failures)} oracle checks disagree with the closed formulas")
 
 
-def _add_format(parser):
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format (default text)")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="linkrank",
@@ -296,42 +291,30 @@ def _build_parser():
                       help="report the Brunnian group instead (needs >= 2 components)")
     rank.add_argument("--details", action="store_true",
                       help="include per-multidegree contributions and the subset split")
-    _add_format(rank)
-    rank.set_defaults(func=_cmd_rank)
 
     framed = sub.add_parser("framed", help="rank of a framed link group")
     framed.add_argument("m", type=int, help="ambient dimension")
     framed.add_argument("component", nargs="+",
                         help="components as p:l (sphere dimension : frame count)")
-    _add_format(framed)
-    framed.set_defaults(func=_cmd_framed)
 
     tables = sub.add_parser("tables", help="recompute a reference table")
     tables.add_argument("which", choices=("table2", "table3"))
-    _add_format(tables)
-    tables.set_defaults(func=_cmd_tables)
 
     fcs = sub.add_parser("fcs", help="enumerate a membership family")
     fcs.add_argument("i", type=_parity_arg, help="first index (integer or even/odd)")
     fcs.add_argument("j", type=_parity_arg, help="second index (integer or even/odd)")
     fcs.add_argument("--xmax", type=int, default=12)
     fcs.add_argument("--ymax", type=int, default=12)
-    _add_format(fcs)
-    fcs.set_defaults(func=_cmd_fcs)
 
     witt = sub.add_parser("witt", help="super necklace count")
     witt.add_argument("t", help="index, an integer or a fraction a/b")
     witt.add_argument("s", type=int, help="parity carrier (odd s activates the extra term)")
     witt.add_argument("r", type=int, help="number of letters")
-    _add_format(witt)
-    witt.set_defaults(func=_cmd_witt)
 
     stiefel = sub.add_parser("stiefel", help="rational homotopy rank of a Stiefel manifold")
     stiefel.add_argument("p", type=int)
     stiefel.add_argument("q", type=int)
     stiefel.add_argument("l", type=int)
-    _add_format(stiefel)
-    stiefel.set_defaults(func=_cmd_stiefel)
 
     oracle = sub.add_parser("oracle", help="brute-force cross-checks")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
@@ -339,9 +322,14 @@ def _build_parser():
     verify.add_argument("--max-r", type=int, default=2, dest="max_r")
     verify.add_argument("--max-degree", type=int, default=2, dest="max_degree")
     verify.add_argument("--max-letters", type=int, default=5, dest="max_letters")
-    _add_format(verify)
-    verify.set_defaults(func=_cmd_oracle_verify)
 
+    # every command takes --format, after its own arguments, and a _cmd_ handler
+    for command, func in ((rank, _cmd_rank), (framed, _cmd_framed), (tables, _cmd_tables),
+                          (fcs, _cmd_fcs), (witt, _cmd_witt), (stiefel, _cmd_stiefel),
+                          (verify, _cmd_oracle_verify)):
+        command.add_argument("--format", choices=("text", "json", "csv"),
+                             default="text", help="output format (default text)")
+        command.set_defaults(func=func)
     return parser
 
 

@@ -33,7 +33,7 @@ def _as_framed(m, components):
         components = tuple((p, l) for p, l in components)
     except (TypeError, ValueError):
         raise InvalidInputError(
-            f"a framed link is a sequence of (p, l) pairs, got {components!r}") from None
+            f"a framed link is a sequence of (p, l) pairs, got {_shown(components)}") from None
     m, dims = _as_link(m, (p for p, _ in components))
     frames = tuple(as_integer(l, "a frame count") for _, l in components)
     for p, l in zip(dims, frames):
@@ -177,8 +177,7 @@ def mcg_finite_index(m, dims):
     dims = as_integers(dims, "a component dimension", "component dimensions")
     if not dims:
         raise InvalidInputError("need at least one component")
-    if m < 5 or any(v < m // 2 for v in dims):
-        return None
-    if any(not (1 <= v < m - 2) for v in dims):
+    # from m = 5 on, every v >= m // 2 is at least 1
+    if m < 5 or min(dims) < m // 2 or max(dims) >= m - 2:
         return None
     return not _fully_framed(m, dims).infinite

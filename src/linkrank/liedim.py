@@ -77,6 +77,16 @@ from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitEr
 # 238 556 digits, printed in 1.3 s by CPython 3.11 on a 2-core x86-64 VM.
 _MAX_WITT_COST = 1 << 20
 
+# A solve of D(0..n) for r fitting weights, the least of them a, holds b
+# and D, two tables with b_j <= j r^(j / a) and D(j) <= b_j / j: together
+# about n^2 ceil(log2 r) / a bits of values and 256 bits a degree of slots
+# and int headers.  Under tracemalloc, one weight took 194 bits a degree
+# and (1, 1) at n = 8 000 took 9 154 (CPython 3.11).  Under the cap,
+# (50003; 50000^3), estimated at 5.0e9 bits, answers in 4.1 s and 613 MB
+# peak RSS (a 2-core x86-64 VM); over it, (100003; 100000^3), at 2.0e10
+# bits, took 15 s and 2.4 GB uncapped.
+_MAX_DIM_SUMS_BITS = 1 << 33
+
 
 def _as_weights(weights):
     # the one check of a weights tuple: nonempty, positive integers
@@ -355,7 +365,9 @@ def weighted_dim_sums(weights, n):
     taken from the b of its multiples; every D(d) is still checked to be a
     nonnegative integer.
     The sums are cached by the sorted weights alone: the longest D(0..n')
-    solved so far answers every n <= n', and a longer n is solved afresh.
+    solved so far answers every n <= n', and a longer n is solved afresh,
+    or refused with ResourceLimitError, before any table is allocated, when
+    its two tables would take more than about 2^33 bits (1 GiB).
 
     Example: weights (1, 1), n = 2 -> (1, 2, 3): two odd letters in
     degree 1, and in degree 2 the three self- and cross-brackets.
@@ -369,12 +381,18 @@ def weighted_dim_sums(weights, n):
 
 def _weighted_dim_sums(weights, n):
     # D(0..n') for some n' >= n, for sorted weights: the cell of the weights
-    # keeps the longest solve so far, and a failed solve leaves it as it was;
+    # keeps the longest solve so far, a solve over _MAX_DIM_SUMS_BITS is
+    # refused before it starts, and a failed solve leaves the cell as it was;
     # the run read or solved here is returned, not the cell, which another
     # thread may have refilled with a shorter run in between
     cell = _dim_sums_cell(weights)
     sums = cell[0]
     if len(sums) <= n:
+        bits = n * (n * (sum(a <= n for a in weights) - 1).bit_length() // weights[0] + 256)
+        if bits > _MAX_DIM_SUMS_BITS:
+            raise ResourceLimitError(
+                f"the Witt sums of weights {_shown(weights)} to degree {_shown(n)} would "
+                f"take about {_shown(bits)} bits, over the cap of {_MAX_DIM_SUMS_BITS}")
         sums = cell[0] = _solve_dim_sums(weights, n)
     return sums
 

@@ -105,11 +105,11 @@ def _check_letters(words, parities):
     parities = as_integers(parities, "a parity", "parities")
     for word in words:
         if not isinstance(word, tuple):
-            raise InvalidInputError(f"a word must be a tuple of letters, got {word!r}")
+            raise InvalidInputError(f"a word must be a tuple of letters, got {_shown(word)}")
         for k in word:
             if not 0 <= as_integer(k, "a letter") < len(parities):
                 raise InvalidInputError(
-                    f"letter {k!r} of the word {word!r} is not in range({len(parities)})")
+                    f"letter {_shown(k)} of the word {_shown(word)} is not in range({len(parities)})")
     return parities
 
 
@@ -118,7 +118,7 @@ def super_bracket(u, v, parities):
     for poly in (u, v):
         if not isinstance(poly, dict):
             raise InvalidInputError(
-                f"a polynomial must be a dict word -> coefficient, got {poly!r}")
+                f"a polynomial must be a dict word -> coefficient, got {_shown(poly)}")
         as_integers(poly.values(), "a coefficient", "coefficients")
     parities = _check_letters([*u, *v], parities)
     odd = {w: sum(parities[k] for k in w) % 2 for w in [*u, *v]}

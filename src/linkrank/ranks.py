@@ -40,7 +40,8 @@ function of N and a_k).  A link report is computed in two parts:
   the rank.
 
 brunnian_rank builds its own family, and none at all when the weights add
-up to more than N: the rank is then 0.
+up to more than N: the rank is then 0.  It decides the verdict and checks
+it against the rank, as _link_report does.
 
 Each public function validates its arguments once, through _as_link,
 which writes the rule 1 <= p_k < m - 2 (framed_rank,
@@ -53,13 +54,12 @@ and fcs.
 A report is a typing.NamedTuple of its fields and holds nothing else: it
 is immutable, compares and pickles as its fields, and _link_report can
 hand one to every caller.  Its listings (contributions,
-subset_decomposition) and the Brunnian verdict are properties computed on
-each read; none is kept, so a caller that reads a listing twice keeps its
-own copy.
+subset_decomposition) are properties computed on each read; neither is
+kept, so a caller that reads a listing twice keeps its own copy.
 
-Every finiteness verdict is the `infinite` attribute of the report that
-holds the rank; the Brunnian one is decided and checked on each read, and
-every framed one once per report, in framed._framed_rank.  The
+Every finiteness verdict is the `infinite` field of the report that holds
+the rank, decided and checked once, when the report is built; every
+framed one in framed._framed_rank.  The
 criteria never read the Witt sums.  A Brunnian sublink of three or more
 components is infinite exactly when sum a_k x_k = m - 3 has a solution
 x >= 1.  The cores of liedim solve y >= 0 only, so the criteria ask for
@@ -173,6 +173,7 @@ class BrunnianRank(NamedTuple):
     m: int
     p: tuple
     rank: int
+    infinite: bool
 
     @property
     def contributions(self):
@@ -180,18 +181,6 @@ class BrunnianRank(NamedTuple):
         enumerated on each read and checked against rank; refused with
         ResourceLimitError when there are more than _MAX_TERMS."""
         return _contributions(self.m, self.p, 1, self.rank)
-
-    @property
-    def infinite(self):
-        """Finiteness verdict from the solvability criterion, decided on each
-        read and checked against rank."""
-        verdict = _subsequence_infinite(
-            tuple(sorted(self.m - v - 2 for v in self.p)), self.m - 3)
-        if verdict != (self.rank > 0):
-            raise InternalConsistencyError(
-                f"Brunnian criterion says {verdict} but the rank is {_shown(self.rank)} "
-                f"for m={_shown(self.m)}, p={_shown(self.p)}")
-        return verdict
 
 
 class RankReport(NamedTuple):
@@ -289,7 +278,8 @@ def _brunnian_ranks(weights, target):
 
 
 def brunnian_rank(m, dims):
-    """Rank of the group of Brunnian links; needs at least two components.
+    """Rank of the group of Brunnian links, with its finiteness verdict
+    checked against it; needs at least two components.
 
     Example: brunnian_rank(5, (2, 2)).rank -> 1.
     """
@@ -298,10 +288,15 @@ def brunnian_rank(m, dims):
         raise InvalidInputError(
             "Brunnian rank needs at least two components; use knot_rank for one")
     weights = tuple(sorted(m - v - 2 for v in dims))
-    if sum(weights) > m - 3:
-        # no positive solution: rank 0, and no sublink family to build
-        return BrunnianRank(m, dims, 0)
-    return BrunnianRank(m, dims, _brunnian_ranks(weights, m - 3).get(weights, 0))
+    # weights adding up to more than m - 3 leave no positive solution: rank
+    # 0, and no sublink family to build
+    rank = 0 if sum(weights) > m - 3 else _brunnian_ranks(weights, m - 3).get(weights, 0)
+    infinite = _subsequence_infinite(weights, m - 3)
+    if infinite != (rank > 0):
+        raise InternalConsistencyError(
+            f"Brunnian criterion says {infinite} but the rank is {_shown(rank)} "
+            f"for m={_shown(m)}, p={_shown(dims)}")
+    return BrunnianRank(m, dims, rank, infinite)
 
 
 def _subsequence_infinite(weights, target):

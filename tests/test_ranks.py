@@ -43,7 +43,7 @@ _DUPLICATES = (lambda report: pickle.loads(pickle.dumps(report)), copy.deepcopy)
      "RankReport(m=6, p=(3, 3), total_rank=4, brunnian_rank=2, knot_ranks=(1, 1), "
      "infinite=True)", ("contributions", "subset_decomposition")),
     (lambda: brunnian_rank(6, (3, 3)),
-     "BrunnianRank(m=6, p=(3, 3), rank=2)", ("contributions", "infinite")),
+     "BrunnianRank(m=6, p=(3, 3), rank=2, infinite=True)", ("contributions",)),
     (lambda: framed_rank(6, ((3, 3),)),
      "FramedRankReport(m=6, p=(3,), l=(3,), total_rank=2, link_report=RankReport("
      "m=6, p=(3,), total_rank=1, brunnian_rank=None, knot_ranks=(1,), infinite=True), "
@@ -375,7 +375,30 @@ def test_a_brunnian_link_whose_weights_overflow_builds_no_family(clear_caches, m
     assert brunnian_is_infinite(20, (11, 10, 9)) is False
     monkeypatch.setattr(ranks, "_subsequence_infinite", lambda weights, target: True)
     with pytest.raises(InternalConsistencyError, match="Brunnian criterion says True"):
-        report.infinite
+        brunnian_rank(20, (9, 10, 11))
+
+
+def test_the_brunnian_verdict_is_decided_once_per_build(clear_caches, monkeypatch):
+    # brunnian_rank runs the criterion once and stores its checked verdict;
+    # reading the field runs nothing
+    calls = []
+    real = ranks._subsequence_infinite
+
+    def counting(weights, target):
+        calls.append(weights)
+        return real(weights, target)
+
+    clear_caches()
+    monkeypatch.setattr(ranks, "_subsequence_infinite", counting)
+    for m, dims in [(6, (3, 3)), (8, (5, 5, 5)), (20, (9, 10, 11)), (14, (7, 9, 10, 11))]:
+        del calls[:]
+        report = brunnian_rank(m, dims)
+        assert calls == [tuple(sorted(m - v - 2 for v in dims))]
+        for _ in range(3):
+            assert report.infinite is (report.rank > 0)
+        assert len(calls) == 1
+        assert brunnian_is_infinite(m, dims) is report.infinite
+        assert len(calls) == 2
 
 
 @pytest.fixture
@@ -438,11 +461,11 @@ def test_a_failed_check_on_a_huge_rank_names_its_size(monkeypatch):
     # by its size instead of raising ValueError
     with pytest.raises(ResourceLimitError, match="lists <number of 20000 bits> component subsets"):
         link_rank(8, (5,) * 20000).subset_decomposition
-    report = brunnian_rank(10010, (10007,) * 3)
+    brunnian_rank(10010, (10007,) * 3)  # fills the Witt-sum cells
     monkeypatch.setattr(ranks, "_subsequence_infinite", lambda weights, target: False)
     with pytest.raises(InternalConsistencyError, match="^Brunnian criterion says False "
                        "but the rank is <number of 15835 bits> for m=10010,"):
-        report.infinite
+        brunnian_rank(10010, (10007,) * 3)
     assert _shown(2 ** 2000 - 1) == str(2 ** 2000 - 1)
     assert _shown(-2 ** 2000) == _shown(1, 2 ** 2000) == "<number of 2001 bits>"
     assert _shown(6, 4) == "3/2"
@@ -468,6 +491,14 @@ def test_refusals_of_huge_inputs_are_typed():
         lambda: lr.component_dim_bruteforce((1,), (huge,)),
         lambda: lr.component_dim_bruteforce((1,), (-huge,)),
         lambda: lr.verify_range(huge, 1, 1),
+        # a rejected value that holds a huge int, not only a huge int
+        lambda: lr.link_rank(Fraction(huge, 3), (3,)), lambda: lr.link_rank(6, huge),
+        lambda: lr.framed_rank(10, ((3, huge, 1),)),
+        lambda: lr.fcs_contains(Fraction(huge, 3), 1, 1, 1),
+        lambda: lr.component_dim_bruteforce((1,), (1,), budget=Fraction(huge, 3)),
+        lambda: lr.left_normed_bracket((huge,), (1,)),
+        lambda: lr.super_bracket({(huge,): 1}, {}, (1,)),
+        lambda: lr.super_bracket([huge], {}, (1,)),
     ]
     cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if cap is not None:
@@ -482,6 +513,47 @@ def test_refusals_of_huge_inputs_are_typed():
             sys.set_int_max_str_digits(cap)
     assert _shown((huge, -3)) == "(<number of 16610 bits>, -3)"
     assert _shown((5,)) == str((5,)) and _shown(()) == str(())
+    # a small rejected value is named as repr names it
+    for value, text in [(6.9, "got 6.9"), ("6", "got '6'"), (Fraction(10, 3), "got Fraction")]:
+        with pytest.raises(InvalidInputError, match=f"^the ambient dimension must be an "
+                           f"integer, {text}"):
+            lr.link_rank(value, (3,))
+    assert _shown(Fraction(10, 3)) == "Fraction(10, 3)" and _shown([1, "a"]) == "[1, 'a']"
+    if cap is not None:
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert _shown([huge, 2]) == "[<number of 16610 bits>, 2]"
+            assert _shown(Fraction(huge, 3)) == "Fraction(<number of 16610 bits>, 3)"
+            assert _shown({huge}) == "<set>"
+        finally:
+            sys.set_int_max_str_digits(cap)
+
+
+def test_huge_witt_tables_are_refused_before_any_solve(clear_caches, monkeypatch):
+    # each of these valid links needs the Witt sums far past the cap on
+    # their two tables: refused from the estimate, never allocated
+    import linkrank as lr
+
+    def refuse(weights, n):
+        raise AssertionError(f"solved the Witt sums of {weights} to degree {n}")
+
+    clear_caches()
+    monkeypatch.setattr(liedim, "_solve_dim_sums", refuse)
+    huge = 10 ** 5000
+    calls = [
+        lambda: lr.link_rank(10 ** 20, (10 ** 20 - 3,)),
+        lambda: lr.brunnian_rank(10 ** 20, (10 ** 20 - 3,) * 2),
+        lambda: lr.fully_framed_is_infinite(10 ** 20, (10 ** 20 - 3,)),
+        lambda: lr.weighted_dim_sums((1,), 10 ** 20),
+        lambda: lr.equal_dim_rank(huge, 3, 2),
+        lambda: lr.handlebody_report(huge, (3,)),
+        lambda: lr.link_is_infinite(10 ** 12, (10 ** 12 - 3,)),
+        lambda: lr.link_rank(100003, (100000,) * 3),
+    ]
+    for call in calls:
+        with pytest.raises(ResourceLimitError, match="^the Witt sums of weights .* over the "
+                           f"cap of {liedim._MAX_DIM_SUMS_BITS}$"):
+            call()
 
 
 def test_brunnian_report_ignores_component_order():
