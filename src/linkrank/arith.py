@@ -9,7 +9,7 @@ directly on integers it has already checked.
 Everything here is plain integer arithmetic; no floats anywhere.
 """
 
-from math import factorial, prod
+from math import comb
 from operator import index
 
 from .errors import InvalidInputError, _shown
@@ -93,5 +93,12 @@ def multinomial(parts):
 
 
 def _multinomial(parts):
-    # multinomial on parts already known to be nonnegative integers
-    return factorial(sum(parts)) // prod(map(factorial, parts))
+    # multinomial on parts already known to be nonnegative integers, as the
+    # running product prod_k C(p_1 + ... + p_k, p_k): no factorial of the
+    # whole sum is built, so one large part costs a binomial, not two
+    # factorials
+    total, result = 0, 1
+    for p in parts:
+        total += p
+        result *= comb(total, p)
+    return result

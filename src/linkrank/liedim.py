@@ -79,11 +79,16 @@ _MAX_WITT_COST = 1 << 20
 
 # A solve of D(0..n) for r fitting weights, the least of them a, holds b
 # and D, two tables with b_j <= j r^(j / a) and D(j) <= b_j / j: together
-# about n^2 ceil(log2 r) / a bits of values and 256 bits a degree of slots
-# and int headers.  Under tracemalloc, one weight took 194 bits a degree
-# and (1, 1) at n = 8 000 took 9 154 (CPython 3.11).  Under the cap,
-# (50003; 50000^3), estimated at 5.0e9 bits, answers in 4.1 s and 613 MB
-# peak RSS (a 2-core x86-64 VM); over it, (100003; 100000^3), at 2.0e10
+# at most n^2 ceil(log2 r) / a bits of values, which CPython stores as
+# 30-bit digits in 32-bit words.  Each degree adds two int headers of 192
+# bits, up to 32 bits of a last digit to each, and 256 bits of slots in
+# the lists b and D and the tuple returned (one weight, with no int
+# allocated, took 195 bits a degree under tracemalloc), 704 bits in all;
+# dicts and frames add at most 4 096 bits a solve (3 200 at n = 1).  So
+# _dim_sums_bits is an upper bound: (1, 1) at n = 8 000 peaked at 9 154
+# bits a degree against 9 237 estimated (CPython 3.11).  Under the cap,
+# (50003; 50000^3), estimated at 5.4e9 bits, answers in 4.1 s and 613 MB
+# peak RSS (a 2-core x86-64 VM); over it, (100003; 100000^3), at 2.1e10
 # bits, took 15 s and 2.4 GB uncapped.
 _MAX_DIM_SUMS_BITS = 1 << 33
 
@@ -388,13 +393,20 @@ def _weighted_dim_sums(weights, n):
     cell = _dim_sums_cell(weights)
     sums = cell[0]
     if len(sums) <= n:
-        bits = n * (n * (sum(a <= n for a in weights) - 1).bit_length() // weights[0] + 256)
+        bits = _dim_sums_bits(weights, n)
         if bits > _MAX_DIM_SUMS_BITS:
             raise ResourceLimitError(
                 f"the Witt sums of weights {_shown(weights)} to degree {_shown(n)} would "
                 f"take about {_shown(bits)} bits, over the cap of {_MAX_DIM_SUMS_BITS}")
         sums = cell[0] = _solve_dim_sums(weights, n)
     return sums
+
+
+def _dim_sums_bits(weights, n):
+    # an upper bound on the bits a solve of D(0..n) for sorted weights
+    # allocates (see _MAX_DIM_SUMS_BITS)
+    value_bits = n * (sum(a <= n for a in weights) - 1).bit_length() // weights[0]
+    return n * (value_bits * 32 // 30 + 704) + 4096
 
 
 @lru_cache(maxsize=1 << 12)

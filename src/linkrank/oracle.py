@@ -48,12 +48,21 @@ admits its whole range once, before any check: it refuses more than
 word cap, named by its arguments as verify_range(max_r, max_degree,
 max_letters), and asks the kept answers directly, since no call of an
 admitted range can be refused.  Each of these limits raises
-ResourceLimitError.  The answers depend on the weights only through their
-parities, so each (parity pattern, multidegree) is computed once per
-process and kept, up to 32 768 entries for each of the two functions.  The checks run before the kept
-answers are consulted, so whether a call is refused never depends on what
-was asked before, and a refused call keeps nothing.  The kept answers are
-an int and a WhiteheadAnalysis, both immutable.
+ResourceLimitError.
+
+The answers depend on a generator system only up to relabelling its
+letters with their parities.  A permutation of the letters that keeps
+their parities is an automorphism of the free associative superalgebra:
+it maps the x component onto the permuted one and commutes with
+bracketing by a generator.  A letter with x_k = 0 occurs in no word of
+the component, and the map analysis asks every x_k >= 1.  So rank,
+dimension and kernel are those of the multiset of (parity, x_k) pairs
+with x_k > 0, and _canonical keys both kept answers by that multiset,
+sorted: each is computed once per process and kept, up to 32 768 entries
+for each of the two functions.  The checks run on the input as given,
+before the kept answers are consulted, so whether a call is refused never
+depends on what was asked before, and a refused call keeps nothing.  The
+kept answers are an int and a WhiteheadAnalysis, both immutable.
 """
 
 from functools import lru_cache
@@ -71,9 +80,19 @@ _MAX_PAIRS = 20_000
 _MEMO_SIZE = 1 << 15  # above _MAX_PAIRS: verify_range computes each key once
 
 
+def _canonical(parities, x):
+    # the key of a memoized core: the (parity, x_k) pairs with x_k > 0,
+    # sorted, as the two tuples (parities, x); a relabelling of the letters
+    # that keeps their parities, or a letter that does not occur, changes no
+    # rank, dimension or kernel (see the module docstring)
+    pairs = sorted((p, v) for p, v in zip(parities, x) if v)
+    return tuple(p for p, _ in pairs), tuple(v for _, v in pairs)
+
+
 def _admit(weights, x, budget, positive=False):
-    # the (parities, x) key of a memoized core, once every check of one call
-    # has passed; positive asks every coordinate >= 1, for the map analysis
+    # the canonical key of a memoized core, once every check of one call has
+    # passed on the input as given; positive asks every coordinate >= 1, for
+    # the map analysis
     parities, x = _as_system(weights, x)
     if positive and min(x) < 1:
         raise InvalidInputError(
@@ -96,7 +115,7 @@ def _admit(weights, x, budget, positive=False):
         raise ResourceLimitError(
             f"multidegree {_shown(x)} spans {_shown(n_words)} words, "
             f"over the hard cap of {_MAX_WORDS}")
-    return parities, x
+    return _canonical(parities, x)
 
 
 def _check_letters(words, parities):
@@ -343,9 +362,11 @@ def verify_range(max_r, max_degree, max_letters):
     largest multidegree that spans more than 1500 words, raise
     ResourceLimitError, each message led by verify_range(max_r,
     max_degree, max_letters).  The loop then calls the memoized cores
-    directly; the memo holds up to 32 768 immutable answers per core, more than the
-    pair cap, so one call computes each (parity pattern, multidegree)
-    once."""
+    directly, keyed by the multiset of (parity, positive count) pairs of
+    each pair; the memo holds up to 32 768 immutable answers per core, more
+    than the pair cap, so one call computes each multiset once.  Each
+    record compares that answer with the closed forms at the record's own
+    weights and multidegree."""
     max_r = as_integer(max_r, "max_r")
     max_degree = as_integer(max_degree, "max_degree")
     max_letters = as_integer(max_letters, "max_letters")
@@ -371,19 +392,20 @@ def verify_range(max_r, max_degree, max_letters):
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"verify_range{_shown(arguments)}: {exc}") from None
     records = []
-    # the brute force sees the weights only through their parities, so
-    # weight vectors of one parity pattern share its results: each core
-    # reads its memo of up to 32 768 immutable answers, each computed once
-    # per process; one call asks at most _MAX_PAIRS keys, so none is evicted
-    # before it is reused
+    # the brute force sees a pair only through its multiset of (parity,
+    # positive count) pairs, so every reordering of the letters, and every
+    # letter of count 0, shares one answer: each core reads its memo of up
+    # to 32 768 immutable answers, each computed once per process; one call
+    # asks at most _MAX_PAIRS keys, so none is evicted before it is reused
     for r in range(1, max_r + 1):
         for weights in product(range(1, max_degree + 1), repeat=r):
             parities = _parities(weights)
             for x in filter(any, _multidegrees(r, max_letters)):
                 dim = _dim(parities, x)
-                checks = [("dimension", dim, _span_rank(parities, x))]
+                key = _canonical(parities, x)
+                checks = [("dimension", dim, _span_rank(*key))]
                 if all(x):
-                    rank, kernel = _map_analysis(parities, x)
+                    rank, kernel = _map_analysis(*key)
                     checks += [("map rank", dim, rank),
                                ("map kernel", _multiplicity(parities, x), kernel)]
                 records += [VerificationRecord(weights, x, *check) for check in checks]

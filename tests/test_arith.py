@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from linkrank.arith import as_integer, divisors, moebius, multinomial
 from linkrank.errors import InvalidInputError
@@ -64,6 +65,19 @@ def test_multinomial_matches_factorial_quotient():
     for part in parts:
         denom *= math.factorial(part)
     assert multinomial(parts) == math.factorial(total) // denom
+
+
+@given(st.lists(st.integers(0, 60), max_size=8))
+def test_multinomial_is_the_factorial_quotient(parts):
+    assert multinomial(parts) == (math.factorial(sum(parts))
+                                  // math.prod(map(math.factorial, parts)))
+
+
+def test_multinomial_of_a_huge_part_builds_no_factorial():
+    # a running product of binomials: one part is C(n, n), and (1, n) is
+    # C(1, 1) C(n + 1, n)
+    assert multinomial([10**6]) == 1
+    assert multinomial([1, 10**6]) == 10**6 + 1
 
 
 def test_multinomial_order_invariant():

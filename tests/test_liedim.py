@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,21 @@ def test_failed_quotient_checks_render_the_reduced_fraction(monkeypatch):
                         raising=False)
     assert message(liedim._solve_dim_sums, (1,), 3) == (
         "weight-graded Witt formula gave 1 in degree 2 for weights (1,)")
+
+
+def test_the_witt_sum_estimate_bounds_what_a_solve_allocates():
+    # the estimate behind the cap is an upper bound on the traced peak; two
+    # weights of weight 1 fill ceil(log2 r) bits a degree exactly, so (1, 1)
+    # is the tightest case and is also tried at n = 8 000
+    cases = [(w, n) for w in ((1,), (1, 1), (1, 1, 1), (1, 2, 3)) for n in (0, 1, 5, 100, 1000)]
+    for weights, n in cases + [((1, 1), 8000)]:
+        tracemalloc.start()
+        try:
+            liedim._solve_dim_sums(weights, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * peak <= liedim._dim_sums_bits(weights, n), (weights, n)
 
 
 def test_witt_values():

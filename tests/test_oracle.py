@@ -6,9 +6,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from linkrank import cli, liedim, oracle
+from linkrank.arith import multinomial
 from linkrank.errors import InvalidInputError, ResourceLimitError
 from linkrank.liedim import lie_component_dim, multiplicity
 from linkrank.oracle import (
@@ -258,18 +259,67 @@ def _unshared_records(max_r, max_degree, max_letters, clear_caches):
     return tuple(records)
 
 
-def test_verify_range_shares_the_brute_force_across_a_parity_pattern(clear_caches):
-    # weights 1-3 form 2^r parity patterns: 2*5 + 4*20 + 8*55 = 530
-    # (parities, multidegree) pairs, 130 of them all-positive, against
-    # 3*5 + 9*20 + 27*55 = 1680 (weights, multidegree) pairs
-    expected = {args: _unshared_records(*args, clear_caches)
-                for args in ((3, 3, 5), (2, 3, 6))}
-    clear_caches()
-    assert verify_range(3, 3, 5).records == expected[3, 3, 5]
-    assert oracle._span_rank.cache_info().misses == 530
-    assert oracle._map_analysis.cache_info().misses == 130
-    clear_caches()
-    assert verify_range(2, 3, 6).records == expected[2, 3, 6]
+def _relabelling_classes(max_r, max_degree, max_letters):
+    # the multisets of (parity, positive count) pairs that the range's
+    # (weights, multidegree) pairs fall into, each as a sorted tuple: all of
+    # them for the dimension, those of all-positive multidegrees for the map
+    spans, maps = set(), set()
+    for r in range(1, max_r + 1):
+        for weights in itertools.product(range(1, max_degree + 1), repeat=r):
+            for x in itertools.product(range(max_letters + 1), repeat=r):
+                if 1 <= sum(x) <= max_letters:
+                    key = tuple(sorted((a % 2, v) for a, v in zip(weights, x) if v))
+                    spans.add(key)
+                    if all(x):
+                        maps.add(key)
+    return spans, maps
+
+
+def test_verify_range_shares_the_brute_force_across_a_relabelling_class(clear_caches):
+    # each core runs once per relabelling class of the range: for (3, 3, 5),
+    # 54 classes against 3*5 + 9*20 + 27*55 = 1680 (weights, multidegree)
+    # pairs; a class with a zero count is the class of a shorter positive
+    # multidegree, so both cores see the same 54
+    for args in ((3, 3, 5), (2, 3, 6)):
+        expected = _unshared_records(*args, clear_caches)
+        spans, maps = _relabelling_classes(*args)
+        clear_caches()
+        assert verify_range(*args).records == expected
+        assert oracle._span_rank.cache_info().misses == len(spans)
+        assert oracle._map_analysis.cache_info().misses == len(maps)
+
+
+@st.composite
+def relabelled_systems(draw):
+    """(parities, x) pairs of one relabelling class: 1-4 letters with
+    positive counts, at most 7 letters and 1500 words, the same under a
+    joint permutation of its (parity, count) pairs, and that again with 0-2
+    letters of count 0 put in."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4)),
+                          min_size=1, max_size=4))
+    counts = [v for _, v in pairs]
+    assume(sum(counts) <= 7 and multinomial(counts) <= oracle._MAX_WORDS)
+    permuted = [pairs[i] for i in draw(st.permutations(range(len(pairs))))]
+    padded = list(permuted)
+    for parity in draw(st.lists(st.integers(0, 1), max_size=2)):
+        padded.insert(draw(st.integers(0, len(padded))), (parity, 0))
+    return [tuple(map(tuple, zip(*system))) for system in (pairs, permuted, padded)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_systems())
+@example([((0, 1), (4, 2))] * 3)  # (4, 2) and (2, 4) differ: the pairs stay together
+@example([((0, 1), (2, 1))] * 3)  # the map kernel of (2, 1) and (1, 2) differ
+@example([((0, 0), (1, 1)), ((0, 0), (1, 1)), ((1, 0, 0), (0, 1, 1))])
+def test_a_relabelling_keeps_every_answer_of_the_unmemoized_cores(systems):
+    # the memo key of a relabelled input is the key of the original, and the
+    # cores answer on the key as they answer on the input itself
+    (parities, x), permuted, padded = systems
+    key = oracle._canonical(parities, x)
+    assert oracle._canonical(*permuted) == oracle._canonical(*padded) == key
+    span_rank, map_analysis = oracle._span_rank.__wrapped__, oracle._map_analysis.__wrapped__
+    assert span_rank(*padded) == span_rank(*permuted) == span_rank(*key)
+    assert map_analysis(*permuted) == map_analysis(*key)
 
 
 def _fraction_rank(rows):
