@@ -338,18 +338,19 @@ _PARSER = _build_parser()
 
 
 def main(argv=None):
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    # an exact answer may have more digits than the interpreter converts to
-    # a string by default; lift that cap for this call only
+    # an exact answer or an argument may have more digits than the
+    # interpreter converts between int and string by default; lift that cap
+    # for this call only, parsing included
     digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = _PARSER.parse_args(argv)
         args.func(args)
         return 0
+    except SystemExit as exc:
+        # only argparse exits: 0 after --help, 2 on a bad argument
+        return 0 if exc.code in (0, None) else 2
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,15 +29,12 @@ verdict and walks no sublinks.
 
 So a link's rank less its knot ranks, its Brunnian rank and its sublink
 verdict depend only on N and its weights as a multiset (delta too is a
-function of N and a_k).  A link report is computed in two parts:
-
-* _multiset_report(weights, N), cached by the sorted weights, computes
-  those three values once per multiset: M(all) - sum delta, the family
-  inversion, the split check and the sublink criterion.  It returns the
-  three values and keeps no family;
-* _link_report(m, dims), cached by the dims in their order, adds the knot
-  ranks, one per component in that order, and checks the verdict against
-  the rank.
+function of N and a_k).  Still, the one rank cache, _link_report(m, dims),
+is keyed by the dims in their order, and a report is computed once per
+key: the sorted weights and the knot ranks, M(all) - sum delta, the family
+inversion, the split check, the sublink criterion and the check of the
+verdict against the rank.  A reordering of a link is a new key and
+computes its report again.
 
 brunnian_rank builds its own family, and none at all when the weights add
 up to more than N: the rank is then 0.  It decides the verdict and checks
@@ -47,9 +44,9 @@ Each public function validates its arguments once, through _as_link,
 which writes the rule 1 <= p_k < m - 2 (framed_rank,
 framed_knot_is_infinite and fully_framed_is_infinite call it too;
 framed.handlebody_report and framed.mcg_finite_index write the rule
-again, as they answer None outside it instead of raising); _link_report, _multiset_report and brunnian_rank
-take the validated integers and call only the unvalidated cores of liedim
-and fcs.
+again, as they answer None outside it instead of raising); _link_report
+and brunnian_rank take the validated integers and call only the
+unvalidated cores of liedim and fcs.
 
 A report is a typing.NamedTuple of its fields and holds nothing else: it
 is immutable, compares and pickles as its fields, and _link_report can
@@ -85,7 +82,7 @@ Independent checks raise InternalConsistencyError on a mismatch:
 * the link rank must equal its split into knot ranks plus one Brunnian
   rank per component subset, which tests the delta terms and the subsets
   left out as having no positive solution; the knot ranks are on both
-  sides, so the core checks the rest once per multiset;
+  sides, so the check leaves them out;
 * each finiteness verdict, decided by the solvability criteria, must
   agree with rank > 0;
 * equal_dim_rank must agree with its one-weight closed form.
@@ -105,7 +102,9 @@ from .liedim import (_count_solutions, _multiplicity, _parities, _solutions,
                      _weighted_dim_sums, witt_super)
 
 # the most entries contributions or subset_decomposition lists; it admits
-# the 31 465 terms of (30; 27^5) and the benchmark's guard of 32 000
+# the 31 465 terms of (30; 27^5) and the benchmark's guard of 32 000.  It is
+# also the most components equal_dim_rank takes: its cost grows by about
+# 1.3 us a component, so it answers at the cap in well under a second
 _MAX_TERMS = 200_000
 
 
@@ -317,18 +316,17 @@ def brunnian_is_infinite(m, dims):
     return brunnian_rank(m, dims).infinite
 
 
-@lru_cache(maxsize=1 << 12)
-def _multiset_report(weights, target):
-    # what a link's report takes from its sorted weights and target = m - 3
-    # alone: its rank less the knot ranks, M(all) - sum delta; the Brunnian
-    # rank of all its components; and whether a sublink of two or more
-    # components is infinite.  The subset split is checked here, once per
-    # multiset, with the knot ranks left out of both sides.
+@lru_cache(maxsize=2 ** 14)
+def _link_report(m, dims):
+    # the rank less the knot ranks, M(all) - sum delta, depends only on the
+    # sorted weights and target = m - 3; the subset split checks it with the
+    # knot ranks left out of both sides
+    target = m - 3
     if target < 1:
         raise InternalConsistencyError(f"degree target m - 3 = {_shown(target)} is not positive")
-    # a component of weight a has p = m - 2 - a = target + 1 - a
-    rest = (_multiplicity_sum(weights, target)
-            - sum(_delta(target + 3, target + 1 - a) for a in weights))
+    weights = tuple(sorted(m - v - 2 for v in dims))
+    knot_ranks = tuple(_knot_rank(m, v) for v in dims)
+    rest = _multiplicity_sum(weights, target) - sum(_delta(m, v) for v in dims)
 
     # the same rank split into one Brunnian summand per subset of two or
     # more components; the sublinks that do not fit add 0.  Only a weight
@@ -344,27 +342,20 @@ def _multiset_report(weights, target):
     if split != rest:
         raise InternalConsistencyError(
             f"closed formula gives {_shown(rest)} beyond the knot ranks but the subset "
-            f"splitting gives {_shown(split)} for m={_shown(target + 3)}, "
+            f"splitting gives {_shown(split)} for m={_shown(m)}, "
             f"weights {_shown(weights)}")
 
-    # is some sublink of two or more components infinite?  one per multiset
-    sublink = any(_subsequence_infinite(t, target) for t in ranks if len(t) >= 2)
-    return rest, ranks.get(weights, 0), sublink
-
-
-@lru_cache(maxsize=2 ** 14)
-def _link_report(m, dims):
-    knot_ranks = tuple(_knot_rank(m, v) for v in dims)
-    rest, brunnian, sublink = _multiset_report(tuple(sorted(m - v - 2 for v in dims)), m - 3)
+    # infinite when a knot rank is 1 or a sublink of two or more components is
+    infinite = any(knot_ranks) or any(
+        _subsequence_infinite(t, target) for t in ranks if len(t) >= 2)
     total = rest + sum(knot_ranks)
-    infinite = any(knot_ranks) or sublink
     if infinite != (total > 0):
         raise InternalConsistencyError(
             f"finiteness criterion says {infinite} but the rank is {_shown(total)} "
             f"for m={_shown(m)}, p={_shown(dims)}")
     return RankReport(
         m=m, p=dims, total_rank=total,
-        brunnian_rank=brunnian if len(dims) >= 2 else None,
+        brunnian_rank=ranks.get(weights, 0) if len(dims) >= 2 else None,
         knot_ranks=knot_ranks, infinite=infinite)
 
 
@@ -386,16 +377,18 @@ def equal_dim_rank(m, p, r):
     r = as_integer(r, "the number of components")
     if r < 1:
         raise InvalidInputError(f"need at least one component, got r={_shown(r)}")
-    m, dims = _as_link(m, (p,) * r)
-    p = dims[0]
+    m, (p,) = _as_link(m, (p,))
     if p <= 1:
         raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={_shown(p)}")
+    if r > _MAX_TERMS:
+        raise ResourceLimitError(
+            f"equal_dim_rank of r={_shown(r)} components is over the cap of {_shown(_MAX_TERMS)}")
     from fractions import Fraction
     s = m - p
     t = Fraction(m - 3, m - p - 2)
     c = _knot_rank(m, p)
     value = r * (witt_super(t - 1, s, r) + c - _delta(m, p)) - witt_super(t, s, r)
-    check = _link_report(m, dims).total_rank
+    check = _link_report(m, (p,) * r).total_rank
     if value != check:
         raise InternalConsistencyError(
             f"equal-dimension form gives {_shown(value)} but the general formula gives "

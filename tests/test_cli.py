@@ -149,6 +149,40 @@ def test_answers_past_the_default_digit_cap_print_in_full(capsys, fmt):
         assert sys.get_int_max_str_digits() == cap
 
 
+# 4 401-digit arguments: past the interpreter's default cap of 4 300 digits
+# on converting a string to an int, which the CLI lifts before it parses
+_HUGE_M, _HUGE_P = "1" + "0" * 4399 + "3", "1" + "0" * 4400
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_fcs_reads_an_index_past_the_digit_cap(capsys, fmt):
+    box = ["--xmax", "4", "--ymax", "4", "--format", fmt]
+    assert cli.main(["fcs", _HUGE_P, "3", *box]) == 0
+    huge = capsys.readouterr().out
+    assert cli.main(["fcs", "4", "3", *box]) == 0
+    assert capsys.readouterr().out == huge
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int digit cap")
+def test_huge_arguments_are_read_and_the_digit_cap_restored(capsys):
+    # the link of a huge m and p is read, then refused at its Witt-sum cap;
+    # the cap on digits is back after an answer, a refusal and a bad argument
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv, code, err in [(["fcs", _HUGE_P, "3", "--xmax", "4", "--ymax", "4"], 0, ""),
+                                (["rank", _HUGE_M, _HUGE_P], 3, "resource limit: the Witt sums"),
+                                (["rank", _HUGE_M, "x"], 2, "argument p: invalid int value: 'x'")]:
+            assert cli.main(argv) == code
+            assert sys.get_int_max_str_digits() == 4300
+            out = capsys.readouterr()
+            assert (out.out == "") is (code != 0)
+            assert err in out.err
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 class Sha256(str):
     """Expected stdout given by the hex digest of its bytes."""
 

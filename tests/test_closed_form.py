@@ -103,8 +103,8 @@ def test_criteria_equal_the_walk_over_every_subset(problem):
 @pytest.fixture
 def cold_caches(clear_caches):
     # the checks run only when a value is computed, not on a cache hit, and
-    # a multiset core cached by an earlier test would skip them: every
-    # cache in the package is cleared
+    # a report cached by an earlier test would skip them: every cache in
+    # the package is cleared
     clear_caches()
     yield
     clear_caches()

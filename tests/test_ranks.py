@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from linkrank import liedim, ranks
 from linkrank.errors import (InternalConsistencyError, InvalidInputError, ResourceLimitError,
                              _shown)
-from linkrank.framed import framed_rank, handlebody_report
+from linkrank.framed import framed_rank, fully_framed_is_infinite, handlebody_report
 from linkrank.ranks import (
     brunnian_is_infinite,
     brunnian_rank,
@@ -288,11 +288,9 @@ def test_sweep_solves_each_sublink_once_per_longer_target(clear_caches, monkeypa
 
     monkeypatch.setattr(ranks, "_weighted_dim_sums", sums)
     monkeypatch.setattr(liedim, "_solve_dim_sums", solve)
-    monkeypatch.setattr(ranks, "_multiset_report", ranks._multiset_report.__wrapped__)
 
     def sweep(links):
-        # past the report cache and the multiset core's, so that every link
-        # reads its Witt sums again
+        # past the report cache, so that every link reads its Witt sums again
         for link in links:
             report = ranks._link_report.__wrapped__(*link)
             assert (report, dict(report.subset_decomposition)) == cold[link], link
@@ -319,9 +317,11 @@ def _fields_but_order(report):
             if name not in ("p", "knot_ranks")}
 
 
-def test_a_reordered_link_reads_the_core_of_its_multiset(clear_caches, monkeypatch):
-    # rank, Brunnian rank and verdict depend on the weights as a multiset:
-    # the reordered link builds no second sublink family
+def test_each_order_of_a_link_builds_its_family_once(clear_caches, monkeypatch):
+    # rank, Brunnian rank and verdict depend on the weights as a multiset,
+    # but the report cache is keyed by the dims in their order: each order
+    # builds the sublink family once, a repeated call builds none, and the
+    # framed report reads the link report of its order from that cache
     clear_caches()
     calls = []
     real = ranks._brunnian_ranks
@@ -333,11 +333,20 @@ def test_a_reordered_link_reads_the_core_of_its_multiset(clear_caches, monkeypat
     monkeypatch.setattr(ranks, "_brunnian_ranks", counting)
     dims = (7, 9, 10, 11)
     forward, backward = link_rank(14, dims), link_rank(14, dims[::-1])
-    assert calls == [(1, 2, 3, 5)]
+    assert calls == [(1, 2, 3, 5)] * 2
+    assert (link_rank(14, dims), link_rank(14, dims[::-1])) == (forward, backward)
+    components = ((7, 7), (9, 5), (10, 4), (11, 3))
+    framed = [framed_rank(14, components), framed_rank(14, components[::-1])]
+    infinite = [fully_framed_is_infinite(14, order) for order in (dims, dims[::-1])]
+    assert calls == [(1, 2, 3, 5)] * 2
     assert (forward.p, backward.p) == (dims, dims[::-1])
     assert (forward.knot_ranks, backward.knot_ranks) == ((0, 0, 0, 1), (1, 0, 0, 0))
     assert _fields_but_order(forward) == _fields_but_order(backward)
     assert (forward.total_rank, forward.brunnian_rank, forward.infinite) == (22, 2, True)
+    assert [report.link_report for report in framed] == [forward, backward]
+    assert framed[0].total_rank == framed[1].total_rank == 23
+    assert framed[0].infinite is framed[1].infinite is True
+    assert infinite == [True, True]
 
 
 @st.composite
@@ -350,8 +359,9 @@ def permuted_links(draw):
 @settings(max_examples=100, deadline=None)
 @given(permuted_links())
 def test_a_permuted_link_from_the_core_equals_its_cold_report(clear_caches, case):
-    # the permuted link's report, read over the core its multiset left in
-    # the cache, is the one a cold computation of that order gives
+    # a permuted link computes its own report, whatever the cache holds for
+    # the original order: the two computations of that order, after the
+    # original and from cold caches, give the same report
     m, dims, permuted = case
     clear_caches()
     link_rank(m, dims)
@@ -591,6 +601,21 @@ def test_equal_dim_rank_rejects_p_one():
         equal_dim_rank(6, 1, 2)
     with pytest.raises(InvalidInputError):
         equal_dim_rank(6, 3, 0)
+
+
+def test_equal_dim_rank_refuses_more_components_than_the_cap(monkeypatch):
+    # m and p are checked first, so a bad p is still invalid input; then
+    # r over the cap is refused before any link of r components is built
+    monkeypatch.setattr(ranks, "_MAX_TERMS", 5)
+    assert equal_dim_rank(6, 3, 5) == link_rank(6, (3,) * 5).total_rank
+    with pytest.raises(ResourceLimitError, match="^equal_dim_rank of r=6 components is "
+                       "over the cap of 5$"):
+        equal_dim_rank(6, 3, 6)
+    for r, shown in [(2 ** 63, str(2 ** 63)), (10 ** 5000, "<number of 16610 bits>")]:
+        with pytest.raises(ResourceLimitError, match=f"r={shown} components"):
+            equal_dim_rank(6, 3, r)
+        with pytest.raises(InvalidInputError, match="codimension must exceed 2"):
+            equal_dim_rank(6, 4, r)
 
 
 def test_brunnian_rank_grows_with_dimension():
