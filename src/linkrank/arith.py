@@ -3,8 +3,10 @@ multinomial coefficients.
 
 Each public function checks its arguments (through as_integer or
 as_integers) and then calls an unvalidated core named with a leading
-underscore; liedim calls the cores _moebius, _divisors and _multinomial
-directly on integers it has already checked.
+underscore; liedim calls the cores _squarefree_divisors and _multinomial
+directly on integers it has already checked.  Its divisor sums read only
+the divisors with mu != 0, so _squarefree_divisors lists those with their
+signs from one trial division, without factoring any divisor again.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """
@@ -81,6 +83,23 @@ def _divisors(n):
         d += 1
     small.extend(reversed(large))
     return small
+
+
+def _squarefree_divisors(n):
+    # (d, mu(d)) over the squarefree divisors d of an int n >= 1, (1, 1)
+    # first: each prime p of n doubles the list with the signs flipped
+    pairs = [(1, 1)]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            while n % p == 0:
+                n //= p
+            pairs += [(d * p, -mu) for d, mu in pairs]
+        p += 1
+    if n > 1:
+        pairs += [(d * n, -mu) for d, mu in pairs]
+    return pairs
 
 
 def multinomial(parts):

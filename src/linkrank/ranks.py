@@ -19,11 +19,17 @@ plus the knot ranks minus the delta corrections.
 
 A sublink enters every rank and criterion only through its weights, so it
 is keyed by their sorted tuple.  _sublinks lists those whose weights fit in
-N, each after its sub-multisets; the rest have rank 0.  The inversion
-removes one copy of a weight per pass, as the transform over subsets removes
-one component.  The link criterion walks the same family, and the split
+N, each after its sub-multisets and with its mixed-radix code; the rest
+have rank 0.  Digit k of the code is the count of the k-th distinct weight,
+and its stride is the product of (count + 1) over the smaller distinct
+weights.  The sub-multisets form a product of chains, one per distinct
+weight, so the inversion is one finite difference per axis, run on the
+codes: pass j of a weight subtracts the value at code - stride from each
+code whose digit exceeds j, as the transform over subsets removes one
+component.  The link criterion walks the same family, and the split
 check weighs each multiset t by its number of component subsets,
-prod_a C(count of a in the link, count of a in t).  The framed
+prod_a C(count of a in the link, count of a in t), a factor taken only
+for a weight the link repeats.  The framed
 criterion (framed._framed_rank) adds the framed-knot bullets to the link
 verdict and walks no sublinks.
 
@@ -243,37 +249,63 @@ def _multiplicity_sum(weights, target):
     # caller passes sorted weights, the key of the Witt-sum cache, whose
     # D(0..n') may run past target, so it is indexed, never measured
     dims = _weighted_dim_sums(weights, target)
-    return sum(dims[target - a] for a in weights if a <= target) - dims[target]
+    total = -dims[target]
+    for a in weights:
+        if a > target:
+            break
+        total += dims[target - a]
+    return total
 
 
 def _sublinks(weights, target):
-    """Sorted sub-multisets of the sorted weights adding up to at most target,
-    the empty one first and each after its own.  Only these sublinks have a
-    solution x >= 1 of sum(a_k x_k) = target."""
-    family = [((), 0)]
+    """(t, code) over the sorted sub-multisets t of the sorted weights adding
+    up to at most target, the empty one first and each after its own.  Digit
+    k of the mixed-radix code is the count in t of the k-th distinct weight,
+    with stride the product of (count + 1) over the smaller distinct weights.
+    Only these sublinks have a solution x >= 1 of sum(a_k x_k) = target."""
+    family = [((), 0, 0)]
+    stride = 1
     for a in sorted(set(weights)):
         count = weights.count(a)
-        family = [(t + (a,) * j, total + j * a) for t, total in family
-                  for j in range(count + 1) if total + j * a <= target]
-    return [t for t, _ in family]
+        grown = []
+        for t, total, code in family:
+            grown.append((t, total, code))
+            for _ in range(count):
+                total += a
+                if total > target:
+                    break
+                t += (a,)
+                code += stride
+                grown.append((t, total, code))
+        family = grown
+        stride *= count + 1
+    return [(t, code) for t, _, code in family]
 
 
 def _brunnian_ranks(weights, target):
     """Brunnian rank of every sublink in _sublinks(weights, target), keyed by
-    its sorted weights; the others have rank 0.  The family is closed under
-    taking sub-multisets, so the Moebius transform never reads outside it."""
-    ranks = {(): 0}
-    for t in _sublinks(weights, target)[1:]:
-        ranks[t] = _multiplicity_sum(t, target)
-    # pass j of weight a stands for its j-th component: it drops one copy of
-    # a from each sublink with more than j, supersets first to read old values
-    for a in set(weights):
-        for j in range(weights.count(a)):
-            for t in reversed(ranks):
-                if t.count(a) > j:
-                    i = t.index(a)
-                    ranks[t] -= ranks[t[:i] + t[i + 1:]]
-    return ranks
+    its sorted weights in family order; the others have rank 0.  The family
+    is closed under taking sub-multisets, so the inversion never reads
+    outside it."""
+    family = _sublinks(weights, target)
+    values = {0: 0}
+    for t, code in family[1:]:
+        values[code] = _multiplicity_sum(t, target)
+    # on a product of chains the Moebius inversion is one finite difference
+    # per axis: pass j of weight a stands for its j-th component and drops
+    # one copy of a from each code whose digit exceeds j, supersets first
+    # (reverse family order) so that each reads the value before the pass;
+    # no digit exceeds target // a, so the passes past it would change nothing
+    codes = [code for _, code in reversed(family)]
+    stride = 1
+    for a in sorted(set(weights)):
+        count = weights.count(a)
+        for j in range(min(count, target // a)):
+            for code in codes:
+                if code // stride % (count + 1) > j:
+                    values[code] -= values[code - stride]
+        stride *= count + 1
+    return {t: values[code] for t, code in family}
 
 
 def brunnian_rank(m, dims):

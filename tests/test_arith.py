@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from linkrank.arith import as_integer, divisors, moebius, multinomial
+from linkrank.arith import _squarefree_divisors, as_integer, divisors, moebius, multinomial
 from linkrank.errors import InvalidInputError
 from linkrank.fcs import fcs_contains, fcs_enumerate
 from linkrank.framed import (framed_knot_is_infinite, framed_rank, fully_framed_is_infinite,
@@ -46,6 +46,16 @@ def test_divisors_sorted_and_complete():
         assert len(ds) == len(set(ds))
         assert all(n % d == 0 for d in ds)
         assert all(d in ds for d in range(1, n + 1) if n % d == 0)
+
+
+def test_squarefree_divisors_are_the_divisors_with_nonzero_moebius():
+    # the one trial division agrees with listing every divisor and factoring
+    # each one again, (1, 1) first and no divisor twice
+    for n in range(1, 5001):
+        pairs = _squarefree_divisors(n)
+        assert pairs[0] == (1, 1)
+        assert len(pairs) == len(dict(pairs))
+        assert dict(pairs) == {d: moebius(d) for d in divisors(n) if moebius(d)}
 
 
 def test_multinomial_values():

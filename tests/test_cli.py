@@ -106,10 +106,10 @@ def test_fcs_over_the_box_cap_exits_three(capsys, monkeypatch):
 
 
 def test_witt_over_the_cap_exits_three(capsys, monkeypatch):
-    def divisors(n):
+    def squarefree_divisors(n):
         raise AssertionError("the divisors of an over-cap witt were walked")
 
-    monkeypatch.setattr(liedim, "_divisors", divisors)
+    monkeypatch.setattr(liedim, "_squarefree_divisors", squarefree_divisors)
     assert cli.main(["witt", "100000000", "1", "3"]) == 3
     assert capsys.readouterr() == ("", "resource limit: witt(100000000, 3) would cost about "
                                    "200010000 bits of r^t and trial divisions, over the "
@@ -210,6 +210,12 @@ PINNED = [
      "stiefel ranks: (0, 0)\ninfinite: no\n"),
     (["framed", "8", "5:3", "5:3", "--format", "csv"],
      "m,p,l,rank,link_rank,stiefel_ranks,infinite\n8,5 5,3 3,0,0,0 0,False\n"),
+    # weights 2, 2, 2, 3, 3, 4: the inversion repeats on two axes; 536
+    # terms, Brunnian rank 1080
+    (["rank", "24", "20", "20", "20", "19", "19", "18", "--details"],
+     Sha256("0380552c98fac4741874c5200139f8247daae743e620fde7caeebd99cb00f395")),
+    (["rank", "24", "20", "20", "20", "19", "19", "18", "--details", "--format", "json"],
+     Sha256("905589817788f9f239c9591573c57ded4137440d7f863383fa4663b6e265bc68")),
     (["tables", "table2"],
      Sha256("c2fc656855897c56397f816805ed27220b93d6d1990fed6c4ac04ed73ad98831")),
     (["tables", "table2", "--format", "json"],

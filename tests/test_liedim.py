@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from linkrank import liedim
-from linkrank.arith import multinomial
+from linkrank.arith import divisors, multinomial
 from linkrank.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from linkrank.liedim import (
     _count_solutions,
@@ -248,7 +248,9 @@ def test_failed_quotient_checks_render_the_reduced_fraction(monkeypatch):
     assert message(_multiplicity, (1, 0), (3, 1)) == (
         "the summed dimensions of the x - e_k gave 4/3 for parities (1, 0) "
         "and multidegree (3, 1)")
-    monkeypatch.setattr(liedim, "_moebius", lambda i: 1)
+    # every divisor of 4 with sign +1: 2^4 + 2^2 + 2^1 = 22 over t = 4
+    monkeypatch.setattr(liedim, "_squarefree_divisors",
+                        lambda n: [(d, 1) for d in divisors(n)])
     assert message(witt, 4, 2) == "necklace count gave 11/2 for t=4, r=2"
     # a remainder reported at d = 2, where b[2] = 2: the message shows 2/2 as 1
     monkeypatch.setattr(liedim, "divmod", lambda a, b: (a // b, 1) if b == 2 else divmod(a, b),
@@ -280,12 +282,12 @@ def test_witt_values():
 
 
 def test_witt_over_the_cap_is_refused_before_any_divisor(monkeypatch):
-    real = liedim._divisors
+    real = liedim._squarefree_divisors
 
-    def divisors(n):
+    def squarefree_divisors(n):
         raise AssertionError("the divisors of an over-cap witt were walked")
 
-    monkeypatch.setattr(liedim, "_divisors", divisors)
+    monkeypatch.setattr(liedim, "_squarefree_divisors", squarefree_divisors)
     with pytest.raises(ResourceLimitError, match=r"witt\(100000000, 3\) would cost about "
                        r"200010000 bits of r\^t and trial divisions, over the cap of 1048576"):
         witt(100_000_000, 3)
@@ -297,7 +299,7 @@ def test_witt_over_the_cap_is_refused_before_any_divisor(monkeypatch):
     # t + isqrt(t) = 1047553 + 1023 is exactly the cap, one more is over it
     with pytest.raises(ResourceLimitError):
         witt(1_047_554, 2)
-    monkeypatch.setattr(liedim, "_divisors", real)
+    monkeypatch.setattr(liedim, "_squarefree_divisors", real)
     assert liedim._MAX_WITT_COST == 1_047_553 + 1023
     assert witt(1_047_553, 2).bit_length() == 1_047_534
 

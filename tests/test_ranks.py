@@ -221,6 +221,73 @@ def test_subset_decomposition_is_read_only():
     assert sum(link_rank(6, (3, 3)).subset_decomposition.values()) == 4
 
 
+def _tuple_brunnian_ranks(weights, target):
+    # the tuple-keyed inversion that the coded one replaced, kept as its
+    # reference: the family as sorted tuples, each after its sub-multisets,
+    # and pass j of weight a dropping one copy of a from each sublink holding
+    # more than j copies, supersets first
+    family = [((), 0)]
+    for a in sorted(set(weights)):
+        count = weights.count(a)
+        family = [(t + (a,) * j, total + j * a) for t, total in family
+                  for j in range(count + 1) if total + j * a <= target]
+    values = {(): 0}
+    for t, _ in family[1:]:
+        values[t] = ranks._multiplicity_sum(t, target)
+    for a in set(weights):
+        for j in range(weights.count(a)):
+            for t in reversed(values):
+                if t.count(a) > j:
+                    i = t.index(a)
+                    values[t] -= values[t[:i] + t[i + 1:]]
+    return values
+
+
+@st.composite
+def links_with_repeated_weights(draw):
+    # up to seven components drawing their weights from at most four values
+    m = draw(st.integers(6, 30))
+    pool = draw(st.lists(st.integers(1, m - 3), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=7))
+    return m, tuple(m - a - 2 for a in weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(links_with_repeated_weights())
+def test_the_coded_inversion_is_the_alternating_sum_over_component_subsets(case):
+    # every Brunnian rank against sum_{U within S} (-1)^|S - U| M(U) over the
+    # component subsets U, each M(U) from the weights of U alone; a subset
+    # whose weights add up to more than m - 3 must give 0 both ways
+    m, dims = case
+    target = m - 3
+    weights = [m - v - 2 for v in dims]
+    sums = {(): 0}
+
+    def alternating(subset):
+        total = 0
+        for size in range(len(subset) + 1):
+            for part in itertools.combinations(subset, size):
+                key = tuple(sorted(weights[k] for k in part))
+                if key not in sums:
+                    sums[key] = ranks._multiplicity_sum(key, target)
+                total += (-1) ** (len(subset) - size) * sums[key]
+        return total
+
+    for subset, value in link_rank(m, dims).subset_decomposition.items():
+        members = [k - 1 for k in subset]
+        if len(members) == 1:
+            assert value == knot_rank(m, dims[members[0]])
+            continue
+        expected = alternating(members)
+        if sum(weights[k] for k in members) > target:
+            assert expected == 0
+        assert value == expected, subset
+    assert brunnian_rank(m, dims).rank == alternating(range(len(dims)))
+    key = tuple(sorted(weights))
+    coded = ranks._brunnian_ranks(key, target)
+    assert list(coded.items()) == list(_tuple_brunnian_ranks(key, target).items())
+
+
 def test_contributions_walk_needs_no_deep_stack():
     # 1099 components of weight 19 and one of weight 37 against target 37:
     # one solution, found 1100 coordinates deep, and a walk recursing once
