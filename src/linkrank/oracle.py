@@ -27,9 +27,10 @@ highest: appending k to w is w << shift | k, and prepending k to a word
 of length L is w | k << shift * L.  All words of one bracket, and all rows
 of one elimination, have the same length, so the packing is one-to-one
 where it is used, a leading letter 0 included.  The words are walked in
-lexicographic order, each prefix bracketed once, and each bracket streams
-into the elimination as a sparse integer row keyed by its packed words,
-with no table of columns.  It is reduced by the kept rows in the order
+lexicographic order, each prefix bracketed once; a prefix whose bracket
+is 0 is not bracketed further, and each word extending it gets an empty
+polynomial.  Each bracket streams into the elimination as a sparse
+integer row keyed by its packed words, with no table of columns.  It is reduced by the kept rows in the order
 they were kept (no back substitution), divided by its content, and kept
 with a +-1 pivot if it has one (the first in row order), exactly when it
 is independent of the rows before it.  No fraction, float or closed-form
@@ -190,8 +191,9 @@ def left_normed_bracket(word, parities):
 def _prefix_brackets(x, parities):
     """The left-normed brackets of the words of multidegree x (parities
     0/1) that begin with its rarest letter, in lexicographic word order,
-    each prefix bracketed once, keyed by packed words of the field
-    _field(len(x)).  They span the component (see the module
+    each prefix bracketed once and a prefix whose bracket is 0 not
+    further (each word extending it gets an empty polynomial), keyed by
+    packed words of the field _field(len(x)).  They span the component (see the module
     docstring).  The walk keeps its own stack, so a word may be of any
     length."""
     counts, r = list(x), len(x)
@@ -218,6 +220,13 @@ def _prefix_brackets(x, parities):
         poly = _bracket_step(prefix, k, parity & parities[k], shift, k << shift * len(stack))
         if len(stack) == tail:
             yield poly
+        elif not poly:
+            # every word extending a zero prefix brackets to zero: one empty
+            # polynomial per word, with no further step
+            counts[k] -= 1
+            for _ in range(_multinomial(counts)):
+                yield {}
+            counts[k] += 1
         else:
             counts[k] -= 1
             stack.append([poly, parity ^ parities[k], k, 0])

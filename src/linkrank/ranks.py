@@ -33,18 +33,29 @@ for a weight the link repeats.  The framed
 criterion (framed._framed_rank) adds the framed-knot bullets to the link
 verdict and walks no sublinks.
 
+A link report builds that family only on its paired prefix (_paired):
+the sorted weights a <= N - a_min, or none when fewer than two remain.
+The least weight pairs with each of them, and a component whose weight
+plus the least other weight exceeds N is in no fitting sublink of two or
+more components.  Such a component adds only its own singleton, which
+neither the split check, nor the sublink criterion, nor the
+decomposition reads (it lists the knot rank of a singleton), so it costs
+no Witt sum and no inversion pass.  M(all) still comes from its own Witt
+sums, over every weight.
+
 So a link's rank less its knot ranks, its Brunnian rank and its sublink
 verdict depend only on N and its weights as a multiset (delta too is a
 function of N and a_k).  Still, the one rank cache, _link_report(m, dims),
 is keyed by the dims in their order, and a report is computed once per
 key: the sorted weights and the knot ranks, M(all) - sum delta, the family
-inversion, the split check, the sublink criterion and the check of the
-verdict against the rank.  A reordering of a link is a new key and
+inversion on the paired prefix, the split check, the sublink criterion
+and the check of the verdict against the rank.  A reordering of a link is a new key and
 computes its report again.
 
-brunnian_rank builds its own family, and none at all when the weights add
-up to more than N: the rank is then 0.  It decides the verdict and checks
-it against the rank, as _link_report does.
+brunnian_rank builds its own family on all the weights, and none at all
+when they add up to more than N: the rank is then 0.  A link whose
+weights fit has every component in its paired prefix.  It decides the
+verdict and checks it against the rank, as _link_report does.
 
 Each public function validates its arguments once, through _as_link,
 which writes the rule 1 <= p_k < m - 2 (framed_rank,
@@ -74,7 +85,8 @@ does.  For two weights the walk builds no table: it finds y_1 mod
 a_2 / gcd(a_1, a_2) from one modular inverse and then steps y_1 by that
 stride, so it visits only solutions, at most n / lcm(a_1, a_2) + 1 of
 them.  A link is infinite when one of its knot ranks is 1 or one of its
-fitting sublinks of two or more components is infinite.
+fitting sublinks of two or more components is infinite; every such
+sublink lies in the paired prefix.
 
 Independent checks raise InternalConsistencyError on a mismatch:
 
@@ -94,6 +106,7 @@ Independent checks raise InternalConsistencyError on a mismatch:
 * equal_dim_rank must agree with its one-weight closed form.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -208,7 +221,7 @@ class RankReport(NamedTuple):
                 f"the decomposition of m={_shown(self.m)}, p={_shown(self.p)} lists "
                 f"{_shown(subsets)} component subsets, over the cap of {_MAX_TERMS}")
         weights = [self.m - v - 2 for v in self.p]
-        ranks = _brunnian_ranks(tuple(sorted(weights)), self.m - 3)
+        ranks = _brunnian_ranks(_paired(tuple(sorted(weights)), self.m - 3), self.m - 3)
         split = {}
         for size in range(1, len(self.p) + 1):
             for subset in combinations(range(len(self.p)), size):
@@ -280,6 +293,15 @@ def _sublinks(weights, target):
         family = grown
         stride *= count + 1
     return [(t, code) for t, _, code in family]
+
+
+def _paired(weights, target):
+    # the prefix of the sorted weights a <= target - a_min, or () when fewer
+    # than two remain: the components of the sublinks of two or more that
+    # fit in target, as the least weight pairs with each of them and a
+    # larger weight plus any other adds up to more than target
+    paired = weights[:bisect_right(weights, target - weights[0])]
+    return paired if len(paired) > 1 else ()
 
 
 def _brunnian_ranks(weights, target):
@@ -362,9 +384,11 @@ def _link_report(m, dims):
 
     # the same rank split into one Brunnian summand per subset of two or
     # more components; the sublinks that do not fit add 0.  Only a weight
-    # the link repeats gives a factor C(count in the link, count in t) > 1.
-    ranks = _brunnian_ranks(weights, target)
-    repeated = [(a, weights.count(a)) for a in set(weights) if weights.count(a) > 1]
+    # the link repeats gives a factor C(count in the link, count in t) > 1,
+    # and the paired prefix holds every copy of each of its weights.
+    paired = _paired(weights, target)
+    ranks = _brunnian_ranks(paired, target)
+    repeated = [(a, paired.count(a)) for a in set(paired) if paired.count(a) > 1]
     split = 0
     for t, value in ranks.items():
         if len(t) >= 2:

@@ -216,6 +216,12 @@ PINNED = [
      Sha256("0380552c98fac4741874c5200139f8247daae743e620fde7caeebd99cb00f395")),
     (["rank", "24", "20", "20", "20", "19", "19", "18", "--details", "--format", "json"],
      Sha256("905589817788f9f239c9591573c57ded4137440d7f863383fa4663b6e265bc68")),
+    # weights 2, 2, 3, 20 at m - 3 = 21: the weight-20 component pairs with
+    # none, and weight 2 repeats
+    (["rank", "24", "20", "20", "19", "2", "--details"],
+     Sha256("d6be12f2582839fb76a102ce562d6f56c240ef2a1b0d460d59b4febb93838c99")),
+    (["rank", "24", "20", "20", "19", "2", "--details", "--format", "json"],
+     Sha256("bacefbbdb17c8c243e22204ecc95f28bb5a686e93c15a2793e8d437827fb9bd3")),
     (["tables", "table2"],
      Sha256("c2fc656855897c56397f816805ed27220b93d6d1990fed6c4ac04ed73ad98831")),
     (["tables", "table2", "--format", "json"],

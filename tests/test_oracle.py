@@ -411,6 +411,7 @@ def check_prefix_brackets(parities, x):
 
 @settings(max_examples=150, deadline=None)
 @given(systems_and_multidegrees())
+@example(((0, 0, 0), (2, 2, 2)))  # [P0, P0] = 0, extended by 30 words
 def test_prefix_brackets_equal_left_normed_brackets(case):
     check_prefix_brackets(*case)
 
@@ -494,6 +495,22 @@ def test_oracle_consults_no_closed_form(monkeypatch, clear_caches):
     after = [(component_dim_bruteforce(w, x), whitehead_map_analysis(w, x))
              for w, x in cases]
     assert after == before
+
+
+def test_a_zero_prefix_is_bracketed_no_further(monkeypatch, clear_caches):
+    # for one odd letter [P0, P0] = 2 P0 P0 and [[P0, P0], P0] = 0: the walk
+    # stops stepping there and lists one empty bracket for the word it ends
+    steps = []
+    real = oracle._bracket_step
+
+    def counting(*args):
+        steps.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_bracket_step", counting)
+    clear_caches()
+    assert component_dim_bruteforce((1,), (40,), budget=40) == lie_component_dim((1,), (40,))
+    assert len(steps) <= 2
 
 
 def test_largest_admitted_multidegree():

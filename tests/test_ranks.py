@@ -288,6 +288,73 @@ def test_the_coded_inversion_is_the_alternating_sum_over_component_subsets(case)
     assert list(coded.items()) == list(_tuple_brunnian_ranks(key, target).items())
 
 
+@st.composite
+def links_with_unpaired_components(draw):
+    # a least weight a_min <= N / 2 for N = m - 3, two or three copies of one
+    # weight anywhere in [a_min, N], up to two components of weight N - a_min
+    # (each pairs only with a_min, at equality) and up to three whose weight
+    # plus a_min exceeds N (they pair with none), in a shuffled order
+    m = draw(st.integers(6, 30))
+    target = m - 3
+    least = draw(st.integers(1, target // 2))
+    repeated = [draw(st.integers(least, target))] * draw(st.integers(2, 3))
+    equal = [target - least] * draw(st.integers(0, 2))
+    lonely = draw(st.lists(st.integers(target - least + 1, target), max_size=3))
+    weights = draw(st.permutations([least] + repeated + equal + lonely))
+    return m, tuple(m - a - 2 for a in weights)
+
+
+def _report_over_every_weight(m, dims):
+    # the link report and decomposition rebuilt from the Brunnian ranks of
+    # the family over all the weights, singletons of unpaired components
+    # included, as reference for the report built on the paired prefix
+    target = m - 3
+    weights = [m - v - 2 for v in dims]
+    family = ranks._brunnian_ranks(tuple(sorted(weights)), target)
+    knot_ranks = tuple(knot_rank(m, v) for v in dims)
+    decomposition = {}
+    for size in range(1, len(dims) + 1):
+        for subset in itertools.combinations(range(len(dims)), size):
+            decomposition[tuple(k + 1 for k in subset)] = (
+                knot_ranks[subset[0]] if size == 1
+                else family.get(tuple(sorted(weights[k] for k in subset)), 0))
+    infinite = any(knot_ranks) or any(
+        ranks._subsequence_infinite(t, target) for t in family if len(t) >= 2)
+    report = ranks.RankReport(
+        m=m, p=dims, total_rank=sum(decomposition.values()),
+        brunnian_rank=family.get(tuple(sorted(weights)), 0) if len(dims) >= 2 else None,
+        knot_ranks=knot_ranks, infinite=infinite)
+    return report, decomposition
+
+
+@settings(max_examples=200, deadline=None)
+@given(links_with_unpaired_components())
+def test_the_paired_prefix_keeps_every_field_and_subset(case):
+    m, dims = case
+    expected, decomposition = _report_over_every_weight(m, dims)
+    report = link_rank(m, dims)
+    assert report == expected
+    assert list(report.subset_decomposition.items()) == list(decomposition.items())
+
+
+def test_a_link_whose_components_pair_with_none_sums_once(clear_caches, monkeypatch):
+    # weights 21..40 against m - 3 = 40: the least two add up to 41, so no
+    # sublink of two or more fits and only M(all) is summed, not one M per
+    # component
+    clear_caches()
+    calls = []
+    real = ranks._multiplicity_sum
+
+    def counting(weights, target):
+        calls.append(weights)
+        return real(weights, target)
+
+    monkeypatch.setattr(ranks, "_multiplicity_sum", counting)
+    report = link_rank(43, tuple(range(1, 21)))
+    assert calls == [tuple(range(21, 41))]
+    assert (report.total_rank, report.brunnian_rank, report.infinite) == (0, 0, False)
+
+
 def test_contributions_walk_needs_no_deep_stack():
     # 1099 components of weight 19 and one of weight 37 against target 37:
     # one solution, found 1100 coordinates deep, and a walk recursing once
