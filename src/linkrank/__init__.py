@@ -5,7 +5,6 @@ formula.
 
 from .errors import (InternalConsistencyError, InvalidInputError,
                      LinkRankError, ResourceLimitError)
-from .arith import divisors, moebius, multinomial
 from .liedim import lie_component_dim, multiplicity, weighted_dim_sums, witt, witt_super
 from .fcs import fcs_contains, fcs_enumerate
 from .ranks import (BrunnianRank, RankReport, brunnian_is_infinite, brunnian_rank,
@@ -38,8 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LinkRankError", "InvalidInputError", "InternalConsistencyError",
     "ResourceLimitError",
-    "moebius", "divisors", "multinomial", "lie_component_dim", "multiplicity",
-    "witt", "witt_super", "weighted_dim_sums",
+    "lie_component_dim", "multiplicity", "witt", "witt_super", "weighted_dim_sums",
     "fcs_contains", "fcs_enumerate",
     "RankReport", "BrunnianRank", "knot_rank", "brunnian_rank",
     "link_rank", "equal_dim_rank", "brunnian_is_infinite", "link_is_infinite",

@@ -1,12 +1,12 @@
-"""Exact elementary number theory: Moebius function, divisor lists and
-multinomial coefficients.
+"""Exact integer helpers: the argument checks every entry point runs, and
+the two number-theoretic cores the dimension layer and the oracle call.
 
-Each public function checks its arguments (through as_integer or
-as_integers) and then calls an unvalidated core named with a leading
-underscore; liedim calls the cores _squarefree_divisors and _multinomial
-directly on integers it has already checked.  Its divisor sums read only
-the divisors with mu != 0, so _squarefree_divisors lists those with their
-signs from one trial division, without factoring any divisor again.
+as_integer and as_integers turn an argument into exact ints or reject it
+with InvalidInputError.  The cores take integers already checked:
+_squarefree_divisors lists the divisors d of n with mu(d) != 0, each with
+its sign, from one trial division, which is all a Moebius divisor sum
+reads; _multinomial is a multinomial coefficient as a running product of
+binomials.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """
@@ -38,53 +38,6 @@ def as_integers(values, what, whole):
             f"{whole} must be a sequence of integers, got {_shown(values)}") from None
 
 
-def moebius(n):
-    """Moebius mu(n): (-1)^k for a product of k distinct primes, else 0."""
-    n = as_integer(n, "the argument of moebius")
-    if n < 1:
-        raise InvalidInputError(f"moebius(n) needs n >= 1, got {_shown(n)}")
-    return _moebius(n)
-
-
-def _moebius(n):
-    # moebius on an int n >= 1
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def divisors(n):
-    """All positive divisors of n in increasing order."""
-    n = as_integer(n, "the argument of divisors")
-    if n < 1:
-        raise InvalidInputError(f"divisors(n) needs n >= 1, got {_shown(n)}")
-    return _divisors(n)
-
-
-def _divisors(n):
-    # divisors on an int n >= 1
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    small.extend(reversed(large))
-    return small
-
-
 def _squarefree_divisors(n):
     # (d, mu(d)) over the squarefree divisors d of an int n >= 1, (1, 1)
     # first: each prime p of n doubles the list with the signs flipped
@@ -102,20 +55,11 @@ def _squarefree_divisors(n):
     return pairs
 
 
-def multinomial(parts):
-    """(sum parts)! / prod(part!) for nonnegative integer parts."""
-    parts = as_integers(parts, "a multinomial part", "the multinomial parts")
-    if any(p < 0 for p in parts):
-        raise InvalidInputError(
-            f"multinomial takes nonnegative integers, got {_shown(parts)}")
-    return _multinomial(parts)
-
-
 def _multinomial(parts):
-    # multinomial on parts already known to be nonnegative integers, as the
-    # running product prod_k C(p_1 + ... + p_k, p_k): no factorial of the
-    # whole sum is built, so one large part costs a binomial, not two
-    # factorials
+    # (sum parts)! / prod(part!) for parts already known to be nonnegative
+    # integers, as the running product prod_k C(p_1 + ... + p_k, p_k): no
+    # factorial of the whole sum is built, so one large part costs a
+    # binomial, not two factorials
     total, result = 0, 1
     for p in parts:
         total += p

@@ -228,9 +228,12 @@ def _cmd_fcs(args):
 
 
 def _parse_rational(text):
+    # an integer or a/b, each part read by int() as argparse reads M and P;
+    # Fraction(text) would also read 1e1000000000 and build its huge int
     from fractions import Fraction
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
         raise InvalidInputError(f"expected an integer or a fraction a/b, got {text!r}")
 

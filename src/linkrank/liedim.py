@@ -218,7 +218,11 @@ def witt(t, r):
     if t < 1 or r < 1:
         raise InvalidInputError(
             f"witt(t, r) needs t >= 1 and r >= 1, got t={_shown(t)}, r={_shown(r)}")
-    cost = t * (r - 1).bit_length() + isqrt(t)
+    # isqrt(t) is superlinear in the bits of t, and past 4 000 bits the cost
+    # is far over the cap: there the power of two of its bit length stands
+    # in, so that a refusal at any size takes linear time
+    root = isqrt(t) if t.bit_length() <= 4000 else 1 << (t.bit_length() - 1) // 2
+    cost = t * (r - 1).bit_length() + root
     if cost > _MAX_WITT_COST:
         raise ResourceLimitError(
             f"witt({_shown(t)}, {_shown(r)}) would cost about {_shown(cost)} bits of r^t "

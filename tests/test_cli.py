@@ -71,7 +71,7 @@ def test_invalid_input_exits_two():
     assert run_cli("rank", "6").returncode == 2
 
 
-@pytest.mark.parametrize("t", ["1/0", "half"])
+@pytest.mark.parametrize("t", ["1/0", "half", "1e3", "0.5"])
 def test_witt_rejects_a_non_rational_index(capsys, t):
     assert cli.main(["witt", t, "3", "2"]) == 2
     assert capsys.readouterr().err == (

@@ -217,8 +217,7 @@ def test_subsets_too_heavy_for_a_positive_solution_have_rank_zero():
 # the public entry points that validate their arguments; the library's own
 # code reaches their unvalidated cores instead
 VALIDATING = ("weighted_dim_sums", "multiplicity",
-              "fcs_contains", "knot_rank", "lie_component_dim", "stiefel_rank",
-              "divisors", "moebius", "multinomial")
+              "fcs_contains", "knot_rank", "lie_component_dim", "stiefel_rank")
 
 
 def _cold_results(clear_caches):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from linkrank import liedim
-from linkrank.arith import divisors, multinomial
+from linkrank.arith import _multinomial
 from linkrank.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from linkrank.liedim import (
     _count_solutions,
@@ -174,7 +174,7 @@ def test_kernel_matches_the_full_divisor_sum(case):
         for v in x:
             placed += v
             expected *= math.comb(placed, v)
-        assert multinomial(x) == expected
+        assert _multinomial(x) == expected
 
 
 @st.composite
@@ -250,7 +250,7 @@ def test_failed_quotient_checks_render_the_reduced_fraction(monkeypatch):
         "and multidegree (3, 1)")
     # every divisor of 4 with sign +1: 2^4 + 2^2 + 2^1 = 22 over t = 4
     monkeypatch.setattr(liedim, "_squarefree_divisors",
-                        lambda n: [(d, 1) for d in divisors(n)])
+                        lambda n: [(d, 1) for d in range(1, n + 1) if n % d == 0])
     assert message(witt, 4, 2) == "necklace count gave 11/2 for t=4, r=2"
     # a remainder reported at d = 2, where b[2] = 2: the message shows 2/2 as 1
     monkeypatch.setattr(liedim, "divmod", lambda a, b: (a // b, 1) if b == 2 else divmod(a, b),
@@ -302,6 +302,22 @@ def test_witt_over_the_cap_is_refused_before_any_divisor(monkeypatch):
     monkeypatch.setattr(liedim, "_squarefree_divisors", real)
     assert liedim._MAX_WITT_COST == 1_047_553 + 1023
     assert witt(1_047_553, 2).bit_length() == 1_047_534
+
+
+def test_witt_over_the_cap_is_refused_without_a_huge_isqrt(monkeypatch):
+    # isqrt is superlinear in the bits of t: past 4 000 bits the refusal
+    # takes no isqrt at all, so it costs time linear in the input
+    real = liedim.isqrt
+
+    def isqrt(n):
+        if n.bit_length() > 4000:
+            raise AssertionError("the isqrt of a huge witt index was taken")
+        return real(n)
+
+    monkeypatch.setattr(liedim, "isqrt", isqrt)
+    for t, r in ((1 << 40_000_000, 2), (10 ** 10 ** 6, 1), ((1 << 4000) - 1, 1)):
+        with pytest.raises(ResourceLimitError):
+            witt(t, r)
 
 
 def test_witt_super_values():

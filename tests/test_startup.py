@@ -6,14 +6,17 @@ oracle verify, and dataclasses never.
 """
 
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 DEFERRED = ("dataclasses", "fractions", "json", "csv", "linkrank.oracle")
 
@@ -65,3 +68,11 @@ def test_every_exported_name_resolves():
     assert lazy == linkrank._ORACLE_NAMES
     with pytest.raises(AttributeError, match="no_such_name"):
         linkrank.no_such_name
+    # the exported functions are the calls the README's Library list names,
+    # so that an export nobody documented fails here
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    bullets = re.search(r"The main entry points.*\n\n((?:[- ] .*\n)+)", library).group(1)
+    documented = set(re.findall(r"`(\w+)\(", bullets))
+    exported = {name for name in linkrank.__all__
+                if inspect.isfunction(getattr(linkrank, name))}
+    assert exported == documented
