@@ -42,6 +42,16 @@ def test_moebius_small_values():
         assert dict(_squarefree_divisors(n)).get(n, 0) == mu
 
 
+def test_moebius_divisor_sum_identity():
+    # sum of mu over the divisors of n vanishes for every n > 1, both for the
+    # signs _squarefree_divisors lists and for the factoring reference
+    for n in range(2, 301):
+        assert sum(_moebius(d) for d in _divisors(n)) == 0
+        assert sum(mu for _, mu in _squarefree_divisors(n)) == 0
+    assert sum(_moebius(d) for d in _divisors(1)) == 1
+    assert sum(mu for _, mu in _squarefree_divisors(1)) == 1
+
+
 def test_squarefree_divisors_are_the_divisors_with_nonzero_moebius():
     # the one trial division agrees with listing every divisor and factoring
     # each one again, (1, 1) first and no divisor twice; the signs sum to
