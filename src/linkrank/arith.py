@@ -20,6 +20,8 @@ from .errors import InvalidInputError, _shown
 def as_integer(value, what):
     """value as an exact int.  Floats, strings and bools are rejected rather
     than truncated or read as 0/1; anything with __index__ is accepted."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise InvalidInputError(f"{what} must be an integer, got {_shown(value)}")
     try:

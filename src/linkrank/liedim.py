@@ -60,6 +60,17 @@ function that shares nothing with the walk or with the Witt sums, so the
 rank layer holds the walk to the count and the sum of its terms to the
 Witt sums.
 
+weighted_dim_sums solves the weight-graded Witt formula for D(0..n) in
+two passes over one table b.  The first builds b_j = j c_j +
+sum_a c_a b_(j-a), c_a the number of weights equal to a, in push form:
+b[a] starts at a c_a, and each nonzero b[i], final once the loop comes
+to it, adds c_a b[i] to b[i + a] over the sorted weights, up to the first
+with i + a > n.  So a degree no sum of weights reaches costs one test,
+and the pass does one step per reached degree and weight that fits, not
+one per degree and weight below it.  The second is a Moebius sieve: it
+checks every D(d) = b[d] / d, and takes only a nonzero b[d] from the b of
+the multiples of d.
+
 All arithmetic is exact.  Each of these numerators is asserted to be a
 nonnegative multiple of its denominator; a failure of that assertion is an
 internal bug, not bad input.
@@ -366,7 +377,12 @@ def weighted_dim_sums(weights, n):
       1/(1 - f(t)) = prod_{d even} (1 - t^d)^(-D(d)) prod_{d odd} (1 + t^d)^D(d),
     and its logarithm, with b_j = j [t^j] -log(1 - f(t)), is
       b_j = sum_{d|j} eps d D(d),  eps = -1 if d is odd and j/d even, else 1,
-    which is solved for D(1), D(2), ... in turn.  Only a nonzero D(d) is
+    which is solved for D(1), D(2), ... in turn.  The b_j come from
+    b_j = j c_j + sum_a c_a b_(j-a), c_a the number of weights a, pushed
+    forward: each nonzero b_i adds c_a b_i to b_(i+a) for the weights
+    a <= n - i, so degrees no sum of weights reaches push nothing, and
+    2 000 weights 2 001..4 000 at n = 4 000 fill b in 2 000 steps, not the
+    2 M of pulling every weight below each degree.  Only a nonzero D(d) is
     taken from the b of its multiples; every D(d) is still checked to be a
     nonnegative integer.
     The sums are cached by the sorted weights alone: the longest D(0..n')
@@ -423,15 +439,21 @@ def _solve_dim_sums(weights, n):
         if a <= n:
             counts[a] = counts.get(a, 0) + 1
     terms = sorted(counts.items())
-    # b[j] = j [t^j] -log(1 - f(t)) from t f' = (1 - f) t (-log(1 - f))'
+    # b[j] = j [t^j] -log(1 - f(t)) from t f' = (1 - f) t (-log(1 - f))',
+    # so b[j] = j c_j + sum_a c_a b[j - a], pushed forward from each nonzero
+    # b[i], which is final once the loop reaches i, so a degree no sum of
+    # weights reaches costs one test and pushes nothing
     b = [0] * (n + 1)
-    for j in range(1, n + 1):
-        acc = j * counts.get(j, 0)
-        for a, c in terms:
-            if a >= j:
-                break
-            acc += c * b[j - a]
-        b[j] = acc
+    for a, c in terms:
+        b[a] = a * c
+    for i in range(weights[0], n - weights[0] + 1):
+        bi = b[i]
+        if bi:
+            for a, c in terms:
+                j = i + a
+                if j > n:
+                    break
+                b[j] += c * bi
     # b[j] = sum_{d|j} eps d D(d): once D(d) is solved, eps d D(d) leaves
     # the b of each multiple j = k d, so b[d] = d D(d) once the loop comes
     # to d; for odd d, eps = -1 at even k.  Every D(d) is checked, but only

@@ -1,3 +1,4 @@
+import enum
 import math
 
 import pytest
@@ -98,6 +99,24 @@ def test_multinomial_of_a_huge_part_builds_no_factorial():
 
 def test_multinomial_order_invariant():
     assert _multinomial([2, 5, 1]) == _multinomial([5, 1, 2])
+
+
+def test_as_integer_returns_exact_ints():
+    # an int is handed back as it is; an int subclass (bool aside) and an
+    # __index__ object come back as plain ints, which the caches key on
+    class Count(enum.IntEnum):
+        FIVE = 5
+
+    class Index:
+        def __index__(self):
+            return 5
+
+    huge = 10**50
+    assert as_integer(huge, "n") is huge
+    for value in (Count.FIVE, Index()):
+        result = as_integer(value, "n")
+        assert type(result) is int and result == 5
+    assert link_rank(8, (Count.FIVE, Index())) == link_rank(8, (5, 5))
 
 
 def test_as_integer_rejects_non_integers():

@@ -446,8 +446,43 @@ def sieve_dim_sums(weights, n):
 @example((30, 45, 70), 600)
 @example((100, 150), 900)
 @example((2,) * 6 + (295,), 700)
+# weights over n / 2, which push nothing; a least weight that reaches n in
+# one step; a repeated weight, so that a count c > 1 is pushed
+@example(tuple(range(201, 401)), 400)
+@example((1, 397), 400)
+@example((150,) * 3 + (151, 152), 460)
 def test_solve_matches_the_full_sieve(weights, n):
     assert liedim._solve_dim_sums(weights, n) == sieve_dim_sums(weights, n)
+
+
+def test_solve_pushes_only_from_reached_degrees():
+    # A solve that pulls every weight below each degree gives the same table,
+    # only slowly, so its work is counted, not timed: line events inside
+    # _solve_dim_sums for the 200 weights 201..400 to degree 400.  The push
+    # form takes about 3 900, as no degree i has i + 201 <= 400, and a pull
+    # over every fitting weight below each degree about 65 600.
+    code = liedim._solve_dim_sums.__code__
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        if event == "line":
+            steps += 1
+            if steps > 12_000:
+                raise AssertionError("the solve passed 12 000 line events")
+        return count
+
+    def enter(frame, event, arg):
+        return count if frame.f_code is code else None
+
+    weights = tuple(range(201, 401))
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        sums = liedim._solve_dim_sums(weights, 400)
+    finally:
+        sys.settrace(previous)
+    assert sums == (1,) + (0,) * 200 + (1,) * 200
 
 
 _DEGREES = st.lists(st.integers(0, 40), min_size=1, max_size=8)
