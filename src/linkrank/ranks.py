@@ -18,44 +18,45 @@ weights of S add up to more than N.  The link rank is M(all components)
 plus the knot ranks minus the delta corrections.
 
 A sublink enters every rank and criterion only through its weights, so it
-is keyed by their sorted tuple.  _sublinks lists those whose weights fit in
-N, each after its sub-multisets and with its mixed-radix code; the rest
-have rank 0.  Digit k of the code is the count of the k-th distinct weight,
-and its stride is the product of (count + 1) over the smaller distinct
-weights.  The sub-multisets form a product of chains, one per distinct
-weight, so the inversion is one finite difference per axis, run on the
-codes: pass j of a weight subtracts the value at code - stride from each
-code whose digit exceeds j, as the transform over subsets removes one
-component.  The link criterion walks the same family, and the split
-check weighs each multiset t by its number of component subsets,
-prod_a C(count of a in the link, count of a in t), a factor taken only
-for a weight the link repeats.  The framed
-criterion (framed._framed_rank) adds the framed-knot bullets to the link
-verdict and walks no sublinks.
+is keyed by their sorted tuple.  _brunnian_ranks is the one builder of the
+sublink family and takes the sorted weights of the whole link.  It first
+keeps their paired prefix: the weights a <= N - a_min, or none when fewer
+than two remain.  The least weight pairs with each of them, and a
+component whose weight plus the least other weight exceeds N is in no
+fitting sublink of two or more components.  Such a component adds only
+its own singleton, which neither the split check, nor the sublink
+criterion, nor the decomposition reads (it lists the knot rank of a
+singleton), so it costs no Witt sum and no inversion pass.  M(all) still
+comes from its own Witt sums, over every weight.
 
-A link report builds that family only on its paired prefix (_paired):
-the sorted weights a <= N - a_min, or none when fewer than two remain.
-The least weight pairs with each of them, and a component whose weight
-plus the least other weight exceeds N is in no fitting sublink of two or
-more components.  Such a component adds only its own singleton, which
-neither the split check, nor the sublink criterion, nor the
-decomposition reads (it lists the knot rank of a singleton), so it costs
-no Witt sum and no inversion pass.  M(all) still comes from its own Witt
-sums, over every weight.
+On the prefix, _brunnian_ranks lays out one axis per distinct weight: its
+count and its stride, the product of (count + 1) over the smaller
+distinct weights.  It lists the sub-multisets whose weights fit in N,
+each after its sub-multisets and with its mixed-radix code, whose digit
+on an axis is the count of that weight; the rest have rank 0.  The
+sub-multisets form a product of chains, one per axis, so the inversion
+is one finite difference per axis, run on the codes: pass j of a weight
+subtracts the value at code - stride from each code whose digit exceeds
+j, as the transform over subsets removes one component.  The link
+criterion walks the same family, and the split check weighs each
+multiset t by its number of component subsets, prod_a C(count of a in
+the link, count of a in t), a factor taken only for a weight the link
+repeats.  The framed criterion (framed._framed_rank) adds the
+framed-knot bullets to the link verdict and walks no sublinks.
 
 So a link's rank less its knot ranks, its Brunnian rank and its sublink
 verdict depend only on N and its weights as a multiset (delta too is a
 function of N and a_k).  Still, the one rank cache, _link_report(m, dims),
 is keyed by the dims in their order, and a report is computed once per
 key: the sorted weights and the knot ranks, M(all) - sum delta, the family
-inversion on the paired prefix, the split check, the sublink criterion
-and the check of the verdict against the rank.  A reordering of a link is a new key and
+inversion, the split check, the sublink criterion and the check of the
+verdict against the rank.  A reordering of a link is a new key and
 computes its report again.
 
-brunnian_rank builds its own family on all the weights, and none at all
-when they add up to more than N: the rank is then 0.  A link whose
-weights fit has every component in its paired prefix.  It decides the
-verdict and checks it against the rank, as _link_report does.
+brunnian_rank builds no family when the weights add up to more than N:
+the rank is then 0.  Weights that fit, two or more of them, are their
+own paired prefix.  It decides the verdict and checks it against the
+rank, as _link_report does.
 
 Each public function validates its arguments once, through _as_link,
 which writes the rule 1 <= p_k < m - 2 (framed_rank,
@@ -107,6 +108,7 @@ Independent checks raise InternalConsistencyError on a mismatch:
 """
 
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -221,7 +223,7 @@ class RankReport(NamedTuple):
                 f"the decomposition of m={_shown(self.m)}, p={_shown(self.p)} lists "
                 f"{_shown(subsets)} component subsets, over the cap of {_MAX_TERMS}")
         weights = [self.m - v - 2 for v in self.p]
-        ranks = _brunnian_ranks(_paired(tuple(sorted(weights)), self.m - 3), self.m - 3)
+        ranks = _brunnian_ranks(tuple(sorted(weights)), self.m - 3)
         split = {}
         for size in range(1, len(self.p) + 1):
             for subset in combinations(range(len(self.p)), size):
@@ -270,16 +272,29 @@ def _multiplicity_sum(weights, target):
     return total
 
 
-def _sublinks(weights, target):
-    """(t, code) over the sorted sub-multisets t of the sorted weights adding
-    up to at most target, the empty one first and each after its own.  Digit
-    k of the mixed-radix code is the count in t of the k-th distinct weight,
-    with stride the product of (count + 1) over the smaller distinct weights.
-    Only these sublinks have a solution x >= 1 of sum(a_k x_k) = target."""
-    family = [((), 0, 0)]
+def _brunnian_ranks(weights, target):
+    """Brunnian rank of every sub-multiset of the paired prefix of these
+    sorted link weights that adds up to at most target, keyed by its sorted
+    weights, the empty one first and each after its sub-multisets; every
+    other sublink of two or more components has rank 0.  The family is
+    closed under taking sub-multisets, so the inversion never reads
+    outside it."""
+    # the paired prefix: the weights a <= target - a_min, or none when fewer
+    # than two remain, as the least weight pairs with each of them and a
+    # larger weight plus any other adds up to more than target
+    weights = weights[:bisect_right(weights, target - weights[0])]
+    if len(weights) < 2:
+        weights = ()
+    # one axis per distinct weight a: its count and the stride of its digit
+    # in the mixed-radix code, the product of (count + 1) below it
+    axes = []
     stride = 1
     for a in sorted(set(weights)):
         count = weights.count(a)
+        axes.append((a, count, stride))
+        stride *= count + 1
+    family = [((), 0, 0)]
+    for a, count, stride in axes:
         grown = []
         for t, total, code in family:
             grown.append((t, total, code))
@@ -291,43 +306,21 @@ def _sublinks(weights, target):
                 code += stride
                 grown.append((t, total, code))
         family = grown
-        stride *= count + 1
-    return [(t, code) for t, _, code in family]
-
-
-def _paired(weights, target):
-    # the prefix of the sorted weights a <= target - a_min, or () when fewer
-    # than two remain: the components of the sublinks of two or more that
-    # fit in target, as the least weight pairs with each of them and a
-    # larger weight plus any other adds up to more than target
-    paired = weights[:bisect_right(weights, target - weights[0])]
-    return paired if len(paired) > 1 else ()
-
-
-def _brunnian_ranks(weights, target):
-    """Brunnian rank of every sublink in _sublinks(weights, target), keyed by
-    its sorted weights in family order; the others have rank 0.  The family
-    is closed under taking sub-multisets, so the inversion never reads
-    outside it."""
-    family = _sublinks(weights, target)
     values = {0: 0}
-    for t, code in family[1:]:
+    for t, _, code in family[1:]:
         values[code] = _multiplicity_sum(t, target)
     # on a product of chains the Moebius inversion is one finite difference
     # per axis: pass j of weight a stands for its j-th component and drops
     # one copy of a from each code whose digit exceeds j, supersets first
     # (reverse family order) so that each reads the value before the pass;
     # no digit exceeds target // a, so the passes past it would change nothing
-    codes = [code for _, code in reversed(family)]
-    stride = 1
-    for a in sorted(set(weights)):
-        count = weights.count(a)
+    codes = [code for _, _, code in reversed(family)]
+    for a, count, stride in axes:
         for j in range(min(count, target // a)):
             for code in codes:
                 if code // stride % (count + 1) > j:
                     values[code] -= values[code - stride]
-        stride *= count + 1
-    return {t: values[code] for t, code in family}
+    return {t: values[code] for t, _, code in family}
 
 
 def brunnian_rank(m, dims):
@@ -383,12 +376,11 @@ def _link_report(m, dims):
     rest = _multiplicity_sum(weights, target) - sum(_delta(m, v) for v in dims)
 
     # the same rank split into one Brunnian summand per subset of two or
-    # more components; the sublinks that do not fit add 0.  Only a weight
-    # the link repeats gives a factor C(count in the link, count in t) > 1,
-    # and the paired prefix holds every copy of each of its weights.
-    paired = _paired(weights, target)
-    ranks = _brunnian_ranks(paired, target)
-    repeated = [(a, paired.count(a)) for a in set(paired) if paired.count(a) > 1]
+    # more components; the sublinks outside the family add 0.  A multiset t
+    # stands for prod_a C(count of a in the link, count of a in t) component
+    # subsets, a factor above 1 only for a weight the link repeats.
+    ranks = _brunnian_ranks(weights, target)
+    repeated = [(a, count) for a, count in Counter(weights).items() if count > 1]
     split = 0
     for t, value in ranks.items():
         if len(t) >= 2:

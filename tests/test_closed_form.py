@@ -3,6 +3,7 @@ the consistency checks that guard it."""
 
 import itertools
 import sys
+from math import factorial
 
 import pytest
 
@@ -169,10 +170,11 @@ def test_criterion_checks_fire(cold_caches, monkeypatch):
 
 def test_dropped_fitting_subset_is_caught(cold_caches, monkeypatch):
     # weights (1, 1, 1) against target 5: the last fitting sub-multiset is
-    # the whole link, whose Brunnian rank is positive
-    real = ranks._sublinks
-    monkeypatch.setattr(ranks, "_sublinks",
-                        lambda weights, target: real(weights, target)[:-1])
+    # the whole link, whose Brunnian rank is positive; the family is built
+    # whole and its last entry dropped from the result
+    real = ranks._brunnian_ranks
+    monkeypatch.setattr(ranks, "_brunnian_ranks",
+                        lambda weights, target: dict(list(real(weights, target).items())[:-1]))
     with pytest.raises(InternalConsistencyError, match="subset splitting"):
         link_rank(8, (5, 5, 5))
     with pytest.raises(InternalConsistencyError, match="Brunnian criterion"):
@@ -212,6 +214,33 @@ def test_subsets_too_heavy_for_a_positive_solution_have_rank_zero():
         dims = tuple((9, 10, 11)[k - 1] for k in pair)
         assert split[pair] == brunnian_rank(20, dims).rank
     assert sum(split.values()) == report.total_rank
+
+
+@st.composite
+def links_at_their_weight_sum(draw):
+    # two to nine components of weights 1..8, repeats and mixed parities
+    # allowed, in the degree m - 3 equal to the sum of their weights
+    weights = draw(st.lists(st.integers(1, 8), min_size=2, max_size=9))
+    m = sum(weights) + 3
+    return m, tuple(m - a - 2 for a in weights)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.example((5, (2, 2)))
+@hypothesis.example((47, tuple(45 - a for a in (1, 2, 3, 4, 5, 6, 7, 8, 8))))
+@hypothesis.given(links_at_their_weight_sum())
+def test_a_link_at_its_weight_sum_has_the_multilinear_brunnian_rank(problem):
+    # at m - 3 = sum a_k the one positive solution is x = (1, ..., 1): the
+    # multilinear part of the free Lie superalgebra has dimension (r - 1)!
+    # at every parity, so the multiplicity is r (r - 2)! - (r - 1)! = (r - 2)!
+    m, dims = problem
+    r = len(dims)
+    expected = r * factorial(r - 2) - factorial(r - 1)
+    assert expected == factorial(r - 2)
+    brunnian = brunnian_rank(m, dims)
+    assert (brunnian.rank, brunnian.infinite) == (expected, True)
+    report = link_rank(m, dims)
+    assert (report.brunnian_rank, report.infinite) == (expected, True)
 
 
 # the public entry points that validate their arguments; the library's own

@@ -283,9 +283,13 @@ def test_the_coded_inversion_is_the_alternating_sum_over_component_subsets(case)
             assert expected == 0
         assert value == expected, subset
     assert brunnian_rank(m, dims).rank == alternating(range(len(dims)))
+    # the core takes the whole link and keeps its paired prefix itself: the
+    # weights a with a + a_min <= m - 3, or none when fewer than two remain
     key = tuple(sorted(weights))
+    paired = tuple(a for a in key if a + key[0] <= target)
     coded = ranks._brunnian_ranks(key, target)
-    assert list(coded.items()) == list(_tuple_brunnian_ranks(key, target).items())
+    expected = _tuple_brunnian_ranks(paired if len(paired) > 1 else (), target)
+    assert list(coded.items()) == list(expected.items())
 
 
 @st.composite
@@ -305,12 +309,13 @@ def links_with_unpaired_components(draw):
 
 
 def _report_over_every_weight(m, dims):
-    # the link report and decomposition rebuilt from the Brunnian ranks of
-    # the family over all the weights, singletons of unpaired components
-    # included, as reference for the report built on the paired prefix
+    # the link report and decomposition rebuilt from the tuple-keyed
+    # Brunnian ranks of the family over all the weights, singletons of
+    # unpaired components included, as reference for the report built on
+    # the paired prefix
     target = m - 3
     weights = [m - v - 2 for v in dims]
-    family = ranks._brunnian_ranks(tuple(sorted(weights)), target)
+    family = _tuple_brunnian_ranks(tuple(sorted(weights)), target)
     knot_ranks = tuple(knot_rank(m, v) for v in dims)
     decomposition = {}
     for size in range(1, len(dims) + 1):
