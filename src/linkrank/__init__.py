@@ -14,24 +14,6 @@ from .framed import (FramedRankReport, HandlebodyReport, framed_knot_is_infinite
                      framed_rank, fully_framed_is_infinite, handlebody_report,
                      mcg_finite_index)
 
-# the brute-force oracle serves only its own calls and `oracle verify`, so
-# it is imported on the first use of one of its names, not with the package
-_ORACLE_NAMES = frozenset((
-    "VerificationRecord", "VerificationReport", "WhiteheadAnalysis",
-    "component_dim_bruteforce", "left_normed_bracket", "super_bracket",
-    "verify_range", "whitehead_map_analysis"))
-
-
-def __getattr__(name):
-    # called only for a name the package does not hold yet; the first use
-    # of an oracle name binds it here, so later uses find it directly
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        value = globals()[name] = getattr(oracle, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -50,3 +32,16 @@ __all__ = [
     "VerificationRecord", "VerificationReport", "verify_range",
     "__version__",
 ]
+
+
+# the brute-force oracle serves only its own calls and `oracle verify`, so
+# it is imported on the first use of one of its names, not with the package:
+# every exported name that the imports above do not bind is the oracle's
+def __getattr__(name):
+    # called only for a name the package does not hold yet; the first use
+    # of an oracle name binds it here, so later uses find it directly
+    if name in __all__:
+        from . import oracle
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,8 @@
 """Dimensions of multigraded components of a free graded Lie superalgebra
 over the rationals, the derived bracket-map multiplicities, necklace (Witt)
-counts, the weight-graded Witt sums the ranks are computed from, and the
-Diophantine enumerations (and their counts) behind the per-multidegree
-cross-checks.
+counts, the weight-graded Witt sums and the summed multiplicities M(T) the
+ranks are computed from, and the Diophantine enumerations (and their
+counts) behind the per-multidegree cross-checks.
 
 Conventions used throughout the package:
 
@@ -30,14 +30,25 @@ is the divisor-1 term, one multinomial coefficient, plus the terms of the
 divisors i > 1, which _divisor_terms sums and which exist only when the
 gcd exceeds 1.  Most multidegrees met in a rank have gcd 1.  This formula
 is written once, in _dim_formula, which takes the multinomial and the gcd
-from its caller; _dim (through the cache _dim_by_parity) and _multiplicity
-both call it.
+from its caller; _dim_by_parity, the cached dimension of a validated
+multidegree (0 for a negative entry, 1 for x = 0), and _multiplicity both
+call it.
 
 A bracket-map multiplicity sum_k dim(x - e_k) - dim(x) needs r + 1
 dimensions, but by Pascal's rule the multinomials of the x - e_k add up to
 the multinomial of x.  So the kernel computes one multinomial M and
   |x| dim(x) = M + the i > 1 terms of x,
   (|x| - 1) sum_k dim(x - e_k) = M + the i > 1 terms of each x - e_k.
+
+A rank needs these multiplicities summed over a whole weighted degree, not
+one by one: for a set T of generators (sorted weights, each at most N),
+the multiplicities of all x >= 0 of weighted degree N add up to
+  M(T) = sum_{k in T} D_T(N - a_k) - D_T(N),
+with D_T the Witt sums below, since the x - e_k with no negative entry run
+over the multidegrees of weighted degree N - a_k as x runs over those of
+degree N.  _multiplicity_sum computes M(T) from the cached table
+D_T(0..n'), n' >= N, indexing it at N and each N - a_k, so the rank layer
+reads no Witt table itself.
 
 The Diophantine cores _solutions, _reach and _count_solutions take
 (weights, target) and solve sum a_k x_k = target for x >= 0 only; a
@@ -169,19 +180,15 @@ def _dim_formula(parities, x, n, multinomial, g):
 
 @lru_cache(maxsize=1 << 18)
 def _dim_by_parity(parities, x):
-    # _dim_formula behind a cache, for x >= 0 with at least one positive
-    # entry; only lie_component_dim and the oracle's verify_range reach it,
-    # and bench/ reports its hit ratio as liedim.dim_cache_hit_ratio
-    return _dim_formula(parities, x, sum(x), _multinomial(x), gcd(*x))
-
-
-def _dim(parities, x):
-    # lie_component_dim on an already validated multidegree
+    # lie_component_dim on an already validated multidegree: 0 for a
+    # negative entry, 1 for x = 0, else _dim_formula; only lie_component_dim
+    # and the oracle's verify_range reach it, and bench/ reports the hit
+    # ratio of its cache as liedim.dim_cache_hit_ratio
     if min(x) < 0:
         return 0
-    if max(x) == 0:
+    if not any(x):
         return 1
-    return _dim_by_parity(parities, x)
+    return _dim_formula(parities, x, sum(x), _multinomial(x), gcd(*x))
 
 
 def lie_component_dim(weights, x):
@@ -189,7 +196,7 @@ def lie_component_dim(weights, x):
 
     Example: one generator of odd weight, x = (2,) -> 1, the self-bracket.
     """
-    return _dim(*_as_system(weights, x))
+    return _dim_by_parity(*_as_system(weights, x))
 
 
 def multiplicity(weights, x):
@@ -416,6 +423,19 @@ def _weighted_dim_sums(weights, n):
                 f"take about {_shown(bits)} bits, over the cap of {_MAX_DIM_SUMS_BITS}")
         sums = cell[0] = _solve_dim_sums(weights, n)
     return sums
+
+
+def _multiplicity_sum(weights, target):
+    # M(T): the multiplicities of all x >= 0 of weighted degree target; every
+    # caller passes sorted weights, the key of the Witt-sum cache, whose
+    # D(0..n') may run past target, so it is indexed, never measured
+    dims = _weighted_dim_sums(weights, target)
+    total = -dims[target]
+    for a in weights:
+        if a > target:
+            break
+        total += dims[target - a]
+    return total
 
 
 def _dim_sums_bits(weights, n):

@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
 from .errors import InvalidInputError, ResourceLimitError, _shown
-from .liedim import _as_system, _dim, _multiplicity, _parities
+from .liedim import _as_system, _dim_by_parity, _multiplicity, _parities
 
 _DEFAULT_BUDGET = 8
 _MAX_WORDS = 1500
@@ -410,7 +410,7 @@ def verify_range(max_r, max_degree, max_letters):
         for weights in product(range(1, max_degree + 1), repeat=r):
             parities = _parities(weights)
             for x in filter(any, _multidegrees(r, max_letters)):
-                dim = _dim(parities, x)
+                dim = _dim_by_parity(parities, x)
                 key = _canonical(parities, x)
                 checks = [("dimension", dim, _span_rank(*key))]
                 if all(x):

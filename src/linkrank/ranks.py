@@ -12,7 +12,8 @@ Those sums are taken in closed form, not term by term.  For a set T of
 components, the multiplicities of all x >= 0 supported on T add up to
 M(T) = sum_{k in T} D_T(N - a_k) - D_T(N), where D_T(n) is the summed
 component dimension in weighted degree n given by the weight-graded Witt
-formula (liedim.weighted_dim_sums).  The Brunnian rank of S, the sum over
+formula (liedim.weighted_dim_sums); liedim._multiplicity_sum computes it,
+so this module reads no Witt table.  The Brunnian rank of S, the sum over
 x >= 1 on S, is sum_{T within S} (-1)^|S - T| M(T); it is 0 whenever the
 weights of S add up to more than N.  The link rank is M(all components)
 plus the knot ranks minus the delta corrections.
@@ -119,8 +120,8 @@ from typing import NamedTuple, Optional
 from .arith import as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _shown
 from .fcs import _member
-from .liedim import (_count_solutions, _multiplicity, _parities, _solutions,
-                     _weighted_dim_sums, witt_super)
+from .liedim import (_count_solutions, _multiplicity, _multiplicity_sum, _parities,
+                     _solutions, witt_super)
 
 # the most entries contributions or subset_decomposition lists; it admits
 # the 31 465 terms of (30; 27^5) and the benchmark's guard of 32 000.  It is
@@ -257,19 +258,6 @@ def _delta(m, p):
     # _as_link makes m - p - 2 >= 1, so the test clears that denominator
     target = 4 if (m - p) % 2 == 0 else 6
     return 1 if 2 * (m - 3) == target * (m - p - 2) else 0
-
-
-def _multiplicity_sum(weights, target):
-    # M(T): the multiplicities of all x >= 0 of weighted degree target; every
-    # caller passes sorted weights, the key of the Witt-sum cache, whose
-    # D(0..n') may run past target, so it is indexed, never measured
-    dims = _weighted_dim_sums(weights, target)
-    total = -dims[target]
-    for a in weights:
-        if a > target:
-            break
-        total += dims[target - a]
-    return total
 
 
 def _brunnian_ranks(weights, target):

@@ -12,8 +12,9 @@ from linkrank.arith import _multinomial
 from linkrank.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from linkrank.liedim import (
     _count_solutions,
-    _dim,
+    _dim_by_parity,
     _multiplicity,
+    _multiplicity_sum,
     _reach,
     _solutions,
     lie_component_dim,
@@ -88,7 +89,7 @@ def test_swaps_within_a_parity_keep_dim_and_multiplicity(case):
     # parity class of multidegrees
     weights, x, moved = case
     parities = tuple(a % 2 for a in weights)
-    assert _dim(parities, moved) == _dim(parities, x)
+    assert _dim_by_parity(parities, moved) == _dim_by_parity(parities, x)
     assert _multiplicity(parities, moved) == _multiplicity(parities, x)
 
 
@@ -206,8 +207,9 @@ def test_multiplicity_matches_its_definition(case):
     # the cross-check of the one-multinomial kernel: its definition from
     # r + 1 dimensions, sum_{k: x_k > 0} dim(x - e_k) - dim(x)
     parities, x = case
-    below = sum(_dim(parities, x[:k] + (v - 1,) + x[k + 1:]) for k, v in enumerate(x) if v > 0)
-    assert _multiplicity(parities, x) == below - _dim(parities, x)
+    below = sum(_dim_by_parity(parities, x[:k] + (v - 1,) + x[k + 1:])
+                for k, v in enumerate(x) if v > 0)
+    assert _multiplicity(parities, x) == below - _dim_by_parity(parities, x)
 
 
 @pytest.mark.parametrize("x, error, what", [
@@ -499,6 +501,26 @@ def test_weighted_dim_sums_answer_degrees_in_any_order(clear_caches, weights, de
     clear_caches()
     for n in degrees:
         assert weighted_dim_sums(weights, n) == liedim._solve_dim_sums(weights, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5).map(sorted).map(tuple).flatmap(
+           lambda weights: st.tuples(st.just(weights), st.integers(weights[-1], 40))),
+       st.integers(1, 20))
+@example(((2, 3), 3), 1)
+def test_multiplicity_sum_adds_the_multiplicities_of_its_degree(clear_caches, case, beyond):
+    # M(T) from the Witt sums is the sum of the per-multidegree kernel over
+    # the solutions of its degree, read from a cold cell and from a cell
+    # already solved past target, which must be indexed, not measured
+    weights, target = case
+    parities = tuple(a % 2 for a in weights)
+    expected = sum(_multiplicity(parities, x) for x in _solutions(weights, target))
+    clear_caches()
+    assert _multiplicity_sum(weights, target) == expected
+    clear_caches()
+    liedim._weighted_dim_sums(weights, target + beyond)
+    assert len(liedim._dim_sums_cell(weights)[0]) > target + 1
+    assert _multiplicity_sum(weights, target) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -217,7 +217,7 @@ def test_verify_range_admission_is_exact(monkeypatch, clear_caches):
     def admitted(*args):
         raise _Admitted
 
-    monkeypatch.setattr(oracle, "_dim", admitted)
+    monkeypatch.setattr(oracle, "_dim_by_parity", admitted)
     ranges = {args: _most_words(args[0], args[2]) for args in _small_ranges()}
     for args, most in ranges.items():
         for cap in (6, 30, 90, 1500, most - 1, most):
@@ -490,10 +490,10 @@ def test_oracle_consults_no_closed_form(monkeypatch, clear_caches):
         raise AssertionError("the oracle consulted a closed form")
 
     for name in ("lie_component_dim", "multiplicity", "_multiplicity", "weighted_dim_sums",
-                 "_weighted_dim_sums", "_dim_sums_cell", "_solve_dim_sums", "_dim",
+                 "_weighted_dim_sums", "_multiplicity_sum", "_dim_sums_cell", "_solve_dim_sums",
                  "_dim_by_parity", "_dim_formula", "witt", "witt_super"):
         monkeypatch.setattr(liedim, name, refuse)
-    for name in ("_dim", "_multiplicity"):
+    for name in ("_dim_by_parity", "_multiplicity"):
         monkeypatch.setattr(oracle, name, refuse)
     after = [(component_dim_bruteforce(w, x), whitehead_map_analysis(w, x))
              for w, x in cases]

@@ -415,7 +415,7 @@ def test_sweep_solves_each_sublink_once_per_longer_target(clear_caches, monkeypa
 
     requested = defaultdict(set)
     solves = Counter()
-    real_sums, real_solve = ranks._weighted_dim_sums, liedim._solve_dim_sums
+    real_sums, real_solve = liedim._weighted_dim_sums, liedim._solve_dim_sums
 
     def sums(weights, n):
         requested[weights].add(n)
@@ -425,7 +425,7 @@ def test_sweep_solves_each_sublink_once_per_longer_target(clear_caches, monkeypa
         solves[weights] += 1
         return real_solve(weights, n)
 
-    monkeypatch.setattr(ranks, "_weighted_dim_sums", sums)
+    monkeypatch.setattr(liedim, "_weighted_dim_sums", sums)
     monkeypatch.setattr(liedim, "_solve_dim_sums", solve)
 
     def sweep(links):

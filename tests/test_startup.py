@@ -55,8 +55,16 @@ def test_modules_load_on_demand():
     }
 
 
+# the exported names a fresh import of the package leaves unbound
+UNBOUND = """
+import linkrank
+print(sorted(set(linkrank.__all__) - set(vars(linkrank))))
+"""
+
+
 def test_every_exported_name_resolves():
-    # the oracle's names are bound on first use; each is the oracle's own
+    # the names a fresh import leaves unbound are exactly the exported ones
+    # the oracle defines, and each resolves, on first use, to the oracle's own
     import linkrank
     from linkrank import oracle
     lazy = set()
@@ -65,7 +73,10 @@ def test_every_exported_name_resolves():
         if getattr(value, "__module__", None) == oracle.__name__:
             assert value is getattr(oracle, name)
             lazy.add(name)
-    assert lazy == linkrank._ORACLE_NAMES
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-S", "-c", UNBOUND], env=env,
+                            capture_output=True, text=True, check=True)
+    assert lazy and set(ast.literal_eval(result.stdout)) == lazy
     with pytest.raises(AttributeError, match="no_such_name"):
         linkrank.no_such_name
     # the exported functions are the calls the README's Library list names,
