@@ -2,7 +2,10 @@
 the two number-theoretic cores the dimension layer and the oracle call.
 
 as_integer and as_integers turn an argument into exact ints or reject it
-with InvalidInputError.  The cores take integers already checked:
+with InvalidInputError.  as_integers passes a sequence of exact ints with
+no Python call per entry, by testing the set of entry types once; a
+sequence with any other entry is converted or rejected one entry at a
+time, and a rejection names the first offender.  The cores take integers already checked:
 _squarefree_divisors lists the divisors d of n with mu(d) != 0, each with
 its sign, from one trial division, which is all a Moebius divisor sum
 reads; _multinomial is a multinomial coefficient as a running product of
@@ -31,13 +34,18 @@ def as_integer(value, what):
 
 
 def as_integers(values, what, whole):
-    """values as a tuple of exact ints, each checked by as_integer as `what`;
-    a values that is not a sequence is rejected, naming it as `whole`."""
+    """values as a tuple of exact ints; a values that is not a sequence is
+    rejected, naming it as `whole`.  Exact ints pass with no Python call per
+    entry; any other entries are converted or rejected one by one by
+    as_integer, each as `what`, so a rejection names the first offender."""
     try:
-        return tuple(as_integer(v, what) for v in values)
+        values = tuple(values)
     except TypeError:
         raise InvalidInputError(
             f"{whole} must be a sequence of integers, got {_shown(values)}") from None
+    if set(map(type, values)) <= {int}:
+        return values
+    return tuple(as_integer(v, what) for v in values)
 
 
 def _squarefree_divisors(n):

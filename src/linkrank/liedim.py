@@ -88,7 +88,9 @@ internal bug, not bad input.
 """
 
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, isqrt
+from operator import mod
 
 from .arith import _multinomial, _squarefree_divisors, as_integer, as_integers
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _shown
@@ -120,13 +122,13 @@ def _as_weights(weights):
     weights = as_integers(weights, "a generator weight", "generator weights")
     if not weights:
         raise InvalidInputError("a generator system needs at least one generator")
-    if any(a < 1 for a in weights):
+    if min(weights) < 1:
         raise InvalidInputError(f"generator weights must be positive, got {_shown(weights)}")
     return weights
 
 
 def _parities(weights):
-    return tuple(a % 2 for a in weights)
+    return tuple(map(mod, weights, repeat(2)))
 
 
 def _as_system(weights, x):

@@ -69,6 +69,7 @@ kept answers are an int and a WhiteheadAnalysis, both immutable.
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
@@ -86,8 +87,7 @@ def _canonical(parities, x):
     # sorted, as the two tuples (parities, x); a relabelling of the letters
     # that keeps their parities, or a letter that does not occur, changes no
     # rank, dimension or kernel (see the module docstring)
-    pairs = sorted((p, v) for p, v in zip(parities, x) if v)
-    return tuple(p for p, _ in pairs), tuple(v for _, v in pairs)
+    return tuple(zip(*sorted(filter(itemgetter(1), zip(parities, x)))))
 
 
 def _admit(weights, x, budget, positive=False):
@@ -95,10 +95,11 @@ def _admit(weights, x, budget, positive=False):
     # passed on the input as given; positive asks every coordinate >= 1, for
     # the map analysis
     parities, x = _as_system(weights, x)
-    if positive and min(x) < 1:
+    least = min(x)
+    if positive and least < 1:
         raise InvalidInputError(
             f"the bracket-map analysis needs every coordinate positive, got {_shown(x)}")
-    if min(x) < 0:
+    if least < 0:
         raise InvalidInputError(f"multidegree entries must be >= 0, got {_shown(x)}")
     total = sum(x)
     if total < 1:

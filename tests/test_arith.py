@@ -1,11 +1,12 @@
 import enum
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from linkrank.arith import _multinomial, _squarefree_divisors, as_integer
-from linkrank.errors import InvalidInputError
+from linkrank.arith import _multinomial, _squarefree_divisors, as_integer, as_integers
+from linkrank.errors import InvalidInputError, _shown
 from linkrank.fcs import fcs_contains, fcs_enumerate
 from linkrank.framed import (framed_knot_is_infinite, framed_rank, fully_framed_is_infinite,
                              handlebody_report, mcg_finite_index)
@@ -163,6 +164,68 @@ def test_as_integer_rejects_non_integers():
             call()
 
 
+class _Count(enum.IntEnum):
+    TWO = 2
+    THREE = 3
+
+
+class _Index:
+    # an __index__ object; its value may be a non-int, which index rejects
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _as_integers_reference(values, what, whole):
+    # as_integers entry by entry: each entry through as_integer, a values
+    # that is not iterable named as `whole`
+    try:
+        return tuple(as_integer(v, what) for v in values)
+    except TypeError:
+        raise InvalidInputError(
+            f"{whole} must be a sequence of integers, got {_shown(values)}") from None
+
+
+def _outcome(call):
+    # a result entry by entry with each entry's type, or an exception's type
+    # and message
+    try:
+        result = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), [(type(v), v) for v in result]
+
+
+_ENTRIES = st.one_of(
+    st.integers(), st.integers(-10**700, 10**700), st.booleans(), st.sampled_from(_Count),
+    st.builds(_Index, st.one_of(st.integers(), st.floats(allow_nan=False), st.none())),
+    st.floats(), st.text(max_size=3), st.fractions(), st.none())
+
+
+@given(st.lists(st.one_of(st.integers(), _ENTRIES), max_size=6),
+       st.sampled_from(["tuple", "list", "generator", "dict", "str"]), st.text(max_size=4))
+@example([3, True], "tuple", "")
+@example([3, _Count.TWO, _Index(4)], "generator", "")
+@example([3, _Index(2.0)], "list", "")
+@example([], "str", "12")
+def test_as_integers_equals_the_entry_by_entry_reference(entries, shape, text):
+    # exact ints pass in one pass; anything else is converted or rejected
+    # entry by entry, with the message the reference gives
+    make = {"tuple": lambda: tuple(entries), "list": lambda: list(entries),
+            "generator": lambda: (v for v in entries),
+            "dict": lambda: dict.fromkeys(entries), "str": lambda: text}[shape]
+    assert (_outcome(lambda: as_integers(make(), "an entry", "entries"))
+            == _outcome(lambda: _as_integers_reference(make(), "an entry", "entries")))
+
+
+@pytest.mark.parametrize("values", [(), 7, 10**700, None, 2.5, Fraction(1, 3)])
+def test_as_integers_of_an_empty_or_non_iterable_values(values):
+    assert (_outcome(lambda: as_integers(values, "an entry", "entries"))
+            == _outcome(lambda: _as_integers_reference(values, "an entry", "entries")))
+
+
 def test_entry_points_reject_out_of_range_values():
     # integers of the right shape outside the domain of the entry point
     for call in (lambda: fcs_enumerate("odd", "even", 0, 5),
@@ -178,3 +241,18 @@ def test_entry_points_reject_out_of_range_values():
                  lambda: verify_range(0, 1, 1)):
         with pytest.raises(InvalidInputError):
             call()
+    # exact ints that fail a range check keep their messages, each naming
+    # the first offender or the whole weights
+    for call, message in (
+            (lambda: link_rank(6, (5, 0)),
+             "codimension must exceed 2: component dimension 5 inside ambient dimension 6"),
+            (lambda: link_rank(6, (0, 5)), "component dimensions must be >= 1, got 0"),
+            (lambda: lie_component_dim((1, 0), (1, 1)),
+             "generator weights must be positive, got (1, 0)"),
+            (lambda: framed_rank(8, ((5, 9), (0, 1))),
+             "component dimensions must be >= 1, got 0"),
+            (lambda: framed_rank(8, ((5, 3), (5, 4), (3, -1))),
+             "frame count must satisfy 0 <= l <= m - p, got l=4 for p=5, m=8")):
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message

@@ -582,6 +582,16 @@ def test_a_memoized_answer_equals_a_fresh_one(clear_caches, case):
     assert memoized == [call(other, x) for call in calls]
 
 
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=7)
+       .filter(lambda pairs: any(v for _, v in pairs)))
+def test_the_memo_key_is_the_sorted_pairs_of_positive_count(pairs):
+    # small ranges give zero entries and ties in parity and count alike
+    parities, x = map(tuple, zip(*pairs))
+    kept = sorted((p, v) for p, v in pairs if v)
+    assert oracle._canonical(parities, x) == (tuple(p for p, _ in kept),
+                                              tuple(v for _, v in kept))
+
+
 def test_the_memo_returns_an_int_and_a_whitehead_analysis(clear_caches):
     clear_caches()
     for _ in range(2):  # computed, then read from the memo
