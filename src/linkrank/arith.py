@@ -2,14 +2,14 @@
 the two number-theoretic cores the dimension layer and the oracle call.
 
 as_integer and as_integers turn an argument into exact ints or reject it
-with InvalidInputError.  as_integers passes a sequence of exact ints with
-no Python call per entry, by testing the set of entry types once; a
+with InvalidInputError.  as_integers passes a sequence of exact ints
+with no Python call per entry, by testing the set of entry types once; a
 sequence with any other entry is converted or rejected one entry at a
-time, and a rejection names the first offender.  The cores take integers already checked:
-_squarefree_divisors lists the divisors d of n with mu(d) != 0, each with
-its sign, from one trial division, which is all a Moebius divisor sum
-reads; _multinomial is a multinomial coefficient as a running product of
-binomials.
+time, and a rejection names the first offender.  The cores take integers
+already checked: _squarefree_divisors lists the divisors d of n with
+mu(d) != 0, each with its sign, from one trial division, which is all a
+Moebius divisor sum reads; _multinomial is a multinomial coefficient as
+a running product of binomials.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """

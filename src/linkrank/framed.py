@@ -18,7 +18,7 @@ link itself, m and the p_k, to ranks._as_link.  handlebody_report and
 mcg_finite_index check their own regime and answer None outside it.
 """
 
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
@@ -37,12 +37,11 @@ def _as_framed(m, components):
             f"a framed link is a sequence of (p, l) pairs, got {_shown(components)}") from None
     m, dims = _as_link(m, map(itemgetter(0), components))
     frames = as_integers(map(itemgetter(1), components), "a frame count", "frame counts")
-    if min(frames) < 0 or max(map(add, dims, frames)) > m:
-        for p, l in zip(dims, frames):  # the first offender
-            if l < 0 or l > m - p:
-                raise InvalidInputError(
-                    f"frame count must satisfy 0 <= l <= m - p, got l={_shown(l)} "
-                    f"for p={_shown(p)}, m={_shown(m)}")
+    for p, l in zip(dims, frames):
+        if l < 0 or l > m - p:
+            raise InvalidInputError(
+                f"frame count must satisfy 0 <= l <= m - p, got l={_shown(l)} "
+                f"for p={_shown(p)}, m={_shown(m)}")
     return m, dims, frames
 
 

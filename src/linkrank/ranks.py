@@ -137,14 +137,13 @@ def _as_link(m, dims):
     dims = as_integers(dims, "a component dimension", "component dimensions")
     if not dims:
         raise InvalidInputError("a link needs at least one component")
-    if min(dims) < 1 or max(dims) >= m - 2:
-        for v in dims:  # the first offender
-            if v < 1:
-                raise InvalidInputError(f"component dimensions must be >= 1, got {_shown(v)}")
-            if v >= m - 2:
-                raise InvalidInputError(
-                    f"codimension must exceed 2: component dimension {_shown(v)} "
-                    f"inside ambient dimension {_shown(m)}")
+    for v in dims:
+        if v < 1:
+            raise InvalidInputError(f"component dimensions must be >= 1, got {_shown(v)}")
+        if v >= m - 2:
+            raise InvalidInputError(
+                f"codimension must exceed 2: component dimension {_shown(v)} "
+                f"inside ambient dimension {_shown(m)}")
     return m, dims
 
 
