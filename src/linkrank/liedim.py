@@ -390,10 +390,9 @@ def weighted_dim_sums(weights, n):
     b_j = j c_j + sum_a c_a b_(j-a), c_a the number of weights a, pushed
     forward: each nonzero b_i adds c_a b_i to b_(i+a) for the weights
     a <= n - i, so degrees no sum of weights reaches push nothing, and
-    2 000 weights 2 001..4 000 at n = 4 000 fill b in 2 000 steps, not the
-    2 M of pulling every weight below each degree.  Only a nonzero D(d) is
-    taken from the b of its multiples; every D(d) is still checked to be a
-    nonnegative integer.
+    2 000 weights 2 001..4 000 at n = 4 000 push nothing at all.  Only a
+    nonzero D(d) is taken from the b of its multiples; every D(d) is still
+    checked to be a nonnegative integer.
     The sums are cached by the sorted weights alone: the longest D(0..n')
     solved so far answers every n <= n', and a longer n is solved afresh,
     or refused with ResourceLimitError, before any table is allocated, when

@@ -28,15 +28,16 @@ of length L is w | k << shift * L.  All words of one bracket, and all rows
 of one elimination, have the same length, so the packing is one-to-one
 where it is used, a leading letter 0 included.  The words are walked in
 lexicographic order, each prefix bracketed once; a prefix whose bracket
-is 0 is not bracketed further, and each word extending it gets an empty
-polynomial.  Each bracket streams into the elimination as a sparse
-integer row keyed by its packed words, with no table of columns.  It is reduced by the kept rows in the order
-they were kept (no back substitution), divided by its content, and kept
-with a +-1 pivot if it has one (the first in row order), exactly when it
-is independent of the rows before it.  No fraction, float or closed-form
-dimension is used.  The public super_bracket and left_normed_bracket take
-and return polynomials keyed by tuple words; left_normed_bracket runs the
-packed steps and unpacks its result once, at the end.
+is 0 ends its branch, since every word extending it brackets to 0, so
+no row of the walk is empty.  Each bracket streams into the elimination
+as a sparse integer row keyed by its packed words, with no table of
+columns.  It is reduced by the kept rows in the order they were kept (no
+back substitution), divided by its content, and kept with a +-1 pivot if
+it has one (the first in row order), exactly when it is independent of
+the rows before it.  No fraction, float or closed-form dimension is
+used.  The public super_bracket and left_normed_bracket take and return
+polynomials keyed by tuple words; left_normed_bracket runs the packed
+steps and unpacks its result once, at the end.
 
 Both brute-force functions take a generator system as a tuple of
 positive weights.  A single computation may touch at most a budget of
@@ -74,7 +75,7 @@ from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
 from .errors import InvalidInputError, ResourceLimitError, _shown
-from .liedim import _as_system, _dim_by_parity, _multiplicity, _parities
+from .liedim import _as_system, _dim_by_parity, _multiplicity, _parities, _solutions
 
 _DEFAULT_BUDGET = 8
 _MAX_WORDS = 1500
@@ -190,13 +191,13 @@ def left_normed_bracket(word, parities):
 
 
 def _prefix_brackets(x, parities):
-    """The left-normed brackets of the words of multidegree x (parities
-    0/1) that begin with its rarest letter, in lexicographic word order,
-    each prefix bracketed once and a prefix whose bracket is 0 not
-    further (each word extending it gets an empty polynomial), keyed by
-    packed words of the field _field(len(x)).  They span the component (see the module
-    docstring).  The walk keeps its own stack, so a word may be of any
-    length."""
+    """The nonzero left-normed brackets of the words of multidegree x
+    (parities 0/1) that begin with its rarest letter, in lexicographic word
+    order, keyed by packed words of the field _field(len(x)).  Each prefix
+    is bracketed once, and a prefix whose bracket is 0 ends its branch, as
+    every word extending it brackets to 0.  They span the component (see
+    the module docstring).  The walk keeps its own stack, so a word may be
+    of any length."""
     counts, r = list(x), len(x)
     shift = _field(r)
     first = min((v, k) for k, v in enumerate(x) if v)[1]  # least positive x_k, lowest k
@@ -219,15 +220,10 @@ def _prefix_brackets(x, parities):
             continue
         frame[3] = k + 1
         poly = _bracket_step(prefix, k, parity & parities[k], shift, k << shift * len(stack))
+        if not poly:
+            continue  # every word extending a zero prefix brackets to zero
         if len(stack) == tail:
             yield poly
-        elif not poly:
-            # every word extending a zero prefix brackets to zero: one empty
-            # polynomial per word, with no further step
-            counts[k] -= 1
-            for _ in range(_multinomial(counts)):
-                yield {}
-            counts[k] += 1
         else:
             counts[k] -= 1
             stack.append([poly, parity ^ parities[k], k, 0])
@@ -351,16 +347,6 @@ class VerificationReport(NamedTuple):
         return all(rec.ok for rec in self.records)
 
 
-def _multidegrees(r, total_max):
-    # all r-tuples x >= 0 with sum(x) <= total_max, lexicographic
-    if r == 0:
-        yield ()
-        return
-    for v in range(total_max + 1):
-        for rest in _multidegrees(r - 1, total_max - v):
-            yield (v,) + rest
-
-
 def verify_range(max_r, max_degree, max_letters):
     """Check the closed-form dimension against the brute force for every
     generator system with at most max_r generators of weight <= max_degree
@@ -410,7 +396,9 @@ def verify_range(max_r, max_degree, max_letters):
     for r in range(1, max_r + 1):
         for weights in product(range(1, max_degree + 1), repeat=r):
             parities = _parities(weights)
-            for x in filter(any, _multidegrees(r, max_letters)):
+            # the nonzero x with sum(x) <= max_letters, lexicographic: a last
+            # weight-1 coordinate takes up the letters x leaves unused
+            for x in filter(any, (y[:-1] for y in _solutions((1,) * (r + 1), max_letters))):
                 dim = _dim_by_parity(parities, x)
                 key = _canonical(parities, x)
                 checks = [("dimension", dim, _span_rank(*key))]

@@ -279,7 +279,7 @@ def test_verify_range_shares_the_brute_force_across_a_relabelling_class(clear_ca
     # 54 classes against 3*5 + 9*20 + 27*55 = 1680 (weights, multidegree)
     # pairs; a class with a zero count is the class of a shorter positive
     # multidegree, so both cores see the same 54
-    for args in ((3, 3, 5), (2, 3, 6)):
+    for args in ((3, 3, 5), (2, 3, 6), (4, 1, 3)):
         expected = _unshared_records(*args, clear_caches)
         spans, maps = _relabelling_classes(*args)
         clear_caches()
@@ -405,11 +405,12 @@ def check_prefix_brackets(parities, x):
     rarest = min(k for k in range(len(x)) if x[k] == min(filter(None, x)))
     words = [w for w in words_of(x) if w[0] == rarest]
     shared = unpacked_prefix_brackets(x, parities)
-    assert shared == [left_normed_bracket(w, parities) for w in words]
+    # the walk lists the nonzero brackets only: a zero prefix ends its branch
+    assert shared == list(filter(None, (left_normed_bracket(w, parities) for w in words)))
     # the same brackets folded from the general supercommutator
-    assert shared == [functools.reduce(
+    assert shared == list(filter(None, (functools.reduce(
         lambda poly, k: super_bracket(poly, {(k,): 1}, parities), w[1:], {w[:1]: 1})
-        for w in words]
+        for w in words)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -466,9 +467,11 @@ def test_rarest_letter_family_wastes_no_rows_on_a_single_letter(monkeypatch, cle
     monkeypatch.setattr(oracle, "_eliminator", counted)
     # a memoized answer would count no row
     clear_caches()
-    # the rarest letter twice in seven: 210 * 2 / 7 rows, 30 of them kept
+    # the rarest letter twice in seven: 210 * 2 / 7 words; the core's key
+    # puts the even letter of weight 2 first, and the 10 words that begin
+    # with it twice are past the zero bracket [P, P], so 50 rows, 30 kept
     assert component_dim_bruteforce((1, 2, 3), (2, 2, 3)) == 30
-    assert (len(rows), sum(rows)) == (60, 30)
+    assert (len(rows), sum(rows)) == (50, 30)
     # the rarest letter once: each bracket holds one word that begins with
     # it, its own, so the rows are independent and every one is kept
     for weights, x in [((1,), (1,)), ((2, 1), (1, 3)), ((1, 1, 2), (3, 1, 2)),
@@ -502,7 +505,7 @@ def test_oracle_consults_no_closed_form(monkeypatch, clear_caches):
 
 def test_a_zero_prefix_is_bracketed_no_further(monkeypatch, clear_caches):
     # for one odd letter [P0, P0] = 2 P0 P0 and [[P0, P0], P0] = 0: the walk
-    # stops stepping there and lists one empty bracket for the word it ends
+    # stops stepping there, and the branch ends with no bracket listed
     steps = []
     real = oracle._bracket_step
 
