@@ -355,10 +355,9 @@ def brunnian_is_infinite(m, dims):
 def _link_report(m, dims):
     # the rank less the knot ranks, M(all) - sum delta, depends only on the
     # sorted weights and target = m - 3; the subset split checks it with the
-    # knot ranks left out of both sides
+    # knot ranks left out of both sides; every caller passes a checked link,
+    # 1 <= p_k < m - 2, so target = m - 3 >= 1
     target = m - 3
-    if target < 1:
-        raise InternalConsistencyError(f"degree target m - 3 = {_shown(target)} is not positive")
     weights = tuple(sorted(m - v - 2 for v in dims))
     knot_ranks = tuple(_knot_rank(m, v) for v in dims)
     rest = _multiplicity_sum(weights, target) - sum(_delta(m, v) for v in dims)

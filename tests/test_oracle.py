@@ -116,16 +116,47 @@ def test_budget_enforcement():
 
 
 def test_empty_multidegree_rejected():
-    with pytest.raises(InvalidInputError,
-                       match=r"oracle needs at least one letter, got multidegree \(0, 0\)$"):
-        component_dim_bruteforce((1, 1), (0, 0))
-    with pytest.raises(InvalidInputError,
-                       match=r"multidegree entries must be >= 0, got \(-1, 2\)$"):
-        component_dim_bruteforce((1, 1), (-1, 2))
-    for x in ((0, 2), (-1, 2), (0, 0)):
+    for call in (component_dim_bruteforce, whitehead_map_analysis):
         with pytest.raises(InvalidInputError,
-                           match="bracket-map analysis needs every coordinate positive"):
-            whitehead_map_analysis((1, 1), x)
+                           match=r"oracle needs at least one letter, got multidegree \(0, 0\)$"):
+            call((1, 1), (0, 0))
+        with pytest.raises(InvalidInputError,
+                           match=r"multidegree entries must be >= 0, got \(-1, 2\)$"):
+            call((1, 1), (-1, 2))
+    # a zero entry with a letter beside it is a component like any other
+    assert whitehead_map_analysis((1, 1), (0, 2)) == (
+        lie_component_dim((1, 1), (0, 2)), multiplicity((1, 1), (0, 2)))
+
+
+@st.composite
+def systems_with_a_zero_letter(draw):
+    """(weights, x): 2-4 generators of weight 1-4 (one generator cannot hold
+    a zero and a positive entry), x >= 0 with at least one entry of each
+    kind, at most 8 letters and 1500 words."""
+    r = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=r, max_size=r)))
+    x = draw(st.lists(st.integers(0, 8), min_size=r, max_size=r))
+    x[draw(st.integers(0, r - 1))] = 0
+    assume(any(x) and sum(x) <= 8 and _multinomial(x) <= oracle._MAX_WORDS)
+    return weights, tuple(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems_with_a_zero_letter())
+@example(((1, 1), (0, 2)))
+@example(((2, 1, 3), (0, 1, 0)))  # the one letter left is the whole component
+@example(((1, 2, 1, 2), (3, 0, 3, 2)))
+def test_a_zero_letter_leaves_the_map_analysis_of_the_rest(clear_caches, case):
+    # a letter of count 0 adds an empty block to the map and occurs in no
+    # word of the target: the answer is the closed forms at x, and the
+    # analysis of the system without that letter, computed afresh
+    weights, x = case
+    clear_caches()
+    analysis = whitehead_map_analysis(weights, x)
+    assert analysis == (lie_component_dim(weights, x), multiplicity(weights, x))
+    kept = [(a, v) for a, v in zip(weights, x) if v]
+    clear_caches()
+    assert analysis == whitehead_map_analysis(*map(tuple, zip(*kept)))
 
 
 def test_verify_range_smoke():
@@ -415,7 +446,7 @@ def check_prefix_brackets(parities, x):
 
 @settings(max_examples=150, deadline=None)
 @given(systems_and_multidegrees())
-@example(((0, 0, 0), (2, 2, 2)))  # [P0, P0] = 0, extended by 30 words
+@example(((0, 0, 0), (2, 2, 2)))  # [P0, P0] = 0, past it the 6 words that begin 00
 def test_prefix_brackets_equal_left_normed_brackets(case):
     check_prefix_brackets(*case)
 
