@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by every module in the package, and _shown,
+"""Exception hierarchy shared by every module in the package; _shown,
 through which their messages format every number and every rejected
-value."""
+value; and _agree, through which every cross-check of ranks and framed
+holds two routes to one value and raises InternalConsistencyError when
+they differ."""
 
 
 class LinkRankError(Exception):
@@ -56,3 +58,12 @@ def _shown(value, denominator=1):
         return str(value)
     from fractions import Fraction
     return str(Fraction(value, denominator))
+
+
+def _agree(left, right, message, *values):
+    """Return when left == right, else raise InternalConsistencyError with
+    message formatted by the values, each through _shown.  A check passes
+    only values it has computed already, so it costs one call when it
+    holds."""
+    if left != right:
+        raise InternalConsistencyError(message.format(*map(_shown, values)))

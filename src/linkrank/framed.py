@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError, _shown
+from .errors import InvalidInputError, _agree, _shown
 from .ranks import RankReport, _as_link, _link_report
 from .stiefel import _stiefel_rank
 
@@ -70,10 +70,8 @@ def _framed_rank(m, dims, frames):
     # for l >= 1, and a knot rank of 1 already makes the link infinite
     infinite = link_report.infinite or any(
         _framed_knot_infinite(m, p, l) for p, l in zip(dims, frames) if l)
-    if infinite != (total > 0):
-        raise InternalConsistencyError(
-            f"framed criterion says {infinite} but the framed rank is {_shown(total)} "
-            f"for m={_shown(m)}, p={_shown(dims)}, l={_shown(frames)}")
+    _agree(infinite, total > 0, "framed criterion says {} but the framed rank is {} "
+           "for m={}, p={}, l={}", infinite, total, m, dims, frames)
     return FramedRankReport(
         m=m,
         p=dims,

@@ -90,7 +90,8 @@ them.  A link is infinite when one of its knot ranks is 1 or one of its
 fitting sublinks of two or more components is infinite; every such
 sublink lies in the paired prefix.
 
-Independent checks raise InternalConsistencyError on a mismatch:
+Independent checks raise InternalConsistencyError on a mismatch, each
+through errors._agree, which formats the values it names through _shown:
 
 * the per-multidegree terms (`contributions`) are counted by a generating
   function, refused over _MAX_TERMS, and enumerated on each read, each
@@ -118,7 +119,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _shown
+from .errors import InvalidInputError, ResourceLimitError, _agree, _shown
 from .fcs import _member
 from .liedim import (_count_solutions, _multiplicity, _multiplicity_sum, _parities,
                      _solutions, witt_super)
@@ -178,15 +179,11 @@ def _contributions(m, dims, lower, expected):
             value = values[key] = _multiplicity(parities, x)
         terms.append((x, value))
     terms = tuple(terms)
-    if len(terms) != count:
-        raise InternalConsistencyError(
-            f"enumerated {len(terms)} solutions but counted {count} "
-            f"for m={_shown(m)}, p={_shown(dims)}")
+    _agree(len(terms), count, "enumerated {} solutions but counted {} for m={}, p={}",
+           len(terms), count, m, dims)
     total = sum(value for _, value in terms)
-    if total != expected:
-        raise InternalConsistencyError(
-            f"the {len(terms)} enumerated contributions add up to {_shown(total)} but the "
-            f"Witt formula gives {_shown(expected)} for m={_shown(m)}, p={_shown(dims)}")
+    _agree(total, expected, "the {} enumerated contributions add up to {} but the Witt "
+           "formula gives {} for m={}, p={}", len(terms), total, expected, m, dims)
     return terms
 
 
@@ -326,10 +323,8 @@ def brunnian_rank(m, dims):
     # 0, and no sublink family to build
     rank = 0 if sum(weights) > m - 3 else _brunnian_ranks(weights, m - 3).get(weights, 0)
     infinite = _subsequence_infinite(weights, m - 3)
-    if infinite != (rank > 0):
-        raise InternalConsistencyError(
-            f"Brunnian criterion says {infinite} but the rank is {_shown(rank)} "
-            f"for m={_shown(m)}, p={_shown(dims)}")
+    _agree(infinite, rank > 0, "Brunnian criterion says {} but the rank is {} for m={}, p={}",
+           infinite, rank, m, dims)
     return BrunnianRank(m, dims, rank, infinite)
 
 
@@ -374,20 +369,15 @@ def _link_report(m, dims):
             for a, count in repeated:
                 value *= comb(count, t.count(a))
             split += value
-    if split != rest:
-        raise InternalConsistencyError(
-            f"closed formula gives {_shown(rest)} beyond the knot ranks but the subset "
-            f"splitting gives {_shown(split)} for m={_shown(m)}, "
-            f"weights {_shown(weights)}")
+    _agree(split, rest, "closed formula gives {} beyond the knot ranks but the subset "
+           "splitting gives {} for m={}, weights {}", rest, split, m, weights)
 
     # infinite when a knot rank is 1 or a sublink of two or more components is
     infinite = any(knot_ranks) or any(
         _subsequence_infinite(t, target) for t in ranks if len(t) >= 2)
     total = rest + sum(knot_ranks)
-    if infinite != (total > 0):
-        raise InternalConsistencyError(
-            f"finiteness criterion says {infinite} but the rank is {_shown(total)} "
-            f"for m={_shown(m)}, p={_shown(dims)}")
+    _agree(infinite, total > 0, "finiteness criterion says {} but the rank is {} for m={}, p={}",
+           infinite, total, m, dims)
     return RankReport(
         m=m, p=dims, total_rank=total,
         brunnian_rank=ranks.get(weights, 0) if len(dims) >= 2 else None,
@@ -424,8 +414,6 @@ def equal_dim_rank(m, p, r):
     c = _knot_rank(m, p)
     value = r * (witt_super(t - 1, s, r) + c - _delta(m, p)) - witt_super(t, s, r)
     check = _link_report(m, (p,) * r).total_rank
-    if value != check:
-        raise InternalConsistencyError(
-            f"equal-dimension form gives {_shown(value)} but the general formula gives "
-            f"{_shown(check)} for m={_shown(m)}, p={_shown(p)}, r={_shown(r)}")
+    _agree(value, check, "equal-dimension form gives {} but the general formula gives {} "
+           "for m={}, p={}, r={}", value, check, m, p, r)
     return value

@@ -193,6 +193,8 @@ PINNED = [
      "m = 6, p = (3, 3)\nrank: 4\nbrunnian rank: 2\ninfinite: yes\ncontributions:\n"
      "  (0, 3): 1\n  (1, 2): 1\n  (2, 1): 1\n  (3, 0): 1\ndecomposition:\n"
      "  components {1}: 1\n  components {2}: 1\n  components {1,2}: 2\n"),
+    # one component: no Brunnian line
+    (["rank", "6", "3"], "m = 6, p = (3)\nrank: 1\ninfinite: yes\n"),
     (["rank", "6", "3", "--format", "csv"],
      "m,p,rank,brunnian_rank,infinite\n6,3,1,,True\n"),
     (["rank", "6", "3", "--format", "json"],

@@ -117,9 +117,11 @@ def test_contributions_check_fires(cold_caches, monkeypatch):
     # (1 class) are each 1 too high
     real = ranks._multiplicity
     monkeypatch.setattr(ranks, "_multiplicity", lambda parities, x: real(parities, x) + 1)
-    with pytest.raises(InternalConsistencyError, match="add up to 8 but the Witt formula gives 4"):
+    with pytest.raises(InternalConsistencyError, match=r"^the 4 enumerated contributions add "
+                       r"up to 8 but the Witt formula gives 4 for m=6, p=\(3, 3\)$"):
         link_rank(6, (3, 3)).contributions
-    with pytest.raises(InternalConsistencyError, match="add up to 4 but the Witt formula gives 2"):
+    with pytest.raises(InternalConsistencyError, match=r"^the 2 enumerated contributions add "
+                       r"up to 4 but the Witt formula gives 2 for m=6, p=\(3, 3\)$"):
         brunnian_rank(6, (3, 3)).contributions
 
 
@@ -146,9 +148,11 @@ def test_contributions_take_one_multiplicity_per_parity_class(cold_caches, monke
 def test_contributions_count_check_fires(cold_caches, monkeypatch):
     real = ranks._count_solutions
     monkeypatch.setattr(ranks, "_count_solutions", lambda *args: real(*args) + 1)
-    with pytest.raises(InternalConsistencyError, match="enumerated 4 solutions but counted 5"):
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^enumerated 4 solutions but counted 5 for m=6, p=\(3, 3\)$"):
         link_rank(6, (3, 3)).contributions
-    with pytest.raises(InternalConsistencyError, match="enumerated 2 solutions but counted 3"):
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^enumerated 2 solutions but counted 3 for m=6, p=\(3, 3\)$"):
         brunnian_rank(6, (3, 3)).contributions
 
 
@@ -156,15 +160,18 @@ def test_subset_split_check_fires(cold_caches, monkeypatch):
     # (6; 3, 3) has delta = 1 for each component; dropping it leaves the
     # closed formula two above the split
     monkeypatch.setattr(ranks, "_delta", lambda m, p: 0)
-    with pytest.raises(InternalConsistencyError, match="subset splitting"):
+    with pytest.raises(InternalConsistencyError, match=r"^closed formula gives 4 beyond the "
+                       r"knot ranks but the subset splitting gives 2 for m=6, weights \(1, 1\)$"):
         link_rank(6, (3, 3))
 
 
 def test_criterion_checks_fire(cold_caches, monkeypatch):
     monkeypatch.setattr(ranks, "_subsequence_infinite", lambda weights, target: False)
-    with pytest.raises(InternalConsistencyError, match="Brunnian criterion"):
+    with pytest.raises(InternalConsistencyError, match=r"^Brunnian criterion says False but "
+                       r"the rank is 6 for m=8, p=\(5, 5, 5\)$"):
         brunnian_is_infinite(8, (5, 5, 5))
-    with pytest.raises(InternalConsistencyError, match="finiteness criterion"):
+    with pytest.raises(InternalConsistencyError, match=r"^finiteness criterion says False but "
+                       r"the rank is 6 for m=8, p=\(5, 5, 5\)$"):
         link_rank(8, (5, 5, 5))
 
 
@@ -199,7 +206,8 @@ def test_equal_weights_take_one_multiplicity_sum_per_size(cold_caches, monkeypat
 
 def test_equal_dim_check_fires(cold_caches, monkeypatch):
     monkeypatch.setattr(ranks, "witt_super", lambda t, s, r: 0)
-    with pytest.raises(InternalConsistencyError, match="equal-dimension"):
+    with pytest.raises(InternalConsistencyError, match="^equal-dimension form gives 0 but the "
+                       "general formula gives 4 for m=6, p=3, r=2$"):
         equal_dim_rank(6, 3, 2)
 
 

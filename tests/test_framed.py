@@ -139,6 +139,15 @@ def test_handlebody_reports():
     assert ranked.sets_finite is None
     assert ranked.group_rank == framed_rank(6, ((3, 3), (3, 3))).total_rank
 
+    # handles of dimensions 5 and 6 in dimension 9, the framed link (8; 4, 5):
+    # 2 * 5 - 4 + 2 = 8 meets the weak bound but not the strict one, so the
+    # sets are finite, with no group rank
+    weak = handlebody_report(9, (5, 6))
+    assert weak.weak_conditions_hold is True
+    assert weak.strict_conditions_hold is False
+    assert weak.sets_finite is True
+    assert weak.group_rank is None
+
     single = handlebody_report(14, (8,))
     assert single.group_rank == framed_rank(13, ((7, 6),)).total_rank
     assert single.group_rank == 1

@@ -559,14 +559,34 @@ def test_largest_admitted_multidegree():
     assert analysis.kernel_dim == multiplicity(weights, x)
 
 
-def test_long_words_need_no_deep_stack():
-    # one word of 1100 letters: far past the interpreter's recursion limit
+def test_long_words_need_no_deep_stack(clear_caches, monkeypatch):
+    # words of 1100 letters; one letter alone stops within two bracket
+    # steps, as [P, P] or [[P, P], P] is zero
     for weights in ((1,), (2,)):
         x = (1100,)
         dim = lie_component_dim(weights, x)
         assert component_dim_bruteforce(weights, x, budget=1100) == dim
         analysis = whitehead_map_analysis(weights, x, budget=1100)
         assert analysis == (dim, multiplicity(weights, x))
+    # an odd letter bracketed 1099 times by an even one never reaches zero,
+    # so the walk holds a prefix of every length up to 1100, far past the
+    # interpreter's recursion limit of 1000
+    clear_caches()
+    steps = []
+    real = oracle._bracket_step
+
+    def counting(*args):
+        steps.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_bracket_step", counting)
+    weights, x = (2, 1), (1099, 1)
+    assert component_dim_bruteforce(weights, x, budget=1100) == 1 == lie_component_dim(weights, x)
+    assert len(steps) >= 1099
+    steps.clear()
+    analysis = whitehead_map_analysis(weights, x, budget=1100)
+    assert analysis == (1, 0) == (1, multiplicity(weights, x))
+    assert len(steps) >= 1099
 
 
 def test_a_memoized_answer_is_still_refused_over_a_smaller_budget(clear_caches):
