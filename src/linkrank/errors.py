@@ -1,8 +1,10 @@
 """Exception hierarchy shared by every module in the package; _shown,
 through which their messages format every number and every rejected
-value; and _agree, through which every cross-check of ranks and framed
+value; _agree, through which every cross-check of ranks and framed
 holds two routes to one value and raises InternalConsistencyError when
-they differ."""
+they differ; and _within, through which every resource cap of fcs,
+liedim, oracle and ranks admits an estimated cost or raises
+ResourceLimitError."""
 
 
 class LinkRankError(Exception):
@@ -67,3 +69,11 @@ def _agree(left, right, message, *values):
     holds."""
     if left != right:
         raise InternalConsistencyError(message.format(*map(_shown, values)))
+
+
+def _within(cost, cap, message, *values):
+    """Return when cost <= cap, else raise ResourceLimitError with message
+    formatted by the values, each through _shown.  A cap passes only values
+    it has computed already, so it costs one call when it admits."""
+    if cost > cap:
+        raise ResourceLimitError(message.format(*map(_shown, values)))

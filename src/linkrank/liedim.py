@@ -93,7 +93,7 @@ from math import gcd, isqrt
 from operator import mod
 
 from .arith import _multinomial, _squarefree_divisors, as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _shown
+from .errors import InternalConsistencyError, InvalidInputError, _shown, _within
 
 # witt(t, r) costs about t * (r - 1).bit_length() bits for r^t plus isqrt(t)
 # trial divisions for the squarefree divisors of t.  The cap also bounds the
@@ -243,10 +243,8 @@ def witt(t, r):
     # in, so that a refusal at any size takes linear time
     root = isqrt(t) if t.bit_length() <= 4000 else 1 << (t.bit_length() - 1) // 2
     cost = t * (r - 1).bit_length() + root
-    if cost > _MAX_WITT_COST:
-        raise ResourceLimitError(
-            f"witt({_shown(t)}, {_shown(r)}) would cost about {_shown(cost)} bits of r^t "
-            f"and trial divisions, over the cap of {_MAX_WITT_COST}")
+    _within(cost, _MAX_WITT_COST, "witt({}, {}) would cost about {} bits of r^t and trial "
+            "divisions, over the cap of {}", t, r, cost, _MAX_WITT_COST)
     acc = 0
     for i, mu in _squarefree_divisors(t):
         acc += mu * r ** (t // i)
@@ -418,10 +416,8 @@ def _weighted_dim_sums(weights, n):
     sums = cell[0]
     if len(sums) <= n:
         bits = _dim_sums_bits(weights, n)
-        if bits > _MAX_DIM_SUMS_BITS:
-            raise ResourceLimitError(
-                f"the Witt sums of weights {_shown(weights)} to degree {_shown(n)} would "
-                f"take about {_shown(bits)} bits, over the cap of {_MAX_DIM_SUMS_BITS}")
+        _within(bits, _MAX_DIM_SUMS_BITS, "the Witt sums of weights {} to degree {} would "
+                "take about {} bits, over the cap of {}", weights, n, bits, _MAX_DIM_SUMS_BITS)
         sums = cell[0] = _solve_dim_sums(weights, n)
     return sums
 

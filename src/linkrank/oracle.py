@@ -44,14 +44,17 @@ Both brute-force functions take a generator system as a tuple of
 positive weights.  A single computation may touch at most a budget of
 letters (default 8, overridable per call with budget=) and a component of
 1500 words, counted as multinomial(x) and not as the smaller family walked.
-One helper, _admit, runs every check of a call and returns the key of the
-kept answers.  `verify_range` sets the budget to its max_letters and
-admits its whole range once, before any check: it refuses more than
-20 000 (system, multidegree) pairs, then a largest multidegree over the
-word cap, named by its arguments as verify_range(max_r, max_degree,
-max_letters), and asks the kept answers directly, since no call of an
-admitted range can be refused.  Each of these limits raises
-ResourceLimitError.
+Past 1500 letters of two or more kinds the word cap refuses by the letter
+count, before the multinomial is built, since such an x spans
+multinomial(x) >= C(|x|, x_k) >= |x| words; one kind spans one word.
+One helper, _admit, runs every check of a call, each cap through
+errors._within, and returns the key of the kept answers.  `verify_range`
+sets the budget to its max_letters and admits its whole range once,
+before any check: it refuses more than 20 000 (system, multidegree)
+pairs, then a largest multidegree over the word cap, named by its
+arguments as verify_range(max_r, max_degree, max_letters), and asks the
+kept answers directly, since no call of an admitted range can be
+refused.  Each of these limits raises ResourceLimitError.
 
 The answers depend on a generator system only up to relabelling its
 letters with their parities.  A permutation of the letters that keeps
@@ -76,7 +79,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
-from .errors import InvalidInputError, ResourceLimitError, _shown
+from .errors import InvalidInputError, ResourceLimitError, _shown, _within
 from .liedim import _as_system, _dim_by_parity, _multiplicity, _parities, _solutions
 
 _DEFAULT_BUDGET = 8
@@ -106,15 +109,17 @@ def _admit(weights, x, budget):
     limit = _DEFAULT_BUDGET if budget is None else as_integer(budget, "the letter budget")
     if limit < 1:
         raise InvalidInputError(f"the letter budget must be >= 1, got {_shown(limit)}")
-    if total > limit:
-        raise ResourceLimitError(
-            f"multidegree {_shown(x)} has {_shown(total)} letters, over the budget "
-            f"of {_shown(limit)}; pass a larger budget")
+    _within(total, limit, "multidegree {} has {} letters, over the budget of {}; pass a "
+            "larger budget", x, total, limit)
+    # letters of two or more kinds span multinomial(x) >= C(total, x_k) >=
+    # total words, for any 0 < x_k < total: past the word cap in letters,
+    # refuse by that count before the multinomial is built
+    if max(x) < total:
+        _within(total, _MAX_WORDS, "multidegree {} spans at least {} words, over the hard "
+                "cap of {}", x, total, _MAX_WORDS)
     n_words = _multinomial(x)
-    if n_words > _MAX_WORDS:
-        raise ResourceLimitError(
-            f"multidegree {_shown(x)} spans {_shown(n_words)} words, "
-            f"over the hard cap of {_MAX_WORDS}")
+    _within(n_words, _MAX_WORDS, "multidegree {} spans {} words, over the hard cap of {}",
+            x, n_words, _MAX_WORDS)
     return _canonical(parities, x)
 
 
@@ -374,11 +379,9 @@ def verify_range(max_r, max_degree, max_letters):
     pairs = 0  # max_degree^r systems times C(max_letters + r, r) - 1 multidegrees
     for r in range(1, max_r + 1):
         pairs += max_degree ** r * (comb(max_letters + r, r) - 1)
-        if pairs > _MAX_PAIRS:
-            raise ResourceLimitError(
-                f"verify_range{_shown(arguments)} would check "
-                f"{'' if r == max_r else 'more than '}{_shown(pairs)} (system, multidegree) "
-                f"pairs, over the cap of {_MAX_PAIRS}")
+        more = "" if r == max_r else "more than "
+        _within(pairs, _MAX_PAIRS, "verify_range{} would check " + more + "{} (system, "
+                "multidegree) pairs, over the cap of {}", arguments, pairs, _MAX_PAIRS)
     # the range's largest call: max_letters split as evenly as possible over
     # max_r entries, since fewer letters, a zero entry or an uneven split span
     # fewer words; under the budget of max_letters only the word cap can

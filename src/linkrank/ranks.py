@@ -91,7 +91,8 @@ fitting sublinks of two or more components is infinite; every such
 sublink lies in the paired prefix.
 
 Independent checks raise InternalConsistencyError on a mismatch, each
-through errors._agree, which formats the values it names through _shown:
+through errors._agree, and the caps raise ResourceLimitError, each
+through errors._within; both format the values they name through _shown:
 
 * the per-multidegree terms (`contributions`) are counted by a generating
   function, refused over _MAX_TERMS, and enumerated on each read, each
@@ -119,7 +120,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
-from .errors import InvalidInputError, ResourceLimitError, _agree, _shown
+from .errors import InvalidInputError, _agree, _shown, _within
 from .fcs import _member
 from .liedim import (_count_solutions, _multiplicity, _multiplicity_sum, _parities,
                      _solutions, witt_super)
@@ -156,10 +157,8 @@ def _contributions(m, dims, lower, expected):
     weights = tuple(m - v - 2 for v in dims)
     n = m - 3 - lower * sum(weights)
     count = _count_solutions(weights, n)
-    if count > _MAX_TERMS:
-        raise ResourceLimitError(
-            f"m={_shown(m)}, p={_shown(dims)} has {_shown(count)} contributions, "
-            f"over the cap of {_MAX_TERMS}")
+    _within(count, _MAX_TERMS, "m={}, p={} has {} contributions, over the cap of {}",
+            m, dims, count, _MAX_TERMS)
     parities = _parities(weights)
     # a multiplicity is unchanged by swapping entries of x at coordinates of
     # one parity, so the kernel runs once per class of x: its sorted entries
@@ -216,10 +215,8 @@ class RankReport(NamedTuple):
         rank for a single component), built on each read.  Refused with
         ResourceLimitError when there are more than _MAX_TERMS subsets."""
         subsets = 2 ** len(self.p) - 1
-        if subsets > _MAX_TERMS:
-            raise ResourceLimitError(
-                f"the decomposition of m={_shown(self.m)}, p={_shown(self.p)} lists "
-                f"{_shown(subsets)} component subsets, over the cap of {_MAX_TERMS}")
+        _within(subsets, _MAX_TERMS, "the decomposition of m={}, p={} lists {} component "
+                "subsets, over the cap of {}", self.m, self.p, subsets, _MAX_TERMS)
         weights = [self.m - v - 2 for v in self.p]
         ranks = _brunnian_ranks(tuple(sorted(weights)), self.m - 3)
         split = {}
@@ -405,9 +402,8 @@ def equal_dim_rank(m, p, r):
     m, (p,) = _as_link(m, (p,))
     if p <= 1:
         raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={_shown(p)}")
-    if r > _MAX_TERMS:
-        raise ResourceLimitError(
-            f"equal_dim_rank of r={_shown(r)} components is over the cap of {_shown(_MAX_TERMS)}")
+    _within(r, _MAX_TERMS, "equal_dim_rank of r={} components is over the cap of {}",
+            r, _MAX_TERMS)
     from fractions import Fraction
     s = m - p
     t = Fraction(m - 3, m - p - 2)

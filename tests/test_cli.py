@@ -325,8 +325,8 @@ def test_details_over_the_term_cap_exits_three(capsys):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "resource limit: " in captured.err
-    assert "has 6471002 contributions, over the cap of 200000" in captured.err
+    assert captured.err == ("resource limit: m=60, p=(57, 57, 57, 57, 57, 57) has 6471002 "
+                            "contributions, over the cap of 200000\n")
     assert cli.main(argv) == 0
     assert "rank: " in capsys.readouterr().out
 
@@ -337,7 +337,8 @@ def test_details_refuses_the_decomposition_of_18_components(capsys):
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "lists 262143 component subsets, over the cap of 200000" in captured.err
+    assert captured.err == (f"resource limit: the decomposition of m=6, p=({'3, ' * 17}3) lists "
+                            "262143 component subsets, over the cap of 200000\n")
     assert cli.main([*argv, "--brunnian"]) == 0
     assert capsys.readouterr().out.endswith("contributions:\n")
 

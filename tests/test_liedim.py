@@ -290,9 +290,14 @@ def test_witt_over_the_cap_is_refused_before_any_divisor(monkeypatch):
         raise AssertionError("the divisors of an over-cap witt were walked")
 
     monkeypatch.setattr(liedim, "_squarefree_divisors", squarefree_divisors)
-    with pytest.raises(ResourceLimitError, match=r"witt\(100000000, 3\) would cost about "
-                       r"200010000 bits of r\^t and trial divisions, over the cap of 1048576"):
+    with pytest.raises(ResourceLimitError, match=r"^witt\(100000000, 3\) would cost about "
+                       r"200010000 bits of r\^t and trial divisions, over the cap of 1048576$"):
         witt(100_000_000, 3)
+    # a huge index and its cost are named by their sizes
+    with pytest.raises(ResourceLimitError, match=r"^witt\(<number of 16610 bits>, 3\) would cost "
+                       r"about <number of 16611 bits> bits of r\^t and trial divisions, over "
+                       r"the cap of 1048576$"):
+        witt(10 ** 5000, 3)
     # r = 1 costs no bits, only the isqrt(t) = 2^20 + 1 trial divisions
     with pytest.raises(ResourceLimitError):
         witt((1 << 20 | 1) ** 2, 1)
@@ -304,6 +309,18 @@ def test_witt_over_the_cap_is_refused_before_any_divisor(monkeypatch):
     monkeypatch.setattr(liedim, "_squarefree_divisors", real)
     assert liedim._MAX_WITT_COST == 1_047_553 + 1023
     assert witt(1_047_553, 2).bit_length() == 1_047_534
+
+
+def test_the_witt_sum_cap_admits_exactly_its_estimate(monkeypatch, clear_caches):
+    bits = liedim._dim_sums_bits((1, 3), 12)
+    monkeypatch.setattr(liedim, "_MAX_DIM_SUMS_BITS", bits)
+    clear_caches()
+    assert weighted_dim_sums((1, 3), 12) == (1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 5, 6, 7)
+    monkeypatch.setattr(liedim, "_MAX_DIM_SUMS_BITS", bits - 1)
+    clear_caches()
+    with pytest.raises(ResourceLimitError, match=rf"^the Witt sums of weights \(1, 3\) to degree "
+                       rf"12 would take about {bits} bits, over the cap of {bits - 1}$"):
+        weighted_dim_sums((1, 3), 12)
 
 
 def test_witt_over_the_cap_is_refused_without_a_huge_isqrt(monkeypatch):

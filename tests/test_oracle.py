@@ -103,16 +103,51 @@ def test_whitehead_rank_hits_target_dimension():
 def test_budget_enforcement():
     for call in (component_dim_bruteforce, whitehead_map_analysis):
         with pytest.raises(ResourceLimitError,
-                           match=r"^multidegree \(5, 5\) has 10 letters, over the budget of 8;"):
+                           match=r"^multidegree \(5, 5\) has 10 letters, over the budget of 8; "
+                                 r"pass a larger budget$"):
             call((1, 1), (5, 5))
-        with pytest.raises(ResourceLimitError, match="has 6 letters, over the budget of 4;"):
-            call((1, 1), (3, 3), budget=4)
+        # a budget of exactly the letters admits them, one less refuses them
+        assert call((1, 1), (3, 3), budget=6) == call((1, 1), (3, 3))
+        for budget in (4, 5):
+            with pytest.raises(ResourceLimitError, match=r"^multidegree \(3, 3\) has 6 letters, "
+                               rf"over the budget of {budget}; pass a larger budget$"):
+                call((1, 1), (3, 3), budget=budget)
         with pytest.raises(InvalidInputError, match="letter budget must be >= 1, got 0$"):
             call((1, 1), (3, 3), budget=0)
         # letter budget fine, word count past the cap
-        with pytest.raises(ResourceLimitError,
-                           match=r"\(4, 4, 4\) spans 34650 words, over the hard cap of 1500$"):
+        with pytest.raises(ResourceLimitError, match=r"^multidegree \(4, 4, 4\) spans 34650 "
+                           r"words, over the hard cap of 1500$"):
             call((1, 1, 1), (4, 4, 4), budget=12)
+
+
+def test_the_word_cap_refuses_many_letters_of_two_kinds_by_their_count(monkeypatch):
+    # two or more kinds of letter span at least as many words as letters, so
+    # past the cap in letters no multinomial is built: at 2^63 letters a kind
+    # it would overflow math.comb, and at 10^6 take half a minute
+    def multinomial(x):
+        raise AssertionError(f"the multinomial of {x} was built")
+
+    monkeypatch.setattr(oracle, "_multinomial", multinomial)
+    for call in (component_dim_bruteforce, whitehead_map_analysis):
+        for x, shown, words in [((2 ** 63, 2 ** 63), "9223372036854775808, 9223372036854775808",
+                                 2 ** 64),
+                                ((10 ** 6, 10 ** 6), "1000000, 1000000", 2 * 10 ** 6),
+                                ((1500, 1), "1500, 1", 1501)]:
+            with pytest.raises(ResourceLimitError, match=rf"^multidegree \({shown}\) spans at "
+                               rf"least {words} words, over the hard cap of 1500$"):
+                call((1, 1), x, budget=words)
+
+
+def test_the_word_cap_admits_one_kind_at_any_length_and_two_kinds_at_the_cap(monkeypatch):
+    # a single letter repeated is one word, admitted past the cap in letters;
+    # under a cap of 4, three letters of one kind and one of another span
+    # exactly 4 words
+    assert component_dim_bruteforce((1,), (2000,), budget=2000) == 0
+    assert component_dim_bruteforce((2, 1), (0, 2000), budget=2000) == 0
+    assert whitehead_map_analysis((2,), (2000,), budget=2000) == (0, 0)
+    monkeypatch.setattr(oracle, "_MAX_WORDS", 4)
+    assert component_dim_bruteforce((2, 1), (3, 1)) == 1
+    assert whitehead_map_analysis((2, 1), (3, 1)) == (1, 0)
 
 
 def test_empty_multidegree_rejected():
@@ -184,11 +219,18 @@ def test_bracket_letters_are_validated():
 
 
 def test_verify_range_refuses_too_many_pairs_before_it_starts():
-    with pytest.raises(ResourceLimitError, match="more than 380050"):
+    with pytest.raises(ResourceLimitError, match=r"^verify_range\(6, 50, 1\) would check more "
+                       r"than 380050 \(system, multidegree\) pairs, over the cap of 20000$"):
         verify_range(6, 50, 1)
     # 5 * 8 + 25 * (C(10, 2) - 1) + 125 * (C(11, 3) - 1) pairs, all counted
-    with pytest.raises(ResourceLimitError, match=r"check 21640 \("):
+    with pytest.raises(ResourceLimitError, match=r"^verify_range\(3, 5, 8\) would check 21640 "
+                       r"\(system, multidegree\) pairs, over the cap of 20000$"):
         verify_range(3, 5, 8)
+    # a huge max_r is named by its size; the count stops once over the cap
+    with pytest.raises(ResourceLimitError, match=r"^verify_range\(<number of 2326 bits>, 1, 1\) "
+                       r"would check more than 20100 \(system, multidegree\) pairs, over the "
+                       r"cap of 20000$"):
+        verify_range(10 ** 700, 1, 1)
 
 
 def test_a_range_refused_by_the_word_cap_names_itself(capsys):
@@ -213,7 +255,8 @@ def test_verify_range_pair_count_is_exact(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_PAIRS", 138)
     assert verify_range(2, 3, 4) == report
     monkeypatch.setattr(oracle, "_MAX_PAIRS", 137)
-    with pytest.raises(ResourceLimitError, match="check 138 "):
+    with pytest.raises(ResourceLimitError, match=r"^verify_range\(2, 3, 4\) would check 138 "
+                       r"\(system, multidegree\) pairs, over the cap of 137$"):
         verify_range(2, 3, 4)
 
 

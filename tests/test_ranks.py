@@ -373,14 +373,17 @@ def test_contributions_and_decomposition_over_the_cap_are_refused():
     # ranks themselves stay closed-form and fast
     report = link_rank(60, (57,) * 6)
     assert report.total_rank > 0
-    with pytest.raises(ResourceLimitError, match="has 6471002 contributions"):
+    with pytest.raises(ResourceLimitError, match=r"^m=60, p=\(57, 57, 57, 57, 57, 57\) has "
+                       r"6471002 contributions, over the cap of 200000$"):
         report.contributions
-    with pytest.raises(ResourceLimitError, match="has 3819816 contributions"):
+    with pytest.raises(ResourceLimitError, match=r"^m=60, p=\(57, 57, 57, 57, 57, 57\) has "
+                       r"3819816 contributions, over the cap of 200000$"):
         brunnian_rank(60, (57,) * 6).contributions
     # 18 components: 1140 terms, but 2^18 - 1 component subsets
     report = link_rank(6, (3,) * 18)
     assert len(report.contributions) == 1140
-    with pytest.raises(ResourceLimitError, match="lists 262143 component subsets"):
+    with pytest.raises(ResourceLimitError, match=r"^the decomposition of m=6, p=\((3, ){17}3\) "
+                       r"lists 262143 component subsets, over the cap of 200000$"):
         report.subset_decomposition
 
 
