@@ -35,7 +35,7 @@ import io
 import os
 import sys
 
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _agree
 from .fcs import _parity, fcs_enumerate
 from .framed import framed_rank
 from .liedim import _multiplicity, witt_super
@@ -276,9 +276,7 @@ def _cmd_oracle_verify(args):
                else f"all {report.instances} checks pass")
 
     _emit(args.format, payload, table, text)
-    if failures:
-        raise InternalConsistencyError(
-            f"{len(failures)} oracle checks disagree with the closed formulas")
+    _agree(len(failures), 0, "{} oracle checks disagree with the closed formulas", len(failures))
 
 
 def _build_parser():

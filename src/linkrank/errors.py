@@ -1,10 +1,20 @@
 """Exception hierarchy shared by every module in the package; _shown,
 through which their messages format every number and every rejected
-value; _agree, through which every cross-check of ranks and framed
-holds two routes to one value and raises InternalConsistencyError when
-they differ; and _within, through which every resource cap of fcs,
-liedim, oracle and ranks admits an estimated cost or raises
-ResourceLimitError."""
+value; and the three check helpers:
+
+* _agree, through which every cross-check of ranks and framed, and the
+  failure count of the CLI's oracle verify, holds two routes to one value
+  and raises InternalConsistencyError when they differ;
+* _exact, through which every division of liedim that must come out a
+  nonnegative whole number (the dimension formula, the summed dimensions
+  of a multiplicity, the necklace count and the Witt-sum sieve) returns
+  its quotient or raises InternalConsistencyError;
+* _within, through which every resource cap of fcs, liedim, oracle and
+  ranks admits an estimated cost or raises ResourceLimitError.
+
+No other module raises InternalConsistencyError, and only verify_range's
+re-raise, which leads a refusal with its arguments, raises
+ResourceLimitError outside these helpers."""
 
 
 class LinkRankError(Exception):
@@ -77,3 +87,16 @@ def _within(cost, cap, message, *values):
     it has computed already, so it costs one call when it admits."""
     if cost > cap:
         raise ResourceLimitError(message.format(*map(_shown, values)))
+
+
+def _exact(numerator, denominator, message, *values):
+    """Return numerator // denominator when numerator / denominator is a
+    nonnegative whole number, else raise InternalConsistencyError with
+    message formatted by that quotient, written as _shown writes it, and
+    then by the values, each through _shown.  A check passes only values it
+    has computed already, so it costs one call when it holds."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder or quotient < 0:
+        raise InternalConsistencyError(
+            message.format(_shown(numerator, denominator), *map(_shown, values)))
+    return quotient

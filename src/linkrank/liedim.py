@@ -83,8 +83,13 @@ checks every D(d) = b[d] / d, and takes only a nonzero b[d] from the b of
 the multiples of d.
 
 All arithmetic is exact.  Each of these numerators is asserted to be a
-nonnegative multiple of its denominator; a failure of that assertion is an
-internal bug, not bad input.
+nonnegative multiple of its denominator through errors._exact, which
+returns the quotient; a failure of that assertion is an internal bug, not
+bad input.  The sieve tests each degree inline and calls _exact only to
+raise, so that a passing degree makes no Python call.  The caps admit
+through errors._within, and the cross-checks of the rank layer hold
+through errors._agree; this module raises no error of a check or a cap
+by hand.
 """
 
 from functools import lru_cache
@@ -93,7 +98,7 @@ from math import gcd, isqrt
 from operator import mod
 
 from .arith import _multinomial, _squarefree_divisors, as_integer, as_integers
-from .errors import InternalConsistencyError, InvalidInputError, _shown, _within
+from .errors import InvalidInputError, _exact, _shown, _within
 
 # witt(t, r) costs about t * (r - 1).bit_length() bits for r^t plus isqrt(t)
 # trial divisions for the squarefree divisors of t.  The cap also bounds the
@@ -159,16 +164,6 @@ def _divisor_terms(parities, y, g):
     return acc
 
 
-def _exact_quotient(numerator, n, what, parities, x):
-    # numerator / n, which must come out a nonnegative integer
-    value, remainder = divmod(numerator, n)
-    if remainder or value < 0:
-        raise InternalConsistencyError(
-            f"{what} gave {_shown(numerator, n)} for parities {parities} "
-            f"and multidegree {_shown(x)}")
-    return value
-
-
 def _dim_formula(parities, x, n, multinomial, g):
     # Divisor-sum dimension count of x >= 0 with n = |x| >= 1, given
     # multinomial = multinomial(x) and g = gcd(x), over the divisors i of g:
@@ -177,7 +172,8 @@ def _dim_formula(parities, x, n, multinomial, g):
     # +multinomial; for most x, g = 1 and it is the only term.
     if g > 1:
         multinomial += _divisor_terms(parities, x, g)
-    return _exact_quotient(multinomial, n, "dimension formula", parities, x)
+    return _exact(multinomial, n, "dimension formula gave {} for parities {} and multidegree {}",
+                  parities, x)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -223,7 +219,8 @@ def _multiplicity(parities, x):
             h = gcd(*y)
             if h > 1:
                 below += _divisor_terms(parities, y, h)
-    below = _exact_quotient(below, n - 1, "the summed dimensions of the x - e_k", parities, x)
+    below = _exact(below, n - 1, "the summed dimensions of the x - e_k gave {} for parities {} "
+                   "and multidegree {}", parities, x)
     return below - _dim_formula(parities, x, n, multinomial, gcd(*x))
 
 
@@ -248,11 +245,7 @@ def witt(t, r):
     acc = 0
     for i, mu in _squarefree_divisors(t):
         acc += mu * r ** (t // i)
-    value, remainder = divmod(acc, t)
-    if remainder or value < 0:
-        raise InternalConsistencyError(
-            f"necklace count gave {_shown(acc, t)} for t={_shown(t)}, r={_shown(r)}")
-    return value
+    return _exact(acc, t, "necklace count gave {} for t={}, r={}", t, r)
 
 
 def witt_super(t, s, r):
@@ -478,11 +471,12 @@ def _solve_dim_sums(weights, n):
     out = [1]
     for d in range(1, n + 1):
         bd = b[d]
+        # tested inline, so that a passing degree makes no Python call;
+        # _exact only raises here
         value, remainder = divmod(bd, d)
         if remainder or value < 0:
-            raise InternalConsistencyError(
-                f"weight-graded Witt formula gave {_shown(bd, d)} in degree {d} "
-                f"for weights {_shown(weights)}")
+            _exact(bd, d, "weight-graded Witt formula gave {} in degree {} for weights {}",
+                   d, weights)
         out.append(value)
         if bd:
             if d % 2:

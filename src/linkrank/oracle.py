@@ -113,8 +113,9 @@ def _admit(weights, x, budget):
             "larger budget", x, total, limit)
     # letters of two or more kinds span multinomial(x) >= C(total, x_k) >=
     # total words, for any 0 < x_k < total: past the word cap in letters,
-    # refuse by that count before the multinomial is built
-    if max(x) < total:
+    # refuse by that count before the multinomial is built; the letter count
+    # is tested first, so that a call under the cap never takes max(x)
+    if total > _MAX_WORDS and max(x) < total:
         _within(total, _MAX_WORDS, "multidegree {} spans at least {} words, over the hard "
                 "cap of {}", x, total, _MAX_WORDS)
     n_words = _multinomial(x)

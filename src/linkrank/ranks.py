@@ -92,14 +92,15 @@ sublink lies in the paired prefix.
 
 Independent checks raise InternalConsistencyError on a mismatch, each
 through errors._agree, and the caps raise ResourceLimitError, each
-through errors._within; both format the values they name through _shown:
+through errors._within; both format the values they name through _shown,
+as errors._exact does for the exact quotients of liedim:
 
 * the per-multidegree terms (`contributions`) are counted by a generating
   function, refused over _MAX_TERMS, and enumerated on each read, each
   listed with its own x; the multiplicity is computed once per parity class
   (the x that differ by swapping entries at coordinates whose weights have
-  one parity), with its two exact-quotient checks, and every member of the
-  class takes it; there must be as many terms as counted, and they must add
+  one parity), with its two exact-quotient checks, each through
+  errors._exact in liedim, and every member of the class takes it; there must be as many terms as counted, and they must add
   up to the closed-form value;
 * the link rank must equal its split into knot ranks plus one Brunnian
   rank per component subset, which tests the delta terms and the subsets

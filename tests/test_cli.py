@@ -302,7 +302,8 @@ def test_oracle_failure_prints_then_exits_one(capsys, monkeypatch, fmt, expected
     assert cli.main(["oracle", "verify", "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert expected in captured.out
-    assert "internal consistency failure" in captured.err
+    assert captured.err == (
+        "internal consistency failure: 1 oracle checks disagree with the closed formulas\n")
 
 
 def test_closed_pipe_exits_141_without_traceback():

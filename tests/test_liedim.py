@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from linkrank import liedim
+from linkrank import errors, liedim
 from linkrank.arith import _multinomial
 from linkrank.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from linkrank.liedim import (
@@ -232,16 +232,17 @@ def test_multiplicity_checks_both_numerators(monkeypatch, x, error, what):
 
 def test_failed_quotient_checks_render_the_reduced_fraction(monkeypatch):
     # each check formats numerator / denominator as a Fraction, imported
-    # only when the check fails; force each raise site once
+    # only when the check fails; force each raise site once: _dim_formula
+    # with a given multinomial, n and gcd of 1
     def message(call, *args):
         with pytest.raises(InternalConsistencyError) as info:
             call(*args)
         return str(info.value)
 
-    assert message(liedim._exact_quotient, 7, 2, "check", (1,), (7,)) == (
-        "check gave 7/2 for parities (1,) and multidegree (7,)")
-    assert message(liedim._exact_quotient, -6, 4, "check", (0,), (4,)) == (
-        "check gave -3/2 for parities (0,) and multidegree (4,)")
+    assert message(liedim._dim_formula, (1,), (7,), 2, 7, 1) == (
+        "dimension formula gave 7/2 for parities (1,) and multidegree (7,)")
+    assert message(liedim._dim_formula, (0,), (4,), 4, -6, 1) == (
+        "dimension formula gave -3/2 for parities (0,) and multidegree (4,)")
     real = liedim._divisor_terms
     monkeypatch.setattr(liedim, "_divisor_terms",
                         lambda parities, y, g: real(parities, y, g) + 1)
@@ -254,9 +255,17 @@ def test_failed_quotient_checks_render_the_reduced_fraction(monkeypatch):
     monkeypatch.setattr(liedim, "_squarefree_divisors",
                         lambda n: [(d, 1) for d in range(1, n + 1) if n % d == 0])
     assert message(witt, 4, 2) == "necklace count gave 11/2 for t=4, r=2"
-    # a remainder reported at d = 2, where b[2] = 2: the message shows 2/2 as 1
-    monkeypatch.setattr(liedim, "divmod", lambda a, b: (a // b, 1) if b == 2 else divmod(a, b),
-                        raising=False)
+    # unsorted weights start the push at the wrong least weight: b[1]
+    # pushes nothing, and b[2] comes to degree 2 as 3 instead of 4
+    assert message(liedim._solve_dim_sums, (2, 1), 3) == (
+        "weight-graded Witt formula gave 3/2 in degree 2 for weights (2, 1)")
+    # a remainder reported at d = 2, where b[2] = 2, by the sieve's inline
+    # test and by the _exact it raises through: the message shows 2/2 as 1
+    def lying(a, b):
+        return (a // b, 1) if b == 2 else divmod(a, b)
+
+    monkeypatch.setattr(liedim, "divmod", lying, raising=False)
+    monkeypatch.setattr(errors, "divmod", lying, raising=False)
     assert message(liedim._solve_dim_sums, (1,), 3) == (
         "weight-graded Witt formula gave 1 in degree 2 for weights (1,)")
 
@@ -665,13 +674,15 @@ def test_walk_extends_only_live_prefixes():
 ], ids=["remainder", "negative"])
 def test_weighted_dim_sums_checks_each_quotient(clear_caches, monkeypatch, fake):
     # divmod appears in the Witt-sum solve only in the check of
-    # D(d) = b[d] / d, which the fake fails at d = 1: a degree the weights
+    # D(d) = b[d] / d and in the errors._exact that the check raises
+    # through, both of which the fake fails at d = 1: a degree the weights
     # (1, 2) reach, and one the weights (2, 3) do not, where b[1] = 0 is
     # still checked.  The caches are cleared on both sides so that no
     # faulty value outlives the test.
     clear_caches()
     assert weighted_dim_sums((1, 2), 2) == (1, 1, 2)
     monkeypatch.setattr(liedim, "divmod", fake, raising=False)
+    monkeypatch.setattr(errors, "divmod", fake, raising=False)
     try:
         with pytest.raises(InternalConsistencyError, match=r"weight-graded Witt formula "
                            r"gave 1 in degree 1 for weights \(1, 2\)"):
