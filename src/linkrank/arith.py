@@ -17,7 +17,7 @@ Everything here is plain integer arithmetic; no floats anywhere.
 from math import comb
 from operator import index
 
-from .errors import InvalidInputError, _shown
+from .errors import _reject
 
 
 def as_integer(value, what):
@@ -26,11 +26,11 @@ def as_integer(value, what):
     if type(value) is int:
         return value
     if isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be an integer, got {_shown(value)}")
+        _reject(what + " must be an integer, got {}", value)
     try:
         return index(value)
     except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {_shown(value)}") from None
+        _reject(what + " must be an integer, got {}", value)
 
 
 def as_integers(values, what, whole):
@@ -41,8 +41,7 @@ def as_integers(values, what, whole):
     try:
         values = tuple(values)
     except TypeError:
-        raise InvalidInputError(
-            f"{whole} must be a sequence of integers, got {_shown(values)}") from None
+        _reject(whole + " must be a sequence of integers, got {}", values)
     if set(map(type, values)) <= {int}:
         return values
     return tuple(as_integer(v, what) for v in values)

@@ -35,7 +35,8 @@ import io
 import os
 import sys
 
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError, _agree
+from .errors import (InternalConsistencyError, InvalidInputError, ResourceLimitError, _agree,
+                     _reject)
 from .fcs import _parity, fcs_enumerate
 from .framed import framed_rank
 from .liedim import _multiplicity, witt_super
@@ -50,24 +51,23 @@ def _json(payload):
 
     With an indent the standard encoder is pure Python, and a rank can have
     hundreds of thousands of terms.  So each term is written from one
-    template, and the list is set in its sorted-key place: just before the
-    line of the next key, which is at a two-space indent (every deeper key
-    is indented further, and a JSON string holds no raw newline).
+    template, and the encoder writes the list's place as the value 0: its
+    line, at a two-space indent, is the only one that reads
+    '\n  "contributions": 0' (every deeper key is indented further, and a
+    JSON string holds no raw newline), and the list replaces that value.
     """
     import json
-    rest = dict(payload)
-    terms = rest.pop("contributions", None)
-    out = json.dumps(rest, indent=2, sort_keys=True)
-    if terms is None:
-        return out
+    if "contributions" not in payload:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    terms = payload["contributions"]
+    out = json.dumps({**payload, "contributions": 0}, indent=2, sort_keys=True)
     sep = ",\n        "
     entries = ",\n".join(
         f'    {{\n      "multidegree": [\n        {sep.join(map(str, x))}\n      ],\n'
         f'      "multiplicity": {value}\n    }}' for x, value in terms)
-    listing = f"[\n{entries}\n  ]" if terms else "[]"
-    following = min(key for key in rest if key > "contributions")
-    at = out.index(f"\n  {json.dumps(following)}: ")
-    return f'{out[:at]}\n  "contributions": {listing},{out[at:]}'
+    key = '\n  "contributions": '
+    listing = f"{key}[\n{entries}\n  ]" if terms else f"{key}[]"
+    return out.replace(f"{key}0", listing, 1)
 
 
 def _emit(fmt, payload, table, text):
@@ -140,11 +140,11 @@ def _cmd_rank(args):
 def _parse_component(text):
     parts = text.split(":")
     if len(parts) != 2:
-        raise InvalidInputError(f"framed component must look like p:l, got {text!r}")
+        _reject("framed component must look like p:l, got {}", text)
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise InvalidInputError(f"framed component must be two integers p:l, got {text!r}")
+        _reject("framed component must be two integers p:l, got {}", text)
 
 
 def _cmd_framed(args):
@@ -235,7 +235,7 @@ def _parse_rational(text):
     try:
         return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
-        raise InvalidInputError(f"expected an integer or a fraction a/b, got {text!r}")
+        _reject("expected an integer or a fraction a/b, got {}", text)
 
 
 def _cmd_witt(args):

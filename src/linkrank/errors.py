@@ -1,6 +1,6 @@
 """Exception hierarchy shared by every module in the package; _shown,
 through which their messages format every number and every rejected
-value; and the three check helpers:
+value; and the four helpers that raise them:
 
 * _agree, through which every cross-check of ranks and framed, and the
   failure count of the CLI's oracle verify, holds two routes to one value
@@ -10,11 +10,12 @@ value; and the three check helpers:
   of a multiplicity, the necklace count and the Witt-sum sieve) returns
   its quotient or raises InternalConsistencyError;
 * _within, through which every resource cap of fcs, liedim, oracle and
-  ranks admits an estimated cost or raises ResourceLimitError.
+  ranks admits an estimated cost or raises ResourceLimitError;
+* _reject, through which every argument check of arith, cli, fcs, framed,
+  liedim, oracle, ranks and stiefel raises InvalidInputError.
 
-No other module raises InternalConsistencyError, and only verify_range's
-re-raise, which leads a refusal with its arguments, raises
-ResourceLimitError outside these helpers."""
+So this module raises every error the package raises, except
+verify_range's re-raise, which leads a refusal with its arguments."""
 
 
 class LinkRankError(Exception):
@@ -87,6 +88,14 @@ def _within(cost, cap, message, *values):
     it has computed already, so it costs one call when it admits."""
     if cost > cap:
         raise ResourceLimitError(message.format(*map(_shown, values)))
+
+
+def _reject(message, *values):
+    """Raise InvalidInputError with message formatted by the values, each
+    through _shown, and from None: a rejection raised while handling a
+    failed conversion shows the rejection alone.  A check calls it only on
+    its failing branch, so an admitted argument costs no call."""
+    raise InvalidInputError(message.format(*map(_shown, values))) from None
 
 
 def _exact(numerator, denominator, message, *values):

@@ -7,7 +7,7 @@ The families are given by explicit congruence bullets; the equivalence
 """
 
 from .arith import as_integer
-from .errors import InvalidInputError, _shown, _within
+from .errors import _reject, _within
 
 # the most points fcs_enumerate tests: a 500 x 500 box takes 0.11-0.13 s
 # in-process and 0.6 s (text) to 1.7 s (json) through `linkrank fcs` on
@@ -22,7 +22,7 @@ def _parity(value):
             return 0
         if word == "odd":
             return 1
-        raise InvalidInputError(f"parity must be an integer or 'even'/'odd', got {value!r}")
+        _reject("parity must be an integer or 'even'/'odd', got {}", value)
     return as_integer(value, "a parity index") % 2
 
 
@@ -36,8 +36,7 @@ def fcs_contains(i, j, x, y):
     x = as_integer(x, "the x coordinate")
     y = as_integer(y, "the y coordinate")
     if x < 1 or y < 1:
-        raise InvalidInputError(
-            f"membership is defined for x, y >= 1, got ({_shown(x)}, {_shown(y)})")
+        _reject("membership is defined for x, y >= 1, got ({}, {})", x, y)
     return _member(_parity(i), _parity(j), x, y)
 
 
@@ -83,8 +82,7 @@ def fcs_enumerate(i, j, x_max, y_max):
     x_max = as_integer(x_max, "the box bound x_max")
     y_max = as_integer(y_max, "the box bound y_max")
     if x_max < 1 or y_max < 1:
-        raise InvalidInputError(
-            f"box bounds must be >= 1, got ({_shown(x_max)}, {_shown(y_max)})")
+        _reject("box bounds must be >= 1, got ({}, {})", x_max, y_max)
     pi, pj = _parity(i), _parity(j)
     points = x_max * y_max
     _within(points, _MAX_BOX, "the box {} x {} holds {} points, over the cap of {}",

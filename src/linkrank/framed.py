@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
-from .errors import InvalidInputError, _agree, _shown
+from .errors import _agree, _reject
 from .ranks import RankReport, _as_link, _link_report
 from .stiefel import _stiefel_rank
 
@@ -33,15 +33,12 @@ def _as_framed(m, components):
     try:
         components = tuple((p, l) for p, l in components)
     except (TypeError, ValueError):
-        raise InvalidInputError(
-            f"a framed link is a sequence of (p, l) pairs, got {_shown(components)}") from None
+        _reject("a framed link is a sequence of (p, l) pairs, got {}", components)
     m, dims = _as_link(m, map(itemgetter(0), components))
     frames = as_integers(map(itemgetter(1), components), "a frame count", "frame counts")
     for p, l in zip(dims, frames):
         if l < 0 or l > m - p:
-            raise InvalidInputError(
-                f"frame count must satisfy 0 <= l <= m - p, got l={_shown(l)} "
-                f"for p={_shown(p)}, m={_shown(m)}")
+            _reject("frame count must satisfy 0 <= l <= m - p, got l={} for p={}, m={}", l, p, m)
     return m, dims, frames
 
 
@@ -88,7 +85,7 @@ def framed_knot_is_infinite(m, p, l):
     asserted against the computed framed rank."""
     m, (p,), (l,) = _as_framed(m, ((p, l),))
     if l < 1:
-        raise InvalidInputError(f"the criterion needs l >= 1, got l={_shown(l)}")
+        _reject("the criterion needs l >= 1, got l={}", l)
     return _framed_rank(m, (p,), (l,)).infinite
 
 
@@ -136,10 +133,9 @@ def handlebody_report(m_plus_1, handle_dims):
     m_plus_1 = as_integer(m_plus_1, "the dimension m + 1")
     handle_dims = as_integers(handle_dims, "a handle dimension", "handle dimensions")
     if not handle_dims:
-        raise InvalidInputError("need at least one handle")
+        _reject("need at least one handle")
     if any(v < 1 for v in handle_dims):
-        raise InvalidInputError(
-            f"handle dimensions must be >= 1, got {_shown(handle_dims)}")
+        _reject("handle dimensions must be >= 1, got {}", handle_dims)
     m = m_plus_1 - 1
     dims = tuple(v - 1 for v in handle_dims)
 
@@ -175,7 +171,7 @@ def mcg_finite_index(m, dims):
     m = as_integer(m, "the ambient dimension")
     dims = as_integers(dims, "a component dimension", "component dimensions")
     if not dims:
-        raise InvalidInputError("need at least one component")
+        _reject("need at least one component")
     # from m = 5 on, every v >= m // 2 is at least 1
     if m < 5 or min(dims) < m // 2 or max(dims) >= m - 2:
         return None

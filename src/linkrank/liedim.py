@@ -98,7 +98,7 @@ from math import gcd, isqrt
 from operator import mod
 
 from .arith import _multinomial, _squarefree_divisors, as_integer, as_integers
-from .errors import InvalidInputError, _exact, _shown, _within
+from .errors import _exact, _reject, _within
 
 # witt(t, r) costs about t * (r - 1).bit_length() bits for r^t plus isqrt(t)
 # trial divisions for the squarefree divisors of t.  The cap also bounds the
@@ -126,9 +126,9 @@ def _as_weights(weights):
     # the one check of a weights tuple: nonempty, positive integers
     weights = as_integers(weights, "a generator weight", "generator weights")
     if not weights:
-        raise InvalidInputError("a generator system needs at least one generator")
+        _reject("a generator system needs at least one generator")
     if min(weights) < 1:
-        raise InvalidInputError(f"generator weights must be positive, got {_shown(weights)}")
+        _reject("generator weights must be positive, got {}", weights)
     return weights
 
 
@@ -142,9 +142,8 @@ def _as_system(weights, x):
     weights = _as_weights(weights)
     x = as_integers(x, "a multidegree entry", "a multidegree")
     if len(x) != len(weights):
-        raise InvalidInputError(
-            f"multidegree {_shown(x)} has {len(x)} entries but the system has "
-            f"{len(weights)} generators")
+        _reject("multidegree {} has {} entries but the system has {} generators",
+                x, len(x), len(weights))
     return _parities(weights), x
 
 
@@ -233,8 +232,7 @@ def witt(t, r):
     t = as_integer(t, "the necklace length t")
     r = as_integer(r, "the letter count r")
     if t < 1 or r < 1:
-        raise InvalidInputError(
-            f"witt(t, r) needs t >= 1 and r >= 1, got t={_shown(t)}, r={_shown(r)}")
+        _reject("witt(t, r) needs t >= 1 and r >= 1, got t={}, r={}", t, r)
     # isqrt(t) is superlinear in the bits of t, and past 4 000 bits the cost
     # is far over the cap: there the power of two of its bit length stands
     # in, so that a refusal at any size takes linear time
@@ -262,8 +260,7 @@ def witt_super(t, s, r):
     s = as_integer(s, "the parity carrier s")
     r = as_integer(r, "the letter count r")
     if s < 1 or r < 1:
-        raise InvalidInputError(
-            f"witt_super needs s >= 1 and r >= 1, got s={_shown(s)}, r={_shown(r)}")
+        _reject("witt_super needs s >= 1 and r >= 1, got s={}, r={}", s, r)
     if t.denominator != 1 or t < 1:
         return 0
     t = int(t)
@@ -395,7 +392,7 @@ def weighted_dim_sums(weights, n):
     weights = tuple(sorted(_as_weights(weights)))
     n = as_integer(n, "the degree bound")
     if n < 0:
-        raise InvalidInputError(f"the degree bound must be >= 0, got {_shown(n)}")
+        _reject("the degree bound must be >= 0, got {}", n)
     return _weighted_dim_sums(weights, n)[:n + 1]
 
 

@@ -79,7 +79,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
-from .errors import InvalidInputError, ResourceLimitError, _shown, _within
+from .errors import ResourceLimitError, _reject, _shown, _within
 from .liedim import _as_system, _dim_by_parity, _multiplicity, _parities, _solutions
 
 _DEFAULT_BUDGET = 8
@@ -101,14 +101,13 @@ def _admit(weights, x, budget):
     # passed on the input as given: x >= 0 with at least one letter
     parities, x = _as_system(weights, x)
     if min(x) < 0:
-        raise InvalidInputError(f"multidegree entries must be >= 0, got {_shown(x)}")
+        _reject("multidegree entries must be >= 0, got {}", x)
     total = sum(x)
     if total < 1:
-        raise InvalidInputError(
-            f"the oracle needs at least one letter, got multidegree {_shown(x)}")
+        _reject("the oracle needs at least one letter, got multidegree {}", x)
     limit = _DEFAULT_BUDGET if budget is None else as_integer(budget, "the letter budget")
     if limit < 1:
-        raise InvalidInputError(f"the letter budget must be >= 1, got {_shown(limit)}")
+        _reject("the letter budget must be >= 1, got {}", limit)
     _within(total, limit, "multidegree {} has {} letters, over the budget of {}; pass a "
             "larger budget", x, total, limit)
     # letters of two or more kinds span multinomial(x) >= C(total, x_k) >=
@@ -130,11 +129,10 @@ def _check_letters(words, parities):
     parities = as_integers(parities, "a parity", "parities")
     for word in words:
         if not isinstance(word, tuple):
-            raise InvalidInputError(f"a word must be a tuple of letters, got {_shown(word)}")
+            _reject("a word must be a tuple of letters, got {}", word)
         for k in word:
             if not 0 <= as_integer(k, "a letter") < len(parities):
-                raise InvalidInputError(
-                    f"letter {_shown(k)} of the word {_shown(word)} is not in range({len(parities)})")
+                _reject("letter {} of the word {} is not in range({})", k, word, len(parities))
     return parities
 
 
@@ -155,8 +153,7 @@ def super_bracket(u, v, parities):
     """Supercommutator of two polynomials (dicts word -> coefficient)."""
     for poly in (u, v):
         if not isinstance(poly, dict):
-            raise InvalidInputError(
-                f"a polynomial must be a dict word -> coefficient, got {_shown(poly)}")
+            _reject("a polynomial must be a dict word -> coefficient, got {}", poly)
         as_integers(poly.values(), "a coefficient", "coefficients")
     return _supercommutator(u, v, _check_letters([*u, *v], parities))
 
@@ -165,7 +162,7 @@ def left_normed_bracket(word, parities):
     """[[...[[P_w0, P_w1], P_w2], ...], P_wn] as a polynomial."""
     word = as_integers(word, "a letter", "a word")
     if not word:
-        raise InvalidInputError("the empty word has no bracket")
+        _reject("the empty word has no bracket")
     parities = _check_letters((word,), parities)
     return reduce(lambda poly, k: _supercommutator(poly, {(k,): 1}, parities),
                   word[1:], {word[:1]: 1})
@@ -375,8 +372,7 @@ def verify_range(max_r, max_degree, max_letters):
     max_letters = as_integer(max_letters, "max_letters")
     arguments = (max_r, max_degree, max_letters)
     if max_r < 1 or max_degree < 1 or max_letters < 1:
-        raise InvalidInputError(
-            f"need max_r, max_degree, max_letters >= 1, got {_shown(arguments)}")
+        _reject("need max_r, max_degree, max_letters >= 1, got {}", arguments)
     pairs = 0  # max_degree^r systems times C(max_letters + r, r) - 1 multidegrees
     for r in range(1, max_r + 1):
         pairs += max_degree ** r * (comb(max_letters + r, r) - 1)

@@ -121,7 +121,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .arith import as_integer, as_integers
-from .errors import InvalidInputError, _agree, _shown, _within
+from .errors import _agree, _reject, _within
 from .fcs import _member
 from .liedim import (_count_solutions, _multiplicity, _multiplicity_sum, _parities,
                      _solutions, witt_super)
@@ -139,14 +139,13 @@ def _as_link(m, dims):
     m = as_integer(m, "the ambient dimension")
     dims = as_integers(dims, "a component dimension", "component dimensions")
     if not dims:
-        raise InvalidInputError("a link needs at least one component")
+        _reject("a link needs at least one component")
     for v in dims:
         if v < 1:
-            raise InvalidInputError(f"component dimensions must be >= 1, got {_shown(v)}")
+            _reject("component dimensions must be >= 1, got {}", v)
         if v >= m - 2:
-            raise InvalidInputError(
-                f"codimension must exceed 2: component dimension {_shown(v)} "
-                f"inside ambient dimension {_shown(m)}")
+            _reject("codimension must exceed 2: component dimension {} inside ambient "
+                    "dimension {}", v, m)
     return m, dims
 
 
@@ -314,8 +313,7 @@ def brunnian_rank(m, dims):
     """
     m, dims = _as_link(m, dims)
     if len(dims) < 2:
-        raise InvalidInputError(
-            "Brunnian rank needs at least two components; use knot_rank for one")
+        _reject("Brunnian rank needs at least two components; use knot_rank for one")
     weights = tuple(sorted(m - v - 2 for v in dims))
     # weights adding up to more than m - 3 leave no positive solution: rank
     # 0, and no sublink family to build
@@ -399,10 +397,10 @@ def equal_dim_rank(m, p, r):
     p > 1, cross-checked against the general formula."""
     r = as_integer(r, "the number of components")
     if r < 1:
-        raise InvalidInputError(f"need at least one component, got r={_shown(r)}")
+        _reject("need at least one component, got r={}", r)
     m, (p,) = _as_link(m, (p,))
     if p <= 1:
-        raise InvalidInputError(f"the equal-dimension form needs p > 1, got p={_shown(p)}")
+        _reject("the equal-dimension form needs p > 1, got p={}", p)
     _within(r, _MAX_TERMS, "equal_dim_rank of r={} components is over the cap of {}",
             r, _MAX_TERMS)
     from fractions import Fraction

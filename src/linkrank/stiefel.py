@@ -7,7 +7,7 @@ tensored with the rationals.  Degenerate arguments where the group vanishes
 """
 
 from .arith import as_integer
-from .errors import InvalidInputError, _shown
+from .errors import _reject
 
 
 def so_rank(p, q):
@@ -32,9 +32,7 @@ def stiefel_rank(p, q, l):
     q = as_integer(q, "the dimension q")
     l = as_integer(l, "the frame count l")
     if p < 1 or q < 1 or l < 0 or l > q:
-        raise InvalidInputError(
-            f"need p >= 1, q >= 1 and 0 <= l <= q, got p={_shown(p)}, q={_shown(q)}, "
-            f"l={_shown(l)}")
+        _reject("need p >= 1, q >= 1 and 0 <= l <= q, got p={}, q={}, l={}", p, q, l)
     return _stiefel_rank(p, q, l)
 
 

@@ -122,46 +122,68 @@ def test_as_integer_returns_exact_ints():
 
 def test_as_integer_rejects_non_integers():
     assert as_integer(7, "n") == 7
-    for bad in (7.0, 6.9, True, False, "7", None):
-        with pytest.raises(InvalidInputError):
+    for bad, shown in ((7.0, "7.0"), (6.9, "6.9"), (True, "True"), (False, "False"),
+                       ("7", "'7'"), (None, "None")):
+        with pytest.raises(InvalidInputError) as caught:
             as_integer(bad, "n")
+        assert str(caught.value) == f"n must be an integer, got {shown}"
     # public entry points that used to truncate, coerce or raise a bare TypeError
-    for call in (lambda: lie_component_dim((1, 1), (1.9, 1)),
-                 lambda: multiplicity((1, 1), (1.9, 1)),
-                 lambda: witt(4.0, 2),
-                 lambda: witt("4", 2),
-                 lambda: witt_super(6, 3.0, 2),
-                 lambda: witt_super(6.0, 3, 2),
-                 lambda: witt_super("6", 3, 2),
-                 lambda: so_rank(3.0, 4),
-                 lambda: stiefel_rank(3.0, 4, 2),
-                 lambda: stiefel_rank("3", 4, 2),
-                 lambda: framed_knot_is_infinite(8, 5, "a"),
-                 lambda: fcs_contains(True, 0, 1, 1),
-                 lambda: verify_range(1.9, 1.9, 3.7),
-                 lambda: component_dim_bruteforce((1, 1), (1, 1), budget=2.5),
-                 # malformed shapes, that used to raise a bare TypeError or ValueError
-                 lambda: link_rank(8, 5),
-                 lambda: brunnian_rank(8, None),
-                 lambda: fully_framed_is_infinite(8, 5),
-                 lambda: framed_rank(8, 5),
-                 lambda: framed_rank(8, (5, 3)),
-                 lambda: framed_rank(8, ((5,),)),
-                 lambda: lie_component_dim(5, (1,)),
-                 lambda: multiplicity((1,), 3),
-                 lambda: handlebody_report(9, 5),
-                 lambda: mcg_finite_index(8, 5),
-                 # oracle brackets that used to raise a bare TypeError or
-                 # AttributeError
-                 lambda: left_normed_bracket((0,), "3"),
-                 lambda: left_normed_bracket(None, (1,)),
-                 lambda: left_normed_bracket((0,), ((3, 3),)),
-                 lambda: super_bracket((), (), (1,)),
-                 lambda: super_bracket({(0,): 1}, {(1,): 1}, None),
-                 lambda: super_bracket({(0,): "a"}, {(1,): 1}, (1, 1)),
-                 lambda: super_bracket({frozenset({0}): 1}, {(1,): 1}, (1, 1))):
-        with pytest.raises(InvalidInputError):
+    for call, message in (
+            (lambda: lie_component_dim((1, 1), (1.9, 1)),
+             "a multidegree entry must be an integer, got 1.9"),
+            (lambda: multiplicity((1, 1), (1.9, 1)),
+             "a multidegree entry must be an integer, got 1.9"),
+            (lambda: witt(4.0, 2), "the necklace length t must be an integer, got 4.0"),
+            (lambda: witt("4", 2), "the necklace length t must be an integer, got '4'"),
+            (lambda: witt_super(6, 3.0, 2), "the parity carrier s must be an integer, got 3.0"),
+            (lambda: witt_super(6.0, 3, 2),
+             "the degree t, unless a Fraction, must be an integer, got 6.0"),
+            (lambda: witt_super("6", 3, 2),
+             "the degree t, unless a Fraction, must be an integer, got '6'"),
+            (lambda: so_rank(3.0, 4), "the homotopy degree p must be an integer, got 3.0"),
+            (lambda: stiefel_rank(3.0, 4, 2), "the homotopy degree p must be an integer, got 3.0"),
+            (lambda: stiefel_rank("3", 4, 2), "the homotopy degree p must be an integer, got '3'"),
+            (lambda: framed_knot_is_infinite(8, 5, "a"), "a frame count must be an integer, got 'a'"),
+            (lambda: fcs_contains(True, 0, 1, 1), "a parity index must be an integer, got True"),
+            (lambda: verify_range(1.9, 1.9, 3.7), "max_r must be an integer, got 1.9"),
+            (lambda: component_dim_bruteforce((1, 1), (1, 1), budget=2.5),
+             "the letter budget must be an integer, got 2.5"),
+            # malformed shapes, that used to raise a bare TypeError or ValueError
+            (lambda: link_rank(8, 5), "component dimensions must be a sequence of integers, got 5"),
+            (lambda: brunnian_rank(8, None),
+             "component dimensions must be a sequence of integers, got None"),
+            (lambda: fully_framed_is_infinite(8, 5),
+             "component dimensions must be a sequence of integers, got 5"),
+            (lambda: framed_rank(8, 5), "a framed link is a sequence of (p, l) pairs, got 5"),
+            (lambda: framed_rank(8, (5, 3)),
+             "a framed link is a sequence of (p, l) pairs, got (5, 3)"),
+            (lambda: framed_rank(8, ((5,),)),
+             "a framed link is a sequence of (p, l) pairs, got ((5,),)"),
+            (lambda: lie_component_dim(5, (1,)),
+             "generator weights must be a sequence of integers, got 5"),
+            (lambda: multiplicity((1,), 3), "a multidegree must be a sequence of integers, got 3"),
+            (lambda: handlebody_report(9, 5),
+             "handle dimensions must be a sequence of integers, got 5"),
+            (lambda: mcg_finite_index(8, 5),
+             "component dimensions must be a sequence of integers, got 5"),
+            # oracle brackets that used to raise a bare TypeError or
+            # AttributeError
+            (lambda: left_normed_bracket((0,), "3"), "a parity must be an integer, got '3'"),
+            (lambda: left_normed_bracket(None, (1,)),
+             "a word must be a sequence of integers, got None"),
+            (lambda: left_normed_bracket((0,), ((3, 3),)),
+             "a parity must be an integer, got (3, 3)"),
+            (lambda: super_bracket((), (), (1,)),
+             "a polynomial must be a dict word -> coefficient, got ()"),
+            (lambda: super_bracket({(0,): 1}, {(1,): 1}, None),
+             "parities must be a sequence of integers, got None"),
+            (lambda: super_bracket({(0,): "a"}, {(1,): 1}, (1, 1)),
+             "a coefficient must be an integer, got 'a'"),
+            (lambda: super_bracket({frozenset({0}): 1}, {(1,): 1}, (1, 1)),
+             "a word must be a tuple of letters, got frozenset({0})")):
+        with pytest.raises(InvalidInputError) as caught:
             call()
+        assert str(caught.value) == message
 
 
 class _Count(enum.IntEnum):
@@ -227,23 +249,26 @@ def test_as_integers_of_an_empty_or_non_iterable_values(values):
 
 
 def test_entry_points_reject_out_of_range_values():
-    # integers of the right shape outside the domain of the entry point
-    for call in (lambda: fcs_enumerate("odd", "even", 0, 5),
-                 lambda: handlebody_report(9, ()),
-                 lambda: handlebody_report(9, (0, 6)),
-                 lambda: mcg_finite_index(8, ()),
-                 lambda: lie_component_dim((1, 2), (1,)),
-                 lambda: witt(0, 2),
-                 lambda: witt_super(2, 0, 2),
-                 lambda: component_dim_bruteforce((1,), (1,), budget=0),
-                 lambda: component_dim_bruteforce((1,), (-1,)),
-                 lambda: left_normed_bracket((), (1,)),
-                 lambda: verify_range(0, 1, 1)):
-        with pytest.raises(InvalidInputError):
-            call()
-    # exact ints that fail a range check keep their messages, each naming
-    # the first offender or the whole weights
+    # integers of the right shape outside the domain of the entry point, each
+    # rejection naming the values it was given
     for call, message in (
+            (lambda: fcs_enumerate("odd", "even", 0, 5), "box bounds must be >= 1, got (0, 5)"),
+            (lambda: handlebody_report(9, ()), "need at least one handle"),
+            (lambda: handlebody_report(9, (0, 6)), "handle dimensions must be >= 1, got (0, 6)"),
+            (lambda: mcg_finite_index(8, ()), "need at least one component"),
+            (lambda: lie_component_dim((1, 2), (1,)),
+             "multidegree (1,) has 1 entries but the system has 2 generators"),
+            (lambda: witt(0, 2), "witt(t, r) needs t >= 1 and r >= 1, got t=0, r=2"),
+            (lambda: witt_super(2, 0, 2), "witt_super needs s >= 1 and r >= 1, got s=0, r=2"),
+            (lambda: component_dim_bruteforce((1,), (1,), budget=0),
+             "the letter budget must be >= 1, got 0"),
+            (lambda: component_dim_bruteforce((1,), (-1,)),
+             "multidegree entries must be >= 0, got (-1,)"),
+            (lambda: left_normed_bracket((), (1,)), "the empty word has no bracket"),
+            (lambda: verify_range(0, 1, 1),
+             "need max_r, max_degree, max_letters >= 1, got (0, 1, 1)"),
+            # exact ints that fail a range check name the first offender or
+            # the whole weights
             (lambda: link_rank(6, (5, 0)),
              "codimension must exceed 2: component dimension 5 inside ambient dimension 6"),
             (lambda: link_rank(6, (0, 5)), "component dimensions must be >= 1, got 0"),

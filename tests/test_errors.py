@@ -1,5 +1,5 @@
-"""The three check helpers of errors, and the rule that no other module
-raises a check's or a cap's error by hand."""
+"""The four helpers of errors, and the rule that no other module raises
+a check's, a cap's or a rejection's error by hand."""
 
 import ast
 from fractions import Fraction
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from linkrank.errors import InternalConsistencyError, _exact
+from linkrank.errors import InternalConsistencyError, InvalidInputError, _exact, _reject
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "linkrank"
 
@@ -48,6 +48,21 @@ def test_exact_raises_for_a_remainder_or_a_negative_quotient(quotient, denominat
                                f"for (1, -2) and <number of 2326 bits>")
 
 
+def test_reject_names_each_value_through_shown():
+    with pytest.raises(InvalidInputError, match="^nothing to name$") as info:
+        _reject("nothing to name")
+    assert info.value.__cause__ is None
+    # raised while a failed conversion is handled, the rejection shows alone
+    try:
+        int("5-3")
+    except ValueError:
+        with pytest.raises(InvalidInputError) as info:
+            _reject("got {}, then {} and {}", "5-3", (1, -2), -10 ** 700)
+    assert str(info.value) == "got '5-3', then (1, -2) and <number of 2326 bits>"
+    assert isinstance(info.value.__context__, ValueError)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 def _raised(tree):
     # (innermost enclosing function, exception name) of each raise of a
     # named exception, in source order
@@ -69,9 +84,9 @@ def _raised(tree):
 
 
 def test_only_errors_raises_the_check_and_cap_errors():
-    # every check and cap raises through _agree, _within or _exact; the one
-    # exception is verify_range's re-raise, which leads a refusal with its
-    # arguments
+    # every check, cap and rejection raises through _agree, _within, _exact
+    # or _reject; the one exception is verify_range's re-raise, which leads
+    # a refusal with its arguments
     raised = {}
     imported = {}
     for path in sorted(SRC.glob("*.py")):
@@ -84,3 +99,7 @@ def test_only_errors_raises_the_check_and_cap_errors():
     assert raised["InternalConsistencyError"] == [("errors", "_agree"), ("errors", "_exact")]
     assert raised["ResourceLimitError"] == [("errors", "_within"), ("oracle", "verify_range")]
     assert not imported["liedim"] & {"InternalConsistencyError", "ResourceLimitError"}
+    assert raised["InvalidInputError"] == [("errors", "_reject")]
+    # the package exports it and the CLI catches it; no other module names it
+    assert {stem for stem, names in imported.items()
+            if "InvalidInputError" in names} == {"__init__", "cli"}

@@ -55,14 +55,15 @@ def test_enumerate_is_deterministic_and_sorted():
 
 
 def test_invalid_inputs():
-    with pytest.raises(InvalidInputError):
-        fcs_contains("even", "even", 0, 1)
-    with pytest.raises(InvalidInputError):
-        fcs_contains("even", "even", 1, -2)
-    with pytest.raises(InvalidInputError):
-        fcs_contains("sideways", "even", 1, 1)
-    with pytest.raises(InvalidInputError):
-        fcs_contains(("even",), 1, 1, 1)
+    for args, message in (
+            (("even", "even", 0, 1), "membership is defined for x, y >= 1, got (0, 1)"),
+            (("even", "even", 1, -2), "membership is defined for x, y >= 1, got (1, -2)"),
+            (("sideways", "even", 1, 1),
+             "parity must be an integer or 'even'/'odd', got 'sideways'"),
+            ((("even",), 1, 1, 1), "a parity index must be an integer, got ('even',)")):
+        with pytest.raises(InvalidInputError) as caught:
+            fcs_contains(*args)
+        assert str(caught.value) == message
 
 
 def test_a_box_over_the_cap_is_refused_before_any_point(monkeypatch):

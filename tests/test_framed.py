@@ -17,12 +17,18 @@ def test_framed_problem_validation():
     fp = framed_rank(8, ((5, 3), (5, 3)))
     assert fp.p == (5, 5)
     assert fp.l == (3, 3)
-    for components in (((6, 1),), ((5, 4),), ((5, -1),)):
-        with pytest.raises(InvalidInputError):
+    for components, message in (
+            (((6, 1),), "codimension must exceed 2: component dimension 6 inside ambient "
+                        "dimension 8"),
+            (((5, 4),), "frame count must satisfy 0 <= l <= m - p, got l=4 for p=5, m=8"),
+            (((5, -1),), "frame count must satisfy 0 <= l <= m - p, got l=-1 for p=5, m=8")):
+        with pytest.raises(InvalidInputError) as caught:
             framed_rank(8, components)
-        with pytest.raises(InvalidInputError):
+        assert str(caught.value) == message
+        with pytest.raises(InvalidInputError) as caught:
             framed_knot_is_infinite(8, *components[0])
-    with pytest.raises(InvalidInputError):
+        assert str(caught.value) == message
+    with pytest.raises(InvalidInputError, match="^a link needs at least one component$"):
         framed_rank(8, ())
 
 
@@ -52,9 +58,10 @@ def test_unframed_components_reduce_to_link_rank():
 def test_framed_knot_verdicts():
     assert framed_knot_is_infinite(7, 3, 1) is True
     assert framed_knot_is_infinite(8, 5, 3) is False
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^the criterion needs l >= 1, got l=0$"):
         framed_knot_is_infinite(8, 4, 0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^codimension must exceed 2: component "
+                       "dimension 5 inside ambient dimension 7$"):
         framed_knot_is_infinite(7, 5, 1)
 
 

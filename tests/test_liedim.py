@@ -28,9 +28,11 @@ from linkrank.liedim import (
 def test_generator_system_validation():
     assert lie_component_dim((3, 1), (1, 1)) == 1
     for call in (lie_component_dim, multiplicity):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match="^a generator system needs at least one generator$"):
             call((), ())
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match=r"^generator weights must be positive, got \(2, 0\)$"):
             call((2, 0), (1, 1))
 
 
@@ -421,11 +423,16 @@ def test_weighted_dim_sums_equal_weights_are_super_necklace_counts():
 
 def test_weighted_dim_sums_input_checks():
     assert weighted_dim_sums((2, 1), 3) == weighted_dim_sums((1, 2), 3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match=r"^generator weights must be positive, got \(0, 1\)$"):
         weighted_dim_sums((0, 1), 3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^the degree bound must be >= 0, got -1$"):
         weighted_dim_sums((1, 1), -1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match="^the degree bound must be >= 0, got <number of 16610 bits>$"):
+        weighted_dim_sums((1, 1), -10 ** 5000)
+    with pytest.raises(InvalidInputError,
+                       match=r"^a generator weight must be an integer, got 1\.5$"):
         weighted_dim_sums((1.5, 1), 3)
 
 

@@ -112,7 +112,7 @@ def test_budget_enforcement():
             with pytest.raises(ResourceLimitError, match=r"^multidegree \(3, 3\) has 6 letters, "
                                rf"over the budget of {budget}; pass a larger budget$"):
                 call((1, 1), (3, 3), budget=budget)
-        with pytest.raises(InvalidInputError, match="letter budget must be >= 1, got 0$"):
+        with pytest.raises(InvalidInputError, match="^the letter budget must be >= 1, got 0$"):
             call((1, 1), (3, 3), budget=0)
         # letter budget fine, word count past the cap
         with pytest.raises(ResourceLimitError, match=r"^multidegree \(4, 4, 4\) spans 34650 "
@@ -153,10 +153,11 @@ def test_the_word_cap_admits_one_kind_at_any_length_and_two_kinds_at_the_cap(mon
 def test_empty_multidegree_rejected():
     for call in (component_dim_bruteforce, whitehead_map_analysis):
         with pytest.raises(InvalidInputError,
-                           match=r"oracle needs at least one letter, got multidegree \(0, 0\)$"):
+                           match=r"^the oracle needs at least one letter, got multidegree "
+                                 r"\(0, 0\)$"):
             call((1, 1), (0, 0))
         with pytest.raises(InvalidInputError,
-                           match=r"multidegree entries must be >= 0, got \(-1, 2\)$"):
+                           match=r"^multidegree entries must be >= 0, got \(-1, 2\)$"):
             call((1, 1), (-1, 2))
     # a zero entry with a letter beside it is a component like any other
     assert whitehead_map_analysis((1, 1), (0, 2)) == (
@@ -204,18 +205,21 @@ def test_verify_range_smoke():
 
 
 def test_bracket_letters_are_validated():
-    with pytest.raises(InvalidInputError):
-        left_normed_bracket((0, 5), (1,))
-    with pytest.raises(InvalidInputError):
-        left_normed_bracket((0, -1), (1, 0))
-    with pytest.raises(InvalidInputError):
-        left_normed_bracket((0, True), (1, 0))
-    with pytest.raises(InvalidInputError):
-        left_normed_bracket((0, 1.0), (1, 0))
-    with pytest.raises(InvalidInputError):
-        super_bracket({(0,): 1}, {(1,): 1}, (1,))
-    with pytest.raises(InvalidInputError):
-        super_bracket({(0, -1): 1}, {(1,): 1}, (1, 0))
+    for call, message in (
+            (lambda: left_normed_bracket((0, 5), (1,)),
+             "letter 5 of the word (0, 5) is not in range(1)"),
+            (lambda: left_normed_bracket((0, -1), (1, 0)),
+             "letter -1 of the word (0, -1) is not in range(2)"),
+            (lambda: left_normed_bracket((0, True), (1, 0)),
+             "a letter must be an integer, got True"),
+            (lambda: left_normed_bracket((0, 1.0), (1, 0)), "a letter must be an integer, got 1.0"),
+            (lambda: super_bracket({(0,): 1}, {(1,): 1}, (1,)),
+             "letter 1 of the word (1,) is not in range(1)"),
+            (lambda: super_bracket({(0, -1): 1}, {(1,): 1}, (1, 0)),
+             "letter -1 of the word (0, -1) is not in range(2)")):
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_verify_range_refuses_too_many_pairs_before_it_starts():

@@ -27,11 +27,12 @@ from linkrank.ranks import (
 
 def test_link_problem_validation():
     assert link_rank(6, [3, 3]).p == (3, 3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^codimension must exceed 2: component "
+                       "dimension 3 inside ambient dimension 5$"):
         link_rank(5, (3, 3))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^component dimensions must be >= 1, got 0$"):
         link_rank(6, (0, 3))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^a link needs at least one component$"):
         link_rank(6, ())
 
 
@@ -163,10 +164,10 @@ def test_brunnian_contributions_sum_to_rank():
 
 
 def test_brunnian_rejects_single_component():
-    with pytest.raises(InvalidInputError):
-        brunnian_rank(6, (3,))
-    with pytest.raises(InvalidInputError):
-        brunnian_is_infinite(6, (3,))
+    for call in (brunnian_rank, brunnian_is_infinite):
+        with pytest.raises(InvalidInputError, match="^Brunnian rank needs at least two "
+                           "components; use knot_rank for one$"):
+            call(6, (3,))
 
 
 def test_link_rank_reports():
@@ -738,9 +739,10 @@ def test_equal_dim_rank_many_components_matches_general_formula():
 
 
 def test_equal_dim_rank_rejects_p_one():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match="^the equal-dimension form needs p > 1, got p=1$"):
         equal_dim_rank(6, 1, 2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^need at least one component, got r=0$"):
         equal_dim_rank(6, 3, 0)
 
 

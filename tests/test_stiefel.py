@@ -33,12 +33,12 @@ def test_stiefel_rank_zero_frames_is_zero():
 
 
 def test_stiefel_rank_invalid_inputs():
-    with pytest.raises(InvalidInputError):
-        stiefel_rank(3, 4, 5)
-    with pytest.raises(InvalidInputError):
-        stiefel_rank(3, 4, -1)
-    with pytest.raises(InvalidInputError):
-        stiefel_rank(0, 4, 1)
+    for args, shown in (((3, 4, 5), "p=3, q=4, l=5"), ((3, 4, -1), "p=3, q=4, l=-1"),
+                        ((0, 4, 1), "p=0, q=4, l=1"),
+                        ((3, 4, 10 ** 5000), "p=3, q=4, l=<number of 16610 bits>")):
+        with pytest.raises(InvalidInputError) as caught:
+            stiefel_rank(*args)
+        assert str(caught.value) == f"need p >= 1, q >= 1 and 0 <= l <= q, got {shown}"
 
 
 def test_rank_bounded_by_fibration_neighbours():
