@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from linkrank import cli, fcs, liedim, oracle
 from linkrank.oracle import VerificationRecord, VerificationReport
-from linkrank.ranks import link_rank
+from linkrank.ranks import brunnian_rank, link_rank
 
 
 def run_cli(*args):
@@ -207,6 +207,21 @@ PINNED = [
      "m = 8, p = (5, 5, 5)\nbrunnian rank: 6\ninfinite: yes\ncontributions:\n"
      "  (1, 1, 3): 1\n  (1, 2, 2): 1\n  (1, 3, 1): 1\n  (2, 1, 2): 1\n"
      "  (2, 2, 1): 1\n  (3, 1, 1): 1\n"),
+    (["rank", "8", "5", "5", "5", "--brunnian", "--details", "--format", "json"],
+     Sha256("55fce2821990ef04708be435a642b180d5bb639ee1f8ae96cdf1673e573d0434")),
+    # one component: each multidegree prints as a one-entry tuple
+    (["rank", "9", "5", "--details"],
+     "m = 9, p = (5)\nrank: 0\ninfinite: no\ncontributions:\n  (3,): 0\ndecomposition:\n"
+     "  components {1}: 0\n"),
+    (["rank", "9", "5", "--details", "--format", "json"],
+     '{\n  "contributions": [\n    {\n      "multidegree": [\n        3\n      ],\n'
+     '      "multiplicity": 0\n    }\n  ],\n  "decomposition": {\n    "1": 0\n  },\n'
+     '  "infinite": false,\n  "m": 9,\n  "p": [\n    5\n  ],\n  "rank": 0\n}\n'),
+    # no solution: an empty listing, and 63 subsets of rank 0
+    (["rank", "300", *["296"] * 6, "--details"],
+     Sha256("0bc6815dae142eea04595b5cd1ff103ed3b15019a0225edd4948b95de5ece172")),
+    (["rank", "300", *["296"] * 6, "--details", "--format", "json"],
+     Sha256("007b96d8054bfcf238981f6b9404cc2d18342a6844c9d3cf3a31807b7bf3c4b9")),
     (["framed", "8", "5:3", "5:3"],
      "m = 8, components p:l = 5:3, 5:3\nframed rank: 0\nlink rank: 0\n"
      "stiefel ranks: (0, 0)\ninfinite: no\n"),
@@ -388,3 +403,31 @@ def test_json_matches_the_standard_encoder(payload):
         cli._emit("json", lambda: payload, None, None)
     assert buffer.getvalue() == expected
     assert payload == kept
+
+
+@st.composite
+def small_links(draw):
+    # m <= 24 and r <= 5, every component of codimension above 2, and
+    # --brunnian drawn for r >= 2
+    m = draw(st.integers(6, 24))
+    r = draw(st.integers(1, 5))
+    dims = draw(st.lists(st.integers(1, m - 3), min_size=r, max_size=r))
+    return m, dims, r >= 2 and draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_links())
+@example((9, [5], False))  # one component: (v,)
+@example((24, [20, 20, 19], True))
+def test_text_details_list_the_contributions(link):
+    # the text listing against lines built here from the library's terms
+    m, dims, brunnian = link
+    argv = ["rank", str(m), *map(str, dims), "--details", *["--brunnian"] * brunnian]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(argv) == 0
+    report = brunnian_rank(m, tuple(dims)) if brunnian else link_rank(m, tuple(dims))
+    listing = buffer.getvalue().split("contributions:\n", 1)[1]
+    if not brunnian:
+        listing = listing.split("decomposition:\n", 1)[0]
+    assert listing == "".join(f"  {x}: {value}\n" for x, value in report.contributions)

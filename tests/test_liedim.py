@@ -214,6 +214,39 @@ def test_multiplicity_matches_its_definition(case):
     assert _multiplicity(parities, x) == below - _dim_by_parity(parities, x)
 
 
+def test_multiplicity_matches_its_definition_on_every_small_class(monkeypatch):
+    # every parity vector and multidegree with r <= 3 and entries 0..9, and
+    # with r = 4 and entries 0..5, against sum_k dim(x - e_k) - dim(x) from
+    # the full divisor sum, so a correction skipped for any k shows; the
+    # kernel must ask _divisor_terms for x and for each x - e_k whose gcd
+    # exceeds 1, with that gcd, and for nothing else
+    real = liedim._divisor_terms
+    asked = []
+
+    def divisor_terms(parities, y, g):
+        asked.append((y, g))
+        return real(parities, y, g)
+
+    monkeypatch.setattr(liedim, "_divisor_terms", divisor_terms)
+    dims = {}
+
+    def dim(parities, y):
+        if (parities, y) not in dims:
+            dims[parities, y] = _reference_dim(parities, y)
+        return dims[parities, y]
+
+    for r, top in ((1, 9), (2, 9), (3, 9), (4, 5)):
+        for parities in itertools.product((0, 1), repeat=r):
+            for x in itertools.product(range(top + 1), repeat=r):
+                lowered = [x[:k] + (v - 1,) + x[k + 1:] for k, v in enumerate(x)]
+                expected = sum(dim(parities, y) for y in lowered) - dim(parities, x)
+                asked.clear()
+                assert _multiplicity(parities, x) == expected, (parities, x)
+                wanted = ([(y, math.gcd(*y)) for y in lowered if min(y) >= 0]
+                          + [(x, math.gcd(*x))] if sum(x) >= 2 else [])
+                assert sorted(asked) == sorted(yg for yg in wanted if yg[1] > 1), (parities, x)
+
+
 @pytest.mark.parametrize("x, error, what", [
     # (2, 2) has gcd 2, while (1, 2) and (2, 1) have gcd 1
     ((2, 2), 1, "dimension formula"),
