@@ -44,30 +44,42 @@ from .ranks import brunnian_rank, link_rank
 from .stiefel import stiefel_rank
 
 
+def _listing(terms, head, sep, tail, joint):
+    """The nonempty (multidegree, multiplicity) terms of a rank report
+    joined by joint, each written from one %-template: head, the entries of
+    its multidegree joined by sep, then tail around the multiplicity.  Every
+    multidegree of a report has one width, that of its link, so the first
+    term's width gives the template."""
+    template = head + sep.join(["%d"] * len(terms[0][0])) + tail
+    return joint.join([template % (x + (value,)) for x, value in terms])
+
+
 def _json(payload):
     """json.dumps(payload, indent=2, sort_keys=True), where an optional
     "contributions" key holds (multidegree, multiplicity) pairs, each to be
     written as {"multidegree": [...], "multiplicity": ...}.
 
     With an indent the standard encoder is pure Python, and a rank can have
-    hundreds of thousands of terms.  So each term is written from one
-    template, and the encoder writes the list's place as the value 0: its
-    line, at a two-space indent, is the only one that reads
-    '\n  "contributions": 0' (every deeper key is indented further, and a
-    JSON string holds no raw newline), and the list replaces that value.
+    hundreds of thousands of terms.  So the terms are written from one
+    template for the width of their multidegrees, and the encoder writes
+    the list's place as the value 0: its line, at a two-space indent, is
+    the only one that reads '\n  "contributions": 0' (every deeper key is
+    indented further, and a JSON string holds no raw newline).  The text is
+    cut there and the list written in that place, so the listing is copied
+    once, into the result.
     """
     import json
     if "contributions" not in payload:
         return json.dumps(payload, indent=2, sort_keys=True)
     terms = payload["contributions"]
-    out = json.dumps({**payload, "contributions": 0}, indent=2, sort_keys=True)
-    sep = ",\n        "
-    entries = ",\n".join(
-        f'    {{\n      "multidegree": [\n        {sep.join(map(str, x))}\n      ],\n'
-        f'      "multiplicity": {value}\n    }}' for x, value in terms)
     key = '\n  "contributions": '
-    listing = f"{key}[\n{entries}\n  ]" if terms else f"{key}[]"
-    return out.replace(f"{key}0", listing, 1)
+    head, _, tail = json.dumps({**payload, "contributions": 0}, indent=2,
+                               sort_keys=True).partition(f"{key}0")
+    if not terms:
+        return f"{head}{key}[]{tail}"
+    entries = _listing(terms, '    {\n      "multidegree": [\n        ', ",\n        ",
+                       '\n      ],\n      "multiplicity": %d\n    }', ",\n")
+    return f"{head}{key}[\n{entries}\n  ]{tail}"
 
 
 def _emit(fmt, payload, table, text):
@@ -128,7 +140,12 @@ def _cmd_rank(args):
         yield f"infinite: {'yes' if infinite else 'no'}"
         if terms is not None:
             yield "contributions:"
-            yield from (f"  {x}: {value}" for x, value in terms)
+            if terms:
+                # one block of lines from one template for the link's
+                # width; a one-entry multidegree prints as (v,), as a
+                # tuple does
+                tail = "): %d" if len(report.p) > 1 else ",): %d"
+                yield _listing(terms, "  (", ", ", tail, "\n")
         if split is not None:
             yield "decomposition:"
             yield from (f"  components {{{','.join(map(str, subset))}}}: {value}"

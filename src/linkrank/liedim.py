@@ -39,6 +39,13 @@ dimensions, but by Pascal's rule the multinomials of the x - e_k add up to
 the multinomial of x.  So the kernel computes one multinomial M and
   |x| dim(x) = M + the i > 1 terms of x,
   (|x| - 1) sum_k dim(x - e_k) = M + the i > 1 terms of each x - e_k.
+It takes |x|, M and gcd(x) from one pass over the nonzero entries of x.
+An x - e_k has i > 1 terms only when its gcd exceeds 1, so for each k
+with x_k > 0 the kernel screens that gcd first: it folds gcd over the
+entries of x - e_k, read from x, and stops at the first 1.  Only an
+x - e_k whose gcd passes the screen is built as a tuple and handed to
+_divisor_terms, which forms each y / i, its multinomial and the parity of
+its degree in one loop.
 
 A rank needs these multiplicities summed over a whole weighted degree, not
 one by one: for a set T of generators (sorted weights, each at most N),
@@ -85,8 +92,11 @@ the multiples of d.
 All arithmetic is exact.  Each of these numerators is asserted to be a
 nonnegative multiple of its denominator through errors._exact, which
 returns the quotient; a failure of that assertion is an internal bug, not
-bad input.  The sieve tests each degree inline and calls _exact only to
-raise, so that a passing degree makes no Python call.  The caps admit
+bad input.  The sieve, _multiplicity (the summed dimensions of the
+x - e_k) and _dim_formula (the dimension) test their quotients inline
+with divmod and call _exact only to raise, with the message it formats,
+so that a passing quotient makes no Python call; witt returns through
+_exact.  The caps admit
 through errors._within, and the cross-checks of the rank layer hold
 through errors._agree; this module raises no error of a check or a cap
 by hand.
@@ -94,7 +104,7 @@ by hand.
 
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import mod
 
 from .arith import _multinomial, _squarefree_divisors, as_integer, as_integers
@@ -153,13 +163,21 @@ def _divisor_terms(parities, y, g):
     #   sum_i mu(i) (-1)^(deg(y) + deg(y/i)) multinomial(y/i).
     # deg(y) = i deg(y/i), so the sign is + for odd i and (-1)^deg(y/i) for
     # even i.  Zero entries contribute nothing to the gcd, the multinomial
-    # or the sign, and only a squarefree i has mu(i) != 0.
+    # or the sign, and only a squarefree i has mu(i) != 0.  One loop per i
+    # forms y/i, its multinomial as a running product of binomials and the
+    # parity of deg(y/i).
     acc = 0
     for i, mu in _squarefree_divisors(g)[1:]:
-        yi = tuple(v // i for v in y)
-        if i % 2 == 0 and sum(p * v for p, v in zip(parities, yi)) % 2:
-            mu = -mu
-        acc += mu * _multinomial(yi)
+        total, term, odd = 0, 1, 0
+        for p, v in zip(parities, y):
+            if v:
+                v //= i
+                total += v
+                term *= comb(total, v)
+                odd ^= p & v
+        if odd and i % 2 == 0:
+            term = -term
+        acc += mu * term
     return acc
 
 
@@ -171,8 +189,13 @@ def _dim_formula(parities, x, n, multinomial, g):
     # +multinomial; for most x, g = 1 and it is the only term.
     if g > 1:
         multinomial += _divisor_terms(parities, x, g)
-    return _exact(multinomial, n, "dimension formula gave {} for parities {} and multidegree {}",
-                  parities, x)
+    # tested inline, so that a passing quotient makes no Python call;
+    # _exact only raises here
+    dim, remainder = divmod(multinomial, n)
+    if remainder or dim < 0:
+        _exact(multinomial, n, "dimension formula gave {} for parities {} and multidegree {}",
+               parities, x)
+    return dim
 
 
 @lru_cache(maxsize=1 << 18)
@@ -203,24 +226,41 @@ def multiplicity(weights, x):
 
 
 def _multiplicity(parities, x):
-    # The two divided sums of the module docstring, for n = |x| >= 2.  An
-    # x - e_k with x_k = 0 has a negative entry, dimension 0 and multinomial 0.
-    if min(x) < 0:
-        return 0
-    n = sum(x)
+    # The two divided sums of the module docstring, for n = |x| >= 2, from
+    # one pass over x for n, multinomial(x) and gcd(x).  An x - e_k with
+    # x_k = 0 has a negative entry, dimension 0 and multinomial 0; for each
+    # other k, gcd(x - e_k) is folded over the entries of x - e_k up to the
+    # first 1, and only a gcd above 1 builds x - e_k for its i > 1 terms.
+    n, multinomial, g = 0, 1, 0
+    for v in x:
+        if v:
+            if v < 0:
+                return 0
+            n += v
+            multinomial *= comb(n, v)
+            g = gcd(g, v)
     if n < 2:
         # x = 0 gives -dim(0) = -1, and x = e_k gives dim(0) - dim(e_k) = 0
         return n - 1
-    multinomial = below = _multinomial(x)
+    below = multinomial
+    r = len(x)
     for k, v in enumerate(x):
         if v:
-            y = x[:k] + (v - 1,) + x[k + 1:]
-            h = gcd(*y)
-            if h > 1:
-                below += _divisor_terms(parities, y, h)
-    below = _exact(below, n - 1, "the summed dimensions of the x - e_k gave {} for parities {} "
-                   "and multidegree {}", parities, x)
-    return below - _dim_formula(parities, x, n, multinomial, gcd(*x))
+            h = 0
+            for j in range(r):
+                h = gcd(h, x[j] - (j == k))
+                if h == 1:
+                    break
+            else:
+                # no 1 met: as n >= 2, x - e_k != 0 and h = gcd(x - e_k) > 1
+                below += _divisor_terms(parities, x[:k] + (v - 1,) + x[k + 1:], h)
+    # tested inline, so that a passing quotient makes no Python call;
+    # _exact only raises here
+    summed, remainder = divmod(below, n - 1)
+    if remainder or summed < 0:
+        _exact(below, n - 1, "the summed dimensions of the x - e_k gave {} for parities {} "
+               "and multidegree {}", parities, x)
+    return summed - _dim_formula(parities, x, n, multinomial, g)
 
 
 def witt(t, r):

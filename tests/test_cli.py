@@ -267,7 +267,7 @@ PINNED = [
     # 31 465 terms, many of them with a divisor correction
     (["rank", "30", "27", "27", "27", "27", "27", "--details", "--format", "json"],
      Sha256("688275cdc830a5685c10d90f4797e3b2c8e08b7d670f7bd54e8169512e14f830")),
-    # the same terms as text lines, which are formatted lazily
+    # the same terms as text lines, written from one template per width
     (["rank", "30", "27", "27", "27", "27", "27", "--details"],
      Sha256("26dedc142a9b130f62e56c38059eb70826060eca138b84dbd6aef5e5ebb1133d")),
     # weights of both parities and three distinct values, so the walk steps
