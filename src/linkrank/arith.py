@@ -8,12 +8,15 @@ sequence with any other entry is converted or rejected one entry at a
 time, and a rejection names the first offender.  The cores take integers
 already checked: _squarefree_divisors lists the divisors d of n with
 mu(d) != 0, each with its sign, from one trial division, which is all a
-Moebius divisor sum reads; _multinomial is a multinomial coefficient as
-a running product of binomials.
+Moebius divisor sum reads; it is cached per process, so each n is
+trial-divided once, and returns tuples, so no caller can change a cached
+list.  _multinomial is a multinomial coefficient as a running product of
+binomials.
 
 Everything here is plain integer arithmetic; no floats anywhere.
 """
 
+from functools import lru_cache
 from math import comb
 from operator import index
 
@@ -47,9 +50,11 @@ def as_integers(values, what, whole):
     return tuple(as_integer(v, what) for v in values)
 
 
+@lru_cache(maxsize=1 << 10)
 def _squarefree_divisors(n):
     # (d, mu(d)) over the squarefree divisors d of an int n >= 1, (1, 1)
-    # first: each prime p of n doubles the list with the signs flipped
+    # first: each prime p of n doubles the list with the signs flipped.
+    # Cached, and a tuple, so that no caller holds a mutable cached list
     pairs = [(1, 1)]
     p = 2
     while p * p <= n:
@@ -61,7 +66,7 @@ def _squarefree_divisors(n):
         p += 1
     if n > 1:
         pairs += [(d * n, -mu) for d, mu in pairs]
-    return pairs
+    return tuple(pairs)
 
 
 def _multinomial(parts):

@@ -21,6 +21,12 @@ text-format rank call loads none of them.  Exit
 codes: 0 success, 2 invalid input, 3 resource limit exceeded, 1 internal
 consistency failure, 141 stdout closed early (a closed pipe).
 
+A call is parsed once, by the parser of the command its first argument
+names.  The full parser, which holds every command, reads only what that
+one pass cannot: no arguments, a first argument that names no command
+(--help, a typo) and arguments the command's parser leaves over.  So help,
+usage and error texts and their exit codes are those of the full parser.
+
 One rendering rule: a command first computes its data and runs every check
 and refusal on it (the report, a table, the --details listings, the fcs
 box, the verify range and its failures), whatever the format, so its exit
@@ -348,11 +354,12 @@ def _build_parser():
         command.add_argument("--format", choices=("text", "json", "csv"),
                              default="text", help="output format (default text)")
         command.set_defaults(func=func)
-    return parser
+    return parser, sub.choices
 
 
-# built once per process: parse_args keeps no state between calls
-_PARSER = _build_parser()
+# built once per process: parse_args keeps no state between calls;
+# _COMMANDS maps each command name to its own parser
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv=None):
@@ -363,7 +370,14 @@ def main(argv=None):
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _PARSER.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        command = _COMMANDS.get(argv[0]) if argv else None
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+        if command is None or rest:
+            # no command, or arguments left over: the full parser prints
+            # the usage, help or error text and exits as it always has
+            args = _PARSER.parse_args(argv)
         args.func(args)
         return 0
     except SystemExit as exc:

@@ -45,7 +45,9 @@ with x_k > 0 the kernel screens that gcd first: it folds gcd over the
 entries of x - e_k, read from x, and stops at the first 1.  Only an
 x - e_k whose gcd passes the screen is built as a tuple and handed to
 _divisor_terms, which forms each y / i, its multinomial and the parity of
-its degree in one loop.
+its degree in one loop per squarefree divisor i > 1 of the gcd; arith
+lists those divisors once per process for each gcd, so a gcd met again
+costs no trial division.
 
 A rank needs these multiplicities summed over a whole weighted degree, not
 one by one: for a set T of generators (sorted weights, each at most N),

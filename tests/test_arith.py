@@ -66,6 +66,23 @@ def test_squarefree_divisors_are_the_divisors_with_nonzero_moebius():
         assert sum(mu for _, mu in pairs) == (n == 1)
 
 
+def test_squarefree_divisors_are_cached_tuples(clear_caches):
+    # each n is trial-divided once per process: a repeated n returns the
+    # same tuple of (d, mu(d)) pairs, which no caller can change, and
+    # clearing the package's caches empties this one
+    clear_caches()
+    assert _squarefree_divisors.cache_info().currsize == 0
+    # primes above 10^6, prime powers past 10^6, and a product of both kinds
+    large = (1_000_003, 1_000_033, 2 ** 21, 3 ** 13, 1009 ** 2, 101 ** 3 * 7)
+    for n in (*range(1, 3001), *large):
+        pairs = _squarefree_divisors(n)
+        assert type(pairs) is tuple and all(type(pair) is tuple for pair in pairs)
+        assert dict(pairs) == {d: _moebius(d) for d in _divisors(n) if _moebius(d)}, n
+        assert _squarefree_divisors(n) is pairs
+    clear_caches()
+    assert _squarefree_divisors.cache_info().currsize == 0
+
+
 def test_multinomial_values():
     assert _multinomial([0]) == 1
     assert _multinomial([3]) == 1

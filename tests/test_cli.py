@@ -279,8 +279,14 @@ PINNED = [
 ]
 
 
+def _no_full_parse(argv=None):
+    raise AssertionError("a valid command was parsed by the full parser")
+
+
 @pytest.mark.parametrize("argv, expected", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
-def test_pinned_output(capsys, argv, expected):
+def test_pinned_output(capsys, monkeypatch, argv, expected):
+    # each pinned call is read in one pass, by its command's parser
+    monkeypatch.setattr(cli._PARSER, "parse_args", _no_full_parse)
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     if isinstance(expected, Sha256):
@@ -431,3 +437,64 @@ def test_text_details_list_the_contributions(link):
     if not brunnian:
         listing = listing.split("decomposition:\n", 1)[0]
     assert listing == "".join(f"  {x}: {value}\n" for x, value in report.contributions)
+
+
+def _main(argv, commands=None):
+    """(exit code, stdout, stderr) of cli.main(argv); commands, when given,
+    replaces cli._COMMANDS, and {} makes every call take the full parser."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if commands is not None:
+            patch.setattr(cli, "_COMMANDS", commands)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["rank", "--help"], ["oracle", "verify", "--help"],
+    [], ["oracle"], ["nosuch", "1"],
+    ["rank", "6", "3", "3", "--bogus"], ["rank", "6", "x"], ["rank", "--det", "6", "3", "3"],
+    ["rank", "--", "6", "3", "3"],
+    ["framed", "8", "5:3", "--format", "json"], ["tables", "table9"],
+    ["witt", "1/2", "3", "2", "--format", "csv"], ["fcs", _HUGE_P, "3"],
+], ids=lambda argv: " ".join(argv)[:40] or "no arguments")
+def test_one_pass_prints_what_the_full_parser_prints(capsys, argv):
+    # help, usage and error texts and exit codes are argparse's own, in
+    # the wording of the interpreter that runs the suite
+    code = cli.main(list(argv))
+    one_pass = (code, *capsys.readouterr())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_COMMANDS", {})
+        code = cli.main(list(argv))
+    assert one_pass == (code, *capsys.readouterr())
+
+
+_TOKENS = st.sampled_from([
+    *cli._COMMANDS, "verify", "table2", "table3", "even", "odd",
+    "--details", "--brunnian", "--format", "json", "csv", "text", "--xmax", "--ymax",
+    "-h", "--help", "--he", "--det", "--", "--bogus", "-x", "-", "x", "1/2", "3:1", "-1",
+]) | st.integers(0, 40).map(str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TOKENS, max_size=6))
+@example(["rank", "6", "3", "3", "--he"])
+@example(["fcs", "-1", "--", "-2"])
+def test_any_short_argv_exits_as_the_full_parser_does(argv):
+    # exit 0, 2 or 3 only, the same exit code and texts as the full parser,
+    # and the full parser asked only for no command or an argparse error
+    asked = []
+    parse_args = cli._PARSER.parse_args
+
+    def spy(args=None):
+        asked.append(args)
+        return parse_args(args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli._PARSER, "parse_args", spy)
+        result = _main(argv)
+    assert result[0] in (0, 2, 3)
+    assert result == _main(argv, {})
+    if asked and argv and argv[0] in cli._COMMANDS:
+        assert result[0] == 2

@@ -247,6 +247,29 @@ def test_multiplicity_matches_its_definition_on_every_small_class(monkeypatch):
                 assert sorted(asked) == sorted(yg for yg in wanted if yg[1] > 1), (parities, x)
 
 
+def test_divisor_terms_match_the_multinomial_of_each_quotient():
+    # the per-divisor loop of _divisor_terms, which forms each multinomial
+    # itself, against arith._multinomial of y / i, a factoring mu and the
+    # sign (-1)^(deg(y) + deg(y/i)) taken as written: every parity vector
+    # and every y with r <= 3, entries 0..12 and gcd(y) > 1
+    def deg(parities, y):
+        return sum(p * v for p, v in zip(parities, y))
+
+    for r in (1, 2, 3):
+        for parities in itertools.product((0, 1), repeat=r):
+            for y in itertools.product(range(13), repeat=r):
+                g = math.gcd(*y)
+                if g < 2:
+                    continue
+                expected = 0
+                for i in range(2, g + 1):
+                    if g % i == 0:
+                        quotient = [v // i for v in y]
+                        expected += (_moebius(i) * _multinomial(quotient)
+                                     * (-1) ** (deg(parities, y) + deg(parities, quotient)))
+                assert liedim._divisor_terms(parities, y, g) == expected, (parities, y)
+
+
 @pytest.mark.parametrize("x, error, what", [
     # (2, 2) has gcd 2, while (1, 2) and (2, 1) have gcd 1
     ((2, 2), 1, "dimension formula"),
