@@ -14,8 +14,8 @@ value; and the four helpers that raise them:
 * _reject, through which every argument check of arith, cli, fcs, framed,
   liedim, oracle, ranks and stiefel raises InvalidInputError.
 
-So this module raises every error the package raises, except
-verify_range's re-raise, which leads a refusal with its arguments."""
+So this module raises every error the package raises, and no other
+module catches one but the CLI, which turns each into its exit code."""
 
 
 class LinkRankError(Exception):

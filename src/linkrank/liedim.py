@@ -457,12 +457,13 @@ def _weighted_dim_sums(weights, n):
 def _multiplicity_sum(weights, target):
     # M(T): the multiplicities of all x >= 0 of weighted degree target; every
     # caller passes sorted weights, the key of the Witt-sum cache, whose
-    # D(0..n') may run past target, so it is indexed, never measured
+    # D(0..n') may run past target, so it is indexed, never measured.  Each
+    # weight is at most target: the weights are a_k = m - p_k - 2 of a link,
+    # or of a sublink of it, and ranks._as_link admits only p_k >= 1, so
+    # a_k <= m - 3 = target; a larger weight would index from the end
     dims = _weighted_dim_sums(weights, target)
     total = -dims[target]
     for a in weights:
-        if a > target:
-            break
         total += dims[target - a]
     return total
 

@@ -49,12 +49,15 @@ count, before the multinomial is built, since such an x spans
 multinomial(x) >= C(|x|, x_k) >= |x| words; one kind spans one word.
 One helper, _admit, runs every check of a call, each cap through
 errors._within, and returns the key of the kept answers.  `verify_range`
-sets the budget to its max_letters and admits its whole range once,
-before any check: it refuses more than 20 000 (system, multidegree)
-pairs, then a largest multidegree over the word cap, named by its
-arguments as verify_range(max_r, max_degree, max_letters), and asks the
-kept answers directly, since no call of an admitted range can be
-refused.  Each of these limits raises ResourceLimitError.
+admits its whole range once, before any check, each cap through
+errors._within too: it refuses more than 20 000 (system, multidegree)
+pairs, then a largest multidegree over the word cap, each message led by
+its arguments as verify_range(max_r, max_degree, max_letters).  With a
+budget of max_letters that cap is the only one _admit could refuse the
+largest call by, since the letters-past-the-cap shortcut needs two or
+more kinds and over 1500 letters, a range the pair cap refuses first.  It
+then asks the kept answers directly, since no call of an admitted range
+can be refused.  Each of these limits raises ResourceLimitError.
 
 The answers depend on a generator system only up to relabelling its
 letters with their parities.  A permutation of the letters that keeps
@@ -79,11 +82,12 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import _multinomial, as_integer, as_integers
-from .errors import ResourceLimitError, _reject, _shown, _within
+from .errors import _reject, _within
 from .liedim import _as_system, _dim_by_parity, _multiplicity, _parities, _solutions
 
 _DEFAULT_BUDGET = 8
 _MAX_WORDS = 1500
+_WORD_CAP = "multidegree {} spans {} words, over the hard cap of {}"
 _MAX_PAIRS = 20_000
 _MEMO_SIZE = 1 << 15  # above _MAX_PAIRS: verify_range computes each key once
 
@@ -118,8 +122,7 @@ def _admit(weights, x, budget):
         _within(total, _MAX_WORDS, "multidegree {} spans at least {} words, over the hard "
                 "cap of {}", x, total, _MAX_WORDS)
     n_words = _multinomial(x)
-    _within(n_words, _MAX_WORDS, "multidegree {} spans {} words, over the hard cap of {}",
-            x, n_words, _MAX_WORDS)
+    _within(n_words, _MAX_WORDS, _WORD_CAP, x, n_words, _MAX_WORDS)
     return _canonical(parities, x)
 
 
@@ -357,16 +360,16 @@ def verify_range(max_r, max_degree, max_letters):
     multidegrees: a zero letter's record would read the memo entry of the
     smaller system without that letter, which the range already checks,
     and keeping them there keeps the output of `linkrank oracle verify`
-    byte for byte as pinned.  The whole range is admitted once,
-    before any check: more than 20 000 (system, multidegree) pairs, or a
-    largest multidegree that spans more than 1500 words, raise
-    ResourceLimitError, each message led by verify_range(max_r,
-    max_degree, max_letters).  The loop then calls the memoized cores
-    directly, keyed by the multiset of (parity, positive count) pairs of
-    each pair; the memo holds up to 32 768 immutable answers per core, more
-    than the pair cap, so one call computes each multiset once.  Each
-    record compares that answer with the closed forms at the record's own
-    weights and multidegree."""
+    byte for byte as pinned.  The whole range is admitted once, before
+    any check, through errors._within: more than 20 000 (system,
+    multidegree) pairs, or a largest multidegree that spans more than 1500
+    words, raise ResourceLimitError, each message led by
+    verify_range(max_r, max_degree, max_letters).  The loop then calls the
+    memoized cores directly, keyed by the multiset of (parity, positive
+    count) pairs of each pair; the memo holds up to 32 768 immutable
+    answers per core, more than the pair cap, so one call computes each
+    multiset once.  Each record compares that answer with the closed forms
+    at the record's own weights and multidegree."""
     max_r = as_integer(max_r, "max_r")
     max_degree = as_integer(max_degree, "max_degree")
     max_letters = as_integer(max_letters, "max_letters")
@@ -381,13 +384,14 @@ def verify_range(max_r, max_degree, max_letters):
                 "multidegree) pairs, over the cap of {}", arguments, pairs, _MAX_PAIRS)
     # the range's largest call: max_letters split as evenly as possible over
     # max_r entries, since fewer letters, a zero entry or an uneven split span
-    # fewer words; under the budget of max_letters only the word cap can
-    # refuse it, and every call of the range spans at most its words
+    # fewer words; every call of the range spans at most its words, and under
+    # the pair cap only _admit's word cap could refuse it (see the module
+    # docstring), so that cap alone is checked here
     q, s = divmod(max_letters, max_r)
-    try:
-        _admit((1,) * max_r, (q + 1,) * s + (q,) * (max_r - s), max_letters)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"verify_range{_shown(arguments)}: {exc}") from None
+    largest = (q + 1,) * s + (q,) * (max_r - s)
+    words = _multinomial(largest)
+    _within(words, _MAX_WORDS, "verify_range{}: " + _WORD_CAP, arguments, largest, words,
+            _MAX_WORDS)
     records = []
     # the brute force sees a pair only through its multiset of (parity,
     # positive count) pairs, so every reordering of the letters, and every

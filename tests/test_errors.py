@@ -83,12 +83,27 @@ def _raised(tree):
     return found
 
 
+_PACKAGE_ERRORS = {"InvalidInputError", "ResourceLimitError", "InternalConsistencyError",
+                   "LinkRankError"}
+
+
+def _names(node):
+    # every identifier a node names: a bare name, an attribute or an import
+    return ({child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
+            | {child.attr for child in ast.walk(node) if isinstance(child, ast.Attribute)}
+            | {alias.name for child in ast.walk(node)
+               if isinstance(child, (ast.Import, ast.ImportFrom)) for alias in child.names})
+
+
 def test_only_errors_raises_the_check_and_cap_errors():
     # every check, cap and rejection raises through _agree, _within, _exact
-    # or _reject; the one exception is verify_range's re-raise, which leads
-    # a refusal with its arguments
+    # or _reject, with its message written through _shown; the package
+    # exports the errors and the CLI catches them, and no other module
+    # imports, catches or re-raises one
     raised = {}
     imported = {}
+    named = {}
+    caught = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for function, name in _raised(tree):
@@ -96,10 +111,15 @@ def test_only_errors_raises_the_check_and_cap_errors():
         imported[path.stem] = {alias.name for node in ast.walk(tree)
                                if isinstance(node, (ast.Import, ast.ImportFrom))
                                for alias in node.names}
+        named[path.stem] = _names(tree)
+        caught[path.stem] = set().union(*(_names(node.type) for node in ast.walk(tree)
+                                          if isinstance(node, ast.ExceptHandler) and node.type))
     assert raised["InternalConsistencyError"] == [("errors", "_agree"), ("errors", "_exact")]
-    assert raised["ResourceLimitError"] == [("errors", "_within"), ("oracle", "verify_range")]
-    assert not imported["liedim"] & {"InternalConsistencyError", "ResourceLimitError"}
+    assert raised["ResourceLimitError"] == [("errors", "_within")]
     assert raised["InvalidInputError"] == [("errors", "_reject")]
-    # the package exports it and the CLI catches it; no other module names it
-    assert {stem for stem, names in imported.items()
-            if "InvalidInputError" in names} == {"__init__", "cli"}
+    assert {error: {stem for stem, names in imported.items() if error in names}
+            for error in _PACKAGE_ERRORS} == {
+        "InvalidInputError": {"__init__", "cli"}, "ResourceLimitError": {"__init__", "cli"},
+        "InternalConsistencyError": {"__init__", "cli"}, "LinkRankError": {"__init__"}}
+    assert {stem for stem, names in named.items() if "_shown" in names} == {"errors"}
+    assert {stem for stem, names in caught.items() if names & _PACKAGE_ERRORS} == {"cli"}

@@ -111,6 +111,19 @@ def test_single_generator_multiplicity_is_a_delta():
             assert multiplicity((a,), (t,)) == expected
 
 
+def test_single_generator_dim_sums_are_one_zero_and_an_odd_square(clear_caches):
+    # one generator of weight a: D(0) = 1, D(a) = 1 for the generator, D(2a)
+    # = 1 for [P, P] exactly when a is odd, and 0 at every other degree; a
+    # reference for the one-weight Witt sums, for every 1 <= a <= 300
+    clear_caches()
+    for a in range(1, 301):
+        expected = [0] * 301
+        expected[0] = expected[a] = 1
+        if 2 * a <= 300:
+            expected[2 * a] = a % 2
+        assert weighted_dim_sums((a,), 300) == tuple(expected), a
+
+
 def _moebius(n):
     sign = 1
     d = 2

@@ -343,6 +343,58 @@ def test_the_paired_prefix_keeps_every_field_and_subset(case):
     assert list(report.subset_decomposition.items()) == list(decomposition.items())
 
 
+@st.composite
+def framed_links(draw):
+    # up to seven components in R^m, m <= 80, each with a frame count
+    # 0 <= l <= m - p
+    m = draw(st.integers(4, 80))
+    dims = draw(st.lists(st.integers(1, m - 3), min_size=1, max_size=7))
+    return m, tuple((p, draw(st.integers(0, m - p))) for p in dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(framed_links())
+def test_every_witt_read_takes_sorted_weights_within_its_target(clear_caches, case):
+    # _multiplicity_sum indexes D(target - a) for each weight a with no fit
+    # test, so every caller must pass nonempty sorted weights, the largest at
+    # most target: a larger one would index from the end of the Witt sums
+    m, components = case
+    dims = tuple(p for p, _ in components)
+    calls = []
+    real = ranks._multiplicity_sum
+
+    def recording(weights, target):
+        calls.append((weights, target))
+        return real(weights, target)
+
+    entries = [lambda: link_rank(m, dims).subset_decomposition,
+               lambda: framed_rank(m, components)]
+    if len(dims) >= 2:
+        entries.append(lambda: brunnian_rank(m, dims))
+    if dims[0] > 1:
+        entries.append(lambda: equal_dim_rank(m, dims[0], len(dims)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranks, "_multiplicity_sum", recording)
+        for entry in entries:
+            # cold caches, so that no entry reads a report another one built
+            clear_caches()
+            entry()
+    assert calls
+    for weights, target in calls:
+        assert weights and list(weights) == sorted(weights) and weights[-1] <= target, (
+            weights, target)
+
+
+def test_one_weight_multiplicity_sum_is_the_delta(clear_caches):
+    # M((a,)) = D(N - a) - D(N) is the delta correction of a knot with
+    # weight a in target N, for every 1 <= a <= N <= 300, not only for the
+    # weights of a paired prefix; each cell is solved once, at N = 300
+    clear_caches()
+    for a in range(1, 301):
+        for n in range(300, a - 1, -1):
+            assert liedim._multiplicity_sum((a,), n) == ranks._delta(n + 3, n + 1 - a), (a, n)
+
+
 def test_a_link_whose_components_pair_with_none_sums_once(clear_caches, monkeypatch):
     # weights 21..40 against m - 3 = 40: the least two add up to 41, so no
     # sublink of two or more fits and only M(all) is summed, not one M per
