@@ -16,13 +16,18 @@ Conventions used throughout the package:
 * a multidegree x is an integer tuple of the same length counting how many
   times each generator occurs;
 * the component of the all-zero multidegree has dimension 1 by convention,
-  and any negative coordinate gives dimension 0.
+  and any negative coordinate gives dimension 0 and multiplicity 0;
+  lie_component_dim and multiplicity apply these conventions, and no core
+  does.
 
 Each public function validates its arguments once (the weights through
 _as_weights, a multidegree with its weights through _as_system) and then
 calls an unvalidated core named with a leading underscore; the rank
 layer, the CLI's tables and the oracle's verify_range call the cores
-only.
+only.  The dimension and multiplicity cores take x >= 0 only, and the
+cached dimension _dim_by_parity also needs at least one letter: the rank
+layer passes solutions of _solutions, the CLI's table3 x, y >= 1 and
+verify_range the nonzero solutions.
 
 The dimension of a component is a sum over the divisors of the gcd of its
 multidegree (the divisor-sum form of the super Witt formula): |x| dim(x)
@@ -30,9 +35,8 @@ is the divisor-1 term, one multinomial coefficient, plus the terms of the
 divisors i > 1, which _divisor_terms sums and which exist only when the
 gcd exceeds 1.  Most multidegrees met in a rank have gcd 1.  This formula
 is written once, in _dim_formula, which takes the multinomial and the gcd
-from its caller; _dim_by_parity, the cached dimension of a validated
-multidegree (0 for a negative entry, 1 for x = 0), and _multiplicity both
-call it.
+from its caller; _dim_by_parity, the cached dimension of an admitted
+multidegree, and _multiplicity both call it.
 
 A bracket-map multiplicity sum_k dim(x - e_k) - dim(x) needs r + 1
 dimensions, but by Pascal's rule the multinomials of the x - e_k add up to
@@ -202,42 +206,43 @@ def _dim_formula(parities, x, n, multinomial, g):
 
 @lru_cache(maxsize=1 << 18)
 def _dim_by_parity(parities, x):
-    # lie_component_dim on an already validated multidegree: 0 for a
-    # negative entry, 1 for x = 0, else _dim_formula; only lie_component_dim
-    # and the oracle's verify_range reach it, and bench/ reports the hit
-    # ratio of its cache as liedim.dim_cache_hit_ratio
-    if min(x) < 0:
-        return 0
-    if not any(x):
-        return 1
+    # _dim_formula, cached, on an admitted multidegree: x >= 0 with at least
+    # one letter, as lie_component_dim applies the conventions for the rest
+    # and the oracle's verify_range passes only such x; bench/ reports the
+    # hit ratio of its cache as liedim.dim_cache_hit_ratio
     return _dim_formula(parities, x, sum(x), _multinomial(x), gcd(*x))
 
 
 def lie_component_dim(weights, x):
-    """Dimension of the multidegree-x component of the free Lie superalgebra.
+    """Dimension of the multidegree-x component of the free Lie superalgebra:
+    0 when an entry of x is negative, 1 for x = 0.
 
     Example: one generator of odd weight, x = (2,) -> 1, the self-bracket.
     """
-    return _dim_by_parity(*_as_system(weights, x))
+    parities, x = _as_system(weights, x)
+    if min(x) < 0:
+        return 0
+    return _dim_by_parity(parities, x) if any(x) else 1
 
 
 def multiplicity(weights, x):
     """sum_k dim(x - e_k) minus dim(x): the corank of the bracket-with-a-
-    generator map landing in the multidegree-x component."""
-    return _multiplicity(*_as_system(weights, x))
+    generator map landing in the multidegree-x component; 0 when an entry
+    of x is negative."""
+    parities, x = _as_system(weights, x)
+    return 0 if min(x) < 0 else _multiplicity(parities, x)
 
 
 def _multiplicity(parities, x):
-    # The two divided sums of the module docstring, for n = |x| >= 2, from
-    # one pass over x for n, multinomial(x) and gcd(x).  An x - e_k with
-    # x_k = 0 has a negative entry, dimension 0 and multinomial 0; for each
-    # other k, gcd(x - e_k) is folded over the entries of x - e_k up to the
-    # first 1, and only a gcd above 1 builds x - e_k for its i > 1 terms.
+    # The two divided sums of the module docstring, for x >= 0 and n = |x|
+    # >= 2, from one pass over x for n, multinomial(x) and gcd(x).  An
+    # x - e_k with x_k = 0 has a negative entry, dimension 0 and multinomial
+    # 0; for each other k, gcd(x - e_k) is folded over the entries of x - e_k
+    # up to the first 1, and only a gcd above 1 builds x - e_k for its i > 1
+    # terms.
     n, multinomial, g = 0, 1, 0
     for v in x:
         if v:
-            if v < 0:
-                return 0
             n += v
             multinomial *= comb(n, v)
             g = gcd(g, v)

@@ -38,10 +38,13 @@ on an axis is the count of that weight; the rest have rank 0.  The
 sub-multisets form a product of chains, one per axis, so the inversion
 is one finite difference per axis, run on the codes: pass j of a weight
 subtracts the value at code - stride from each code whose digit exceeds
-j, as the transform over subsets removes one component.  The link
-criterion walks the same family, and the split check weighs each
-multiset t by its number of component subsets, prod_a C(count of a in
-the link, count of a in t), a factor taken only for a weight the link
+j, as the transform over subsets removes one component.  The empty
+member and the singletons enter the inversion but are not returned: the
+family holds only members of two or more weights, as a singleton's value
+M((a,)) is not the knot rank the decomposition lists for one component.
+The link criterion walks the returned family, and the split check weighs
+each multiset t by its number of component subsets, prod_a C(count of a
+in the link, count of a in t), a factor taken only for a weight the link
 repeats.  The framed criterion (framed._framed_rank) adds the
 framed-knot bullets to the link verdict and walks no sublinks.
 
@@ -255,12 +258,13 @@ def _delta(m, p):
 
 
 def _brunnian_ranks(weights, target):
-    """Brunnian rank of every sub-multiset of the paired prefix of these
-    sorted link weights that adds up to at most target, keyed by its sorted
-    weights, the empty one first and each after its sub-multisets; every
-    other sublink of two or more components has rank 0.  The family is
-    closed under taking sub-multisets, so the inversion never reads
-    outside it."""
+    """Brunnian rank of every sub-multiset of two or more weights of the
+    paired prefix of these sorted link weights that adds up to at most
+    target, keyed by its sorted weights, each after its sub-multisets;
+    every other sublink of two or more components has rank 0.  The
+    inversion also runs over the empty and one-weight sub-multisets, which
+    are not returned; with them the family is closed under taking
+    sub-multisets, so the inversion never reads outside it."""
     # the paired prefix: the weights a <= target - a_min, or none when fewer
     # than two remain, as the least weight pairs with each of them and a
     # larger weight plus any other adds up to more than target
@@ -302,7 +306,7 @@ def _brunnian_ranks(weights, target):
             for code in codes:
                 if code // stride % (count + 1) > j:
                     values[code] -= values[code - stride]
-    return {t: values[code] for t, _, code in family}
+    return {t: values[code] for t, _, code in family if len(t) >= 2}
 
 
 def brunnian_rank(m, dims):
@@ -361,16 +365,14 @@ def _link_report(m, dims):
     repeated = [(a, count) for a, count in Counter(weights).items() if count > 1]
     split = 0
     for t, value in ranks.items():
-        if len(t) >= 2:
-            for a, count in repeated:
-                value *= comb(count, t.count(a))
-            split += value
+        for a, count in repeated:
+            value *= comb(count, t.count(a))
+        split += value
     _agree(split, rest, "closed formula gives {} beyond the knot ranks but the subset "
            "splitting gives {} for m={}, weights {}", rest, split, m, weights)
 
     # infinite when a knot rank is 1 or a sublink of two or more components is
-    infinite = any(knot_ranks) or any(
-        _subsequence_infinite(t, target) for t in ranks if len(t) >= 2)
+    infinite = any(knot_ranks) or any(_subsequence_infinite(t, target) for t in ranks)
     total = rest + sum(knot_ranks)
     _agree(infinite, total > 0, "finiteness criterion says {} but the rank is {} for m={}, p={}",
            infinite, total, m, dims)
@@ -403,11 +405,12 @@ def equal_dim_rank(m, p, r):
         _reject("the equal-dimension form needs p > 1, got p={}", p)
     _within(r, _MAX_TERMS, "equal_dim_rank of r={} components is over the cap of {}",
             r, _MAX_TERMS)
-    from fractions import Fraction
-    s = m - p
-    t = Fraction(m - 3, m - p - 2)
-    c = _knot_rank(m, p)
-    value = r * (witt_super(t - 1, s, r) + c - _delta(m, p)) - witt_super(t, s, r)
+    # t = (m - 3) / (m - p - 2); a non-integral t makes both witt_super
+    # terms 0
+    value = r * (_knot_rank(m, p) - _delta(m, p))
+    t, rest = divmod(m - 3, m - p - 2)
+    if not rest:
+        value += r * witt_super(t - 1, m - p, r) - witt_super(t, m - p, r)
     check = _link_report(m, (p,) * r).total_rank
     _agree(value, check, "equal-dimension form gives {} but the general formula gives {} "
            "for m={}, p={}, r={}", value, check, m, p, r)
